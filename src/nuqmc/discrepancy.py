@@ -14,10 +14,16 @@ variant pairs the strict count with the closed mass; for discrete measures
 the mass side honours the strict limit as well (otherwise e.g. the
 discrepancy of a point set against its own empirical measure would not be 0).
 
-Counting over the whole grid is done with d-dimensional cumulative sums, so a
-full scan costs O(grid size * d) rather than O(grid size * N * d); the scan
-refuses to run when grid_cells * d exceeds a configurable step budget
-(default 1e8, overridable via the NUQMC_BUDGET environment variable).
+One sort per axis gives both the grid and the ranks: a single np.unique over
+the counted coordinates, 1.0 and the mass side's coordinates returns the axis
+and the index on it of every point, so no point is searched for.  Counts over
+the whole grid come from one bincount at those indices and d-dimensional
+cumulative sums, so a scan of K points costs O(K log K + grid cells * d)
+rather than O(grid cells * K * d).  The scan refuses to run when
+grid_cells * d exceeds a configurable step budget (default 1e8, overridable
+via the NUQMC_BUDGET environment variable); the budget is checked after the
+sort, which needs O(K) memory, and before anything of the grid's size is
+allocated.
 
 All operations are pure; scans may be partitioned arbitrarily and max-reduced
 without changing the result.
@@ -28,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -75,94 +80,100 @@ class DiscrepancyReport:
         }
 
 
-def _critical_axes(points: np.ndarray, extra_axes=None) -> list[np.ndarray]:
-    """Per-axis critical grid: distinct point coordinates, the measure's jump
-    coordinates (if any), and 1.0."""
-    axes = []
-    for s in range(points.shape[1]):
-        vals = np.append(points[:, s], 1.0)
-        if extra_axes is not None:
-            vals = np.concatenate([vals, np.asarray(extra_axes[s], dtype=float)])
-        axes.append(np.unique(vals))
-    return axes
+def _grid(counted: np.ndarray, extra=None):
+    """Critical grid and grid ranks from one np.unique per axis.
+
+    Axis s holds the distinct counted coordinates, 1.0 and `extra[s]` (the
+    mass side's coordinates, if any).  Returns the axes and, per axis, the
+    index on the axis of every counted coordinate and of every extra
+    coordinate.  Each of them sits on its axis, so that index is its closed
+    rank (the first corner whose closed box holds it) and the index plus one
+    is its strict rank."""
+    n = counted.shape[0]
+    axes, ranks, extra_ranks = [], [], []
+    for s in range(counted.shape[1]):
+        tail = np.zeros(0) if extra is None else np.asarray(extra[s], dtype=float)
+        ax, inv = np.unique(np.concatenate([counted[:, s], [1.0], tail]), return_inverse=True)
+        axes.append(ax)
+        ranks.append(inv[:n])
+        extra_ranks.append(inv[n + 1:])
+    return axes, ranks, extra_ranks
 
 
-def _grid_ranks(points: np.ndarray, axes: Sequence[np.ndarray]):
-    """Per-axis closed insertion ranks plus exact-membership flags; the
-    strict rank of a coordinate is its closed rank plus one when the
-    coordinate sits exactly on the axis (axes are unique and sorted)."""
-    lefts, members = [], []
-    for s, ax in enumerate(axes):
-        f = np.searchsorted(ax, points[:, s], side="left")
-        inside = f < len(ax)
-        member = np.zeros(points.shape[0], dtype=np.int64)
-        member[inside] = (ax[f[inside]] == points[inside, s]).astype(np.int64)
-        lefts.append(f)
-        members.append(member)
-    return lefts, members
-
-
-def _counts_from_ranks(lefts, members, shape, n_points, strict: bool) -> np.ndarray:
-    counts = np.zeros(shape, dtype=np.int64)
-    ok = np.ones(n_points, dtype=bool)
-    first = []
-    for f, mem, size in zip(lefts, members, shape):
-        ff = f + mem if strict else f
-        first.append(ff)
-        ok &= ff < size
-    if np.any(ok):
-        flat = np.ravel_multi_index([f[ok] for f in first], shape)
-        np.add.at(counts.ravel(), flat, 1)
-        for axis in range(len(shape)):
-            np.cumsum(counts, axis=axis, out=counts)
+def _cumulative_counts(ranks, shape, strict: bool) -> np.ndarray:
+    """Counts of points inside [0, corner] (or [0, corner) when strict) for
+    every corner of the grid: a bincount at each point's first corner, then a
+    cumsum along every axis."""
+    first = ranks
+    if strict:
+        first = [r + 1 for r in ranks]
+        ok = np.logical_and.reduce([f < size for f, size in zip(first, shape)])
+        first = [f[ok] for f in first]
+    flat = np.ravel_multi_index(first, shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    for axis in range(len(shape)):
+        np.cumsum(counts, axis=axis, out=counts)
     return counts
 
 
-def _cumulative_counts(points: np.ndarray, axes: Sequence[np.ndarray], strict: bool) -> np.ndarray:
-    """Counts of points inside [0, corner] (or [0, corner) when strict) for
-    every corner of the tensor grid, via a d-dimensional cumsum."""
-    lefts, members = _grid_ranks(points, axes)
-    return _counts_from_ranks(
-        lefts, members, tuple(len(a) for a in axes), points.shape[0], strict
-    )
+def _contains(sub_ranks, full_ranks, shape) -> bool:
+    """Whether every subset row occurs among the full rows at least as often
+    (multisets), from the grid ranks of both on the same axes.  Rows are keyed
+    axis by axis by their index among the subset's distinct prefixes, so only
+    the subset is sorted; a full row whose prefix the subset lacks gets -1."""
+    sub_key = np.zeros(len(sub_ranks[0]), dtype=np.int64)
+    full_key = np.zeros(len(full_ranks[0]), dtype=np.int64)
+    for rs, rf, size in zip(sub_ranks, full_ranks, shape):
+        prefixes, sub_key = np.unique(sub_key * size + rs, return_inverse=True)
+        full_key = full_key * size + rf
+        pos = np.minimum(np.searchsorted(prefixes, full_key), len(prefixes) - 1)
+        full_key = np.where(prefixes[pos] == full_key, pos, -1)
+    need = np.bincount(sub_key)
+    have = np.bincount(full_key[full_key >= 0], minlength=len(need))
+    return bool(np.all(need <= have))
 
 
-def _scan_grid(points, normalizer, mass_provider, budget, points_filter=None, extra_axes=None):
+def _scan_grid(
+    points, normalizer, mass_provider, budget, points_filter=None, extra_axes=None, contained=False
+):
     """Core scan: max over grid corners and variants of
     |count/normalizer - mass|, plus the witnessing corner.
 
-    `mass_provider(axes, closed)` returns the mass grid; the critical grid is
-    built from the counted points (after `points_filter`, if any) plus any
-    `extra_axes` (per-axis jump coordinates of the mass side, required for
-    exactness against purely atomic set functions).
+    The critical grid is built from the counted points (after
+    `points_filter`, if any) plus any `extra_axes` (per-axis coordinates of
+    the mass side, required for exactness against purely atomic set
+    functions).  `mass_provider(axes, closed, extra_ranks)` returns the mass
+    grid; `extra_ranks` are the grid ranks of `extra_axes`.  With `contained`,
+    `extra_axes` holds the columns of a point multiset that must contain the
+    counted points; a ValueError says it does not, before the budget check.
     """
     counted = points if points_filter is None else points[points_filter]
-    if counted.shape[0] == 0:
-        axes = _critical_axes(np.ones((0, points.shape[1])), extra_axes)
-    else:
-        axes = _critical_axes(counted, extra_axes)
+    axes, ranks, extra_ranks = _grid(counted, extra_axes)
+    shape = tuple(len(a) for a in axes)
+    if contained and not _contains(ranks, extra_ranks, shape):
+        raise ValueError("subset is not contained in full (as multisets)")
     d = points.shape[1]
-    cells = math.prod(len(a) for a in axes)
+    cells = math.prod(shape)
     if cells * d > _resolve_budget(budget):
         raise BudgetExceededError(
             f"critical grid needs {cells * d} steps > budget; "
             "use estimate_star_discrepancy or raise the budget"
         )
 
-    shape = tuple(len(a) for a in axes)
-    lefts, members = _grid_ranks(counted, axes)
     best_val = -1.0
     best_corner = None
     best_closed = True
     for closed in (True, False):
-        cnt = _counts_from_ranks(lefts, members, shape, counted.shape[0], strict=not closed)
-        mass_grid = mass_provider(axes, closed)
-        vals = np.abs(cnt / float(normalizer) - mass_grid)
+        # in place, and freed before the other variant: dense grids are large
+        vals = _cumulative_counts(ranks, shape, strict=not closed) / float(normalizer)
+        vals -= mass_provider(axes, closed, extra_ranks)
+        np.abs(vals, out=vals)
         flat = int(np.argmax(vals))
         v = float(vals.ravel()[flat])
+        del vals
         if v > best_val:
             best_val = v
-            idx = np.unravel_index(flat, vals.shape)
+            idx = np.unravel_index(flat, shape)
             best_corner = np.array([axes[s][idx[s]] for s in range(d)])
             best_closed = closed
     return best_val, AnchoredBox(best_corner, closed=best_closed), 2 * cells
@@ -191,7 +202,11 @@ def exact_star_discrepancy(ps: PointSet, mu: BoxMeasure, budget: int | None = No
             f"point set dimension {ps.dim} != measure dimension {mu.dim}"
         )
     val, witness, scanned = _scan_grid(
-        ps.points, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates()
+        ps.points,
+        ps.n,
+        lambda axes, closed, _: mu.mass_on_grid(axes, closed),
+        budget,
+        extra_axes=mu.jump_coordinates(),
     )
     return DiscrepancyReport(val, witness, "exact", scanned)
 
@@ -211,13 +226,11 @@ def estimate_star_discrepancy(
         raise ValueError("trials must be >= 1")
     if ps.dim != mu.dim:
         raise DimensionMismatchError("dimension mismatch")
-    axes = _critical_axes(ps.points, mu.jump_coordinates())
+    axes, _, _ = _grid(ps.points, mu.jump_coordinates())
     cells = math.prod(len(a) for a in axes)
     if cells <= trials:
-        val, witness, _ = _scan_grid(
-            ps.points, ps.n, mu.mass_on_grid, None, extra_axes=mu.jump_coordinates()
-        )
-        return DiscrepancyReport(val, witness, "estimate", 2 * cells)
+        exact = exact_star_discrepancy(ps, mu)
+        return DiscrepancyReport(exact.value, exact.witness, "estimate", exact.boxes_scanned)
 
     rng = np.random.default_rng(seed)
     d = ps.dim
@@ -248,20 +261,6 @@ def estimate_star_discrepancy(
     return DiscrepancyReport(best_val, AnchoredBox(best_corner, closed=best_closed), "estimate", 2 * trials)
 
 
-def _is_submultiset(subset: np.ndarray, full: np.ndarray) -> bool:
-    order = np.argsort(full[:, 0], kind="stable")
-    full_sorted = full[order]
-    col0 = full_sorted[:, 0]
-    rows, counts = np.unique(subset, axis=0, return_counts=True)
-    for row, need in zip(rows, counts):
-        lo = np.searchsorted(col0, row[0], side="left")
-        hi = np.searchsorted(col0, row[0], side="right")
-        have = int(np.sum(np.all(full_sorted[lo:hi] == row, axis=1)))
-        if have < need:
-            return False
-    return True
-
-
 def discrete_discrepancy(subset: PointSet, full: PointSet, budget: int | None = None) -> float:
     """max over anchored boxes of |#(subset in A) - (N/K) #(full in A)| on the
     unnormalized count scale; subset must be a sub-multiset of full.
@@ -271,21 +270,13 @@ def discrete_discrepancy(subset: PointSet, full: PointSet, budget: int | None = 
     union grid realize the sup exactly."""
     if subset.dim != full.dim:
         raise DimensionMismatchError("subset and full point sets must share a dimension")
-    if not _is_submultiset(subset.points, full.points):
-        raise ValueError("subset is not contained in full (as multisets)")
-    n, k = subset.n, full.n
-    ratio = n / k
-    rank_cache = {}
+    ratio = subset.n / full.n
 
-    def mass_provider(axes, closed):
-        if "ranks" not in rank_cache:
-            rank_cache["ranks"] = _grid_ranks(full.points, axes)
-        lefts, mems = rank_cache["ranks"]
-        cnt = _counts_from_ranks(
-            lefts, mems, tuple(len(a) for a in axes), k, strict=not closed
-        )
-        return ratio * cnt
+    def mass_provider(axes, closed, full_ranks):
+        shape = tuple(len(a) for a in axes)
+        return ratio * _cumulative_counts(full_ranks, shape, strict=not closed)
 
-    full_axes = [np.unique(full.points[:, s]) for s in range(full.dim)]
-    val, _, _ = _scan_grid(subset.points, 1.0, mass_provider, budget, extra_axes=full_axes)
+    val, _, _ = _scan_grid(
+        subset.points, 1.0, mass_provider, budget, extra_axes=full.points.T, contained=True
+    )
     return val

@@ -70,7 +70,7 @@ def omega_discrepancy(
     n = n_override if n_override is not None else ps.n
     inside = omega.contains(ps.points)
 
-    def mass_provider(axes, closed):
+    def mass_provider(axes, closed, _):
         return omega.intersection_volume_grid(axes)
 
     val, _, _ = _scan_grid(ps.points, n, mass_provider, budget, points_filter=inside)

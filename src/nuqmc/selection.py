@@ -88,16 +88,17 @@ def decompose(z: PointSet, n_target: int) -> CellDecomposition:
     slab_sizes = np.diff(boundaries[0])
     assert np.all(np.abs(slab_sizes - k / n_target) < 1.0)
 
+    # rank r (1-based) lies in slab i iff boundaries[i] < r <= boundaries[i+1],
+    # i.e. i = ceil(r*N/K) - 1 for boundaries[i] = floor(i*K/N)
+    slab_of_rank = (np.arange(1, k + 1, dtype=np.int64) * n_target + k - 1) // k - 1
     point_cells = np.empty((k, d), dtype=np.int64)
     for s in range(d):
         order = np.argsort(z.points[:, s], kind="stable")  # ties keep index order
-        ranks = np.empty(k, dtype=np.int64)
-        ranks[order] = np.arange(1, k + 1)
-        point_cells[:, s] = np.searchsorted(boundaries[s, 1:], ranks, side="left")
+        point_cells[order, s] = slab_of_rank
 
-    counts = np.zeros((n_target,) * d, dtype=np.int64)
-    flat = np.ravel_multi_index(tuple(point_cells[:, s] for s in range(d)), counts.shape)
-    np.add.at(counts.ravel(), flat, 1)
+    shape = (n_target,) * d
+    flat = np.ravel_multi_index(tuple(point_cells[:, s] for s in range(d)), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     assert counts.sum() == k
 
     beta = counts * (n_target / (k + n_target))

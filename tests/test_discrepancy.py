@@ -102,6 +102,31 @@ def test_matches_naive_oracle_small():
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
+def tied_points(rng, n, d):
+    """Coordinates snapped to k/8, duplicate rows, and the corners 0.0 and 1.0
+    present on every axis."""
+    pts = rng.integers(0, 9, size=(n, d)) / 8.0
+    pts[0] = 0.0
+    pts[-1] = 1.0
+    return np.concatenate([pts, pts[: max(1, n // 3)]])
+
+
+def test_matches_naive_oracle_with_ties():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3):
+        for trial in range(6):
+            ps = PointSet(tied_points(rng, int(rng.integers(2, 9 if d < 3 else 6)), d))
+            mu = [
+                uniform_measure(d),
+                ProductMeasure([PowerCdf(float(rng.uniform(0.3, 3.0))) for _ in range(d)]),
+                # atoms at odd multiples of 1/16: off the points' k/8 grid
+                DiscreteMeasure(PointSet((2 * rng.integers(0, 8, size=(5, d)) + 1) / 16.0)),
+            ][trial % 3]
+            rep = exact_star_discrepancy(ps, mu)
+            assert rep.value == pytest.approx(naive_star_discrepancy(ps, mu), abs=1e-12)
+            assert local_star_discrepancy(ps, mu, rep.witness) == rep.value
+
+
 def test_discrete_measure_with_atoms_on_points():
     # point set == atoms: discrepancy must vanish (open limit pairs strict
     # count with strict mass)
@@ -244,11 +269,53 @@ def test_discrete_discrepancy_matches_naive():
         )
 
 
+def test_discrete_discrepancy_matches_naive_with_ties():
+    # duplicate rows in both sets, snapped coordinates, corners at 0.0 and 1.0
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 3):
+        for _ in range(5):
+            base_n = int(rng.integers(3, 12 if d < 3 else 7))
+            z = tied_points(rng, base_n, d)  # row base_n repeats row 0
+            extra = rng.choice(len(z), size=int(rng.integers(0, len(z) - 1)), replace=False)
+            picks = np.union1d([0, base_n], extra)
+            sub = PointSet(z[picks][rng.permutation(len(picks))])
+            z = PointSet(z[rng.permutation(len(z))])
+            assert discrete_discrepancy(sub, z) == pytest.approx(
+                naive_discrete_discrepancy(sub, z), abs=1e-12
+            )
+            both = PointSet(np.concatenate([sub.points, sub.points]))
+            dup = PointSet(np.concatenate([z.points, z.points]))
+            assert discrete_discrepancy(both, dup) == pytest.approx(
+                naive_discrete_discrepancy(both, dup), abs=1e-12
+            )
+
+
 def test_discrete_discrepancy_containment_enforced():
     z = PointSet([[0.2], [0.4]])
     outsider = PointSet([[0.3]])
     with pytest.raises(ValueError):
         discrete_discrepancy(outsider, z)
+
+
+def test_discrete_discrepancy_containment_counts_rows():
+    # every coordinate occurs in full, but not as a row / not often enough
+    z = PointSet([[0.2, 0.4], [0.4, 0.2], [0.4, 0.2]])
+    with pytest.raises(ValueError):
+        discrete_discrepancy(PointSet([[0.2, 0.2]]), z)
+    with pytest.raises(ValueError):
+        discrete_discrepancy(PointSet([[0.2, 0.4], [0.2, 0.4]]), z)
+    discrete_discrepancy(PointSet([[0.4, 0.2], [0.4, 0.2], [0.2, 0.4]]), z)
+
+
+def test_discrete_discrepancy_containment_before_budget():
+    # containment is checked first: a non-contained subset is a ValueError
+    # even when the grid is far over budget
+    rng = np.random.default_rng(12)
+    z = PointSet(rng.random((50, 2)))
+    with pytest.raises(ValueError):
+        discrete_discrepancy(PointSet([[0.5, 0.5]]), z, budget=1)
+    with pytest.raises(BudgetExceededError):
+        discrete_discrepancy(PointSet(z.points[:3]), z, budget=1)
 
 
 def test_restriction_measure_scan():

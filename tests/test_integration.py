@@ -1,6 +1,7 @@
 """Region-adapted cubature: reference quadrature, region discrepancy, and the
 variation-bound fixtures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -93,6 +94,52 @@ def test_omega_discrepancy_random_d1_matches_oracle():
         ps = PointSet(rng.random((12, 1)))
         assert omega_discrepancy(ps, omega) == pytest.approx(
             dense_omega_discrepancy_oracle(ps, omega), abs=1e-9
+        )
+
+
+def grid_omega_discrepancy_oracle(ps, omega):
+    """Brute-force oracle for any d: every corner of the grid of all point
+    coordinates, 0, 1 and the k/8 lattice, both variants, with direct counts
+    of the points in Omega and one volume call per corner."""
+    inside = omega.contains(ps.points)
+    axes = [
+        sorted(set(ps.points[:, s].tolist()) | {k / 8 for k in range(9)})
+        for s in range(ps.dim)
+    ]
+    best = 0.0
+    for corner in itertools.product(*axes):
+        c = np.array(corner)
+        lam = float(omega.intersection_volume_grid([np.array([a]) for a in corner]).ravel()[0])
+        closed = sum(1 for p, ok in zip(ps.points, inside) if ok and np.all(p <= c))
+        open_ = sum(1 for p, ok in zip(ps.points, inside) if ok and np.all(p < c))
+        best = max(best, abs(closed / ps.n - lam), abs(open_ / ps.n - lam))
+    return 2.0**ps.dim * best
+
+
+def test_omega_discrepancy_ties_and_outside_points_match_oracle():
+    # snapped coordinates, duplicate rows, corners 0.0 and 1.0, and some or
+    # all points outside the region
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        omega = OmegaRegion(
+            [([0.0] * d, [0.5] * d), ([0.5] + [0.0] * (d - 1), [0.75] + [0.25] * (d - 1))]
+        )
+        for _ in range(4):
+            n = int(rng.integers(2, 8 if d < 3 else 5))
+            pts = rng.integers(0, 9, size=(n, d)) / 8.0
+            pts[0], pts[-1] = 0.0, 1.0
+            ps = PointSet(np.concatenate([pts, pts[:2]]))
+            assert 0 < np.sum(omega.contains(ps.points)) < ps.n
+            assert omega_discrepancy(ps, omega) == pytest.approx(
+                grid_omega_discrepancy_oracle(ps, omega), abs=1e-12
+            )
+        outside = PointSet(np.full((3, d), 0.875))
+        assert not np.any(omega.contains(outside.points))
+        assert omega_discrepancy(outside, omega) == pytest.approx(
+            grid_omega_discrepancy_oracle(outside, omega), abs=1e-12
+        )
+        assert omega_discrepancy(outside, omega) == pytest.approx(
+            2.0**d * omega.volume, abs=1e-12
         )
 
 

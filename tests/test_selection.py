@@ -25,6 +25,25 @@ def test_decompose_identical_points_spread_by_rank():
     assert dc.beta.max() <= 1.0
 
 
+def test_decompose_slabs_match_boundary_search():
+    # the closed-form slab index equals the search over boundaries
+    # floor(i*K/N), also when N does not divide K
+    rng = np.random.default_rng(7)
+    for k, n, d in [(4, 2, 1), (10, 3, 1), (17, 4, 2), (50, 7, 2), (1000, 31, 1), (343, 6, 3)]:
+        z = PointSet(rng.integers(0, 5, size=(k, d)) / 4.0)  # many ties
+        dc = decompose(z, n)
+        cells = np.empty((k, d), dtype=np.int64)
+        for s in range(d):
+            ranks = np.empty(k, dtype=np.int64)
+            ranks[np.argsort(z.points[:, s], kind="stable")] = np.arange(1, k + 1)
+            cells[:, s] = np.searchsorted(dc.boundaries[s, 1:], ranks, side="left")
+        counts = np.zeros((n,) * d, dtype=np.int64)
+        np.add.at(counts, tuple(cells.T), 1)
+        assert np.array_equal(dc.point_cells, cells)
+        assert np.array_equal(dc.counts, counts)
+        assert np.array_equal(dc.beta, counts * (n / (k + n)))
+
+
 def test_decompose_single_target():
     z = uniform_measure(2).sample(0, 9)
     dc = decompose(z, 1)
