@@ -34,12 +34,21 @@ per-edge error |sum_E (beta - b)|:
 Both engines preserve zeros (beta_i = 0 implies b_i = 0), round integral
 vectors to themselves, and are pure functions of their inputs (the
 partial-coloring walk is deterministic given its seed).
+
+A Hypergraph is stored in CSR form, (ptr, members), and that is the only
+form the Beck-Fiala engine reads: per-edge sums are segmented reductions,
+the active system's nonzeros come from one gather over the members, and
+the signature hash is one weighted bincount, so no step loops over edges
+in Python.  Validation is vectorised the same way, whether the input is an
+edge list or CSR arrays.  beck_fiala_round counts its steps and the
+variables each froze in RoundingResult.details.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import null_space
@@ -58,45 +67,82 @@ __all__ = [
 
 _BOUND_SNAP = 1e-9
 _HASH_RNG_SEED = 0x5EED_BA1A  # fixed: signature hashing must be seed-free deterministic
+# Beck-Fiala step counters: how often each step ran and how many variables
+# it froze ("lsqr_null_steps" are the null steps on the sparse branch).
+# "final_snapped" counts the variables of the unconstrained last step, so
+# the four frozen counts add up to the variables left floating by the
+# initial snap.
+TRACE_KEYS = (
+    "pairing_passes",
+    "pairing_frozen",
+    "lp_jumps",
+    "lp_frozen",
+    "null_steps",
+    "lsqr_null_steps",
+    "null_frozen",
+    "final_snapped",
+)
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    """n vertices {0..n-1} and a list of m edges (sorted index arrays).
+    """n vertices {0..n-1} and m edges in CSR form: edge e is
+    members[ptr[e]:ptr[e+1]], sorted ascending.
 
-    max_degree is cached at construction and re-validated against the edge
-    list; serialization is the JSON object {"n": n, "edges": [[...], ...]}.
+    Build it from a sequence of edges, Hypergraph(n, edges), or from the CSR
+    arrays themselves, Hypergraph(n, csr=(ptr, members)).  Both inputs go
+    through one vectorised validation: members lie in [0, n), each edge is
+    sorted (one segmented sort when it is not) and repeats no vertex, and
+    max_degree is recomputed by bincount and checked against the cached
+    value when one is given.  Serialization is the JSON object
+    {"n": n, "edges": [[...], ...]}.
     """
 
-    n: int
-    edges: tuple
-    max_degree: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges=(), max_degree: int = -1, *, csr=None):
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        norm = []
-        deg = np.zeros(self.n, dtype=np.int64)
-        for e in self.edges:
-            arr = np.asarray(e, dtype=np.int64)
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-                raise ValueError(f"edge {arr} has vertices outside [0, {self.n})")
-            arr = np.sort(arr)
-            if arr.size > 1 and np.any(np.diff(arr) == 0):
-                raise ValueError("edges may not repeat a vertex")
-            deg[arr] += 1
-            norm.append(arr)
-        object.__setattr__(self, "edges", tuple(norm))
-        recomputed = int(deg.max()) if self.n else 0
-        if self.max_degree >= 0 and self.max_degree != recomputed:
-            raise ValueError(
-                f"cached max_degree {self.max_degree} != recomputed {recomputed}"
+        if csr is None:
+            sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+            ptr = np.concatenate([[0], np.cumsum(sizes)])
+            members = np.concatenate(
+                [np.zeros(0, dtype=np.int64), *edges], dtype=np.int64, casting="unsafe"
             )
-        object.__setattr__(self, "max_degree", recomputed)
+        else:
+            ptr, members = (np.asarray(a, dtype=np.int64) for a in csr)
+            if (
+                ptr.ndim != 1 or members.ndim != 1 or ptr.size == 0 or ptr[0] != 0
+                or ptr[-1] != members.size or np.any(np.diff(ptr) < 0)
+            ):
+                raise ValueError("csr must be (ptr, members), ptr rising from 0 to len(members)")
+        if members.size and (members.min() < 0 or members.max() >= n):
+            bad = int(np.flatnonzero((members < 0) | (members >= n))[0])
+            e = int(np.searchsorted(ptr, bad, side="right")) - 1
+            raise ValueError(f"edge {members[ptr[e]:ptr[e + 1]]} has vertices outside [0, {n})")
+        # steps between neighbours within one edge must be positive: a step
+        # <= 0 means an unsorted edge (sort it) or a repeated vertex (refuse)
+        inner = np.ones(max(members.size - 1, 0), dtype=bool)
+        inner[ptr[1:-1][(ptr[1:-1] > 0) & (ptr[1:-1] < members.size)] - 1] = False
+        if np.any(inner & (np.diff(members) <= 0)):
+            edge_of = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+            members = members[np.lexsort((members, edge_of))]
+            if np.any(inner & (np.diff(members) == 0)):
+                raise ValueError("edges may not repeat a vertex")
+        recomputed = int(np.bincount(members, minlength=n).max()) if n else 0
+        if max_degree >= 0 and max_degree != recomputed:
+            raise ValueError(f"cached max_degree {max_degree} != recomputed {recomputed}")
+        self.n = n
+        self.ptr = ptr
+        self.members = members
+        self.max_degree = recomputed
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ptr) - 1
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Per-edge member arrays (views of `members`), for inspection and
+        serialization; the engines work on the CSR arrays."""
+        return tuple(np.split(self.members, self.ptr[1:-1])) if self.m else ()
 
     def to_dict(self):
         return {"n": self.n, "edges": [e.tolist() for e in self.edges]}
@@ -107,14 +153,7 @@ class Hypergraph:
 
     def incidence_csr(self):
         """(edge_ptr, members): concatenated member arrays with offsets."""
-        sizes = np.array([len(e) for e in self.edges], dtype=np.int64)
-        ptr = np.concatenate([[0], np.cumsum(sizes)])
-        members = (
-            np.concatenate([e for e in self.edges])
-            if self.m and ptr[-1] > 0
-            else np.zeros(0, dtype=np.int64)
-        )
-        return ptr, members
+        return self.ptr, self.members
 
 
 @dataclass(frozen=True)
@@ -143,11 +182,8 @@ def edge_error(h: Hypergraph, beta: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if beta.shape != (h.n,) or b.shape != (h.n,):
         raise ValueError("beta and b must be vectors of length n")
-    diff = beta - b
-    worst = 0.0
-    for e in h.edges:
-        worst = max(worst, abs(float(diff[e].sum())))
-    return worst
+    sums = _edge_sums(h.ptr, (beta - b)[h.members])
+    return float(np.abs(sums).max(initial=0.0))
 
 
 def _check_beta(h: Hypergraph, beta) -> np.ndarray:
@@ -168,16 +204,19 @@ def _snap(x, floating):
     floating &= ~(lo | hi)
 
 
-def _floating_per_edge(ptr, members, floating):
-    if members.size == 0:
-        return np.zeros(len(ptr) - 1, dtype=np.int64)
-    flags = floating[members].astype(np.int64)
-    cums = np.concatenate([[0], np.cumsum(flags)])
-    return cums[ptr[1:]] - cums[ptr[:-1]]
+def _edge_sums(ptr, vals):
+    """Per-edge sums of `vals`, laid out like the members of the CSR `ptr`;
+    an empty edge sums to 0."""
+    sums = np.zeros(len(ptr) - 1, dtype=vals.dtype)
+    nonempty = ptr[1:] > ptr[:-1]
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(vals, ptr[:-1][nonempty])
+    return sums
 
 
 class _EngineState:
-    """Shared bookkeeping for the floating-colors walk."""
+    """Shared bookkeeping for the floating-colors walk, plus the counters of
+    the steps it took (`trace`, reported as RoundingResult.details)."""
 
     def __init__(self, h: Hypergraph, beta: np.ndarray):
         self.h = h
@@ -185,22 +224,27 @@ class _EngineState:
         self.floating = np.ones(h.n, dtype=bool)
         _snap(self.x, self.floating)
         self.ptr, self.members = h.incidence_csr()
+        self.edge_of = np.repeat(np.arange(h.m), np.diff(self.ptr))
         rng = np.random.default_rng(_HASH_RNG_SEED)
         self.edge_hash = rng.random(max(h.m, 1))
         # vertex -> edge ids (CSR) for exact pair verification
-        if self.members.size:
-            order = np.argsort(self.members, kind="stable")
-            self.v_edges = np.repeat(
-                np.arange(h.m), np.diff(self.ptr)
-            )[order]
-            self.v_ptr = np.searchsorted(self.members[order], np.arange(h.n + 1))
-        else:
-            self.v_edges = np.zeros(0, dtype=np.int64)
-            self.v_ptr = np.zeros(h.n + 1, dtype=np.int64)
+        order = np.argsort(self.members, kind="stable")
+        self.v_edges = self.edge_of[order]
+        self.v_ptr = np.searchsorted(self.members[order], np.arange(h.n + 1))
+        self.trace = dict.fromkeys(TRACE_KEYS, 0)
 
     def active_mask(self):
-        counts = _floating_per_edge(self.ptr, self.members, self.floating)
+        counts = _edge_sums(self.ptr, self.floating[self.members].astype(np.int64))
         return counts > self.h.max_degree
+
+    def active_floating(self, active):
+        """(row, column) of every floating member of every active edge, in
+        edge order: row r is the r-th active edge and column c the c-th
+        floating variable, i.e. the nonzeros of the active system."""
+        keep = active[self.edge_of] & self.floating[self.members]
+        rows = (np.cumsum(active) - 1)[self.edge_of[keep]]
+        cols = (np.cumsum(self.floating) - 1)[self.members[keep]]
+        return rows, cols
 
     def var_active_edges(self, v, active):
         es = self.v_edges[self.v_ptr[v] : self.v_ptr[v + 1]]
@@ -211,19 +255,15 @@ def _pairing_pass(st: _EngineState, active) -> int:
     """Freeze variables by walking i->up / j->down for pairs (i, j) of
     floating variables with identical active-edge membership.  Returns the
     number of variables frozen."""
+    st.trace["pairing_passes"] += 1
     float_idx = np.flatnonzero(st.floating)
     if float_idx.size < 2:
         return 0
     # hash of the active-edge set per variable, accumulated in one pass
-    sig_full = np.zeros(st.h.n)
-    active_ids = np.flatnonzero(active)
-    if active_ids.size:
-        mems = np.concatenate([st.h.edges[e] for e in active_ids])
-        ws = np.repeat(
-            st.edge_hash[active_ids],
-            [len(st.h.edges[e]) for e in active_ids],
-        )
-        np.add.at(sig_full, mems, ws)
+    in_active = active[st.edge_of]
+    sig_full = np.bincount(
+        st.members[in_active], weights=st.edge_hash[st.edge_of[in_active]], minlength=st.h.n
+    )
     sig = sig_full[float_idx]
     order = np.argsort(sig, kind="stable")
     sig_sorted = sig[order]
@@ -255,76 +295,59 @@ def _pairing_pass(st: _EngineState, active) -> int:
                 i += 2
                 continue
         i += 1
+    st.trace["pairing_frozen"] += frozen
     return frozen
 
 
 def _lp_round(st: _EngineState, active) -> bool:
     """Jump to a vertex of the active polytope; returns True on progress."""
+    n_active = int(np.count_nonzero(active))
+    if not n_active:
+        return False
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size
-    col_of = np.full(st.h.n, -1, dtype=np.int64)
-    col_of[float_idx] = np.arange(f)
-    rows, cols = [], []
-    active_ids = np.flatnonzero(active)
-    for r, e in enumerate(active_ids):
-        mem = st.h.edges[e]
-        fl = mem[st.floating[mem]]
-        rows.append(np.full(fl.size, r))
-        cols.append(col_of[fl])
-    if not active_ids.size:
-        return False
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    a_eq = coo_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(active_ids.size, f)
-    ).tocsr()
+    rows, cols = st.active_floating(active)
+    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_active, f)).tocsr()
     xf = st.x[float_idx]
     b_eq = a_eq @ xf
     # movement-minimizing-ish objective with a deterministic tiebreak wiggle
     c = (0.5 - xf) + 1e-3 * np.cos(0.7 * float_idx + 0.3)
     method = "highs-ds" if f <= 20000 else "highs-ipm"
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method=method)
+    st.trace["lp_jumps"] += 1
     if res.status != 0:
         return False
     st.x[float_idx] = res.x
     before = int(st.floating.sum())
     _snap(st.x, st.floating)
-    return int(st.floating.sum()) < before
+    frozen = before - int(st.floating.sum())
+    st.trace["lp_frozen"] += frozen
+    return frozen > 0
 
 
 def _null_step(st: _EngineState, active) -> None:
     """One explicit null-space move; freezes at least one variable."""
+    st.trace["null_steps"] += 1
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size
-    active_ids = np.flatnonzero(active)
-    if not active_ids.size:
+    n_active = int(np.count_nonzero(active))
+    if not n_active:
         # unconstrained: snap everything to the nearest bound
         st.x[float_idx] = np.where(st.x[float_idx] >= 0.5, 1.0, 0.0)
         st.floating[float_idx] = False
+        st.trace["null_frozen"] += f
         return
-    col_of = np.full(st.h.n, -1, dtype=np.int64)
-    col_of[float_idx] = np.arange(f)
+    rows, cols = st.active_floating(active)
     if f <= 1500:
-        mat = np.zeros((active_ids.size, f))
-        for r, e in enumerate(active_ids):
-            mem = st.h.edges[e]
-            fl = mem[st.floating[mem]]
-            mat[r, col_of[fl]] = 1.0
+        mat = np.zeros((n_active, f))
+        mat[rows, cols] = 1.0
         basis = null_space(mat, rcond=1e-10)
         if basis.shape[1] == 0:
             raise RuntimeError("active system unexpectedly has full column rank")
         v = basis[:, 0]
     else:
-        rows, cols = [], []
-        for r, e in enumerate(active_ids):
-            mem = st.h.edges[e]
-            fl = mem[st.floating[mem]]
-            rows.append(np.full(fl.size, r))
-            cols.append(col_of[fl])
-        mat = coo_matrix(
-            (np.ones(sum(len(r) for r in rows)), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(active_ids.size, f),
-        ).tocsr()
+        st.trace["lsqr_null_steps"] += 1
+        mat = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_active, f)).tocsr()
         v = None
         for probe in range(min(f, 32)):
             g = np.cos(0.31 * np.arange(f) + probe)
@@ -344,13 +367,13 @@ def _null_step(st: _EngineState, active) -> None:
     if not np.isfinite(t):
         raise RuntimeError("degenerate null direction")
     st.x[float_idx] = np.clip(xf + t * v, 0.0, 1.0)
-    before = int(st.floating.sum())
     _snap(st.x, st.floating)
-    if int(st.floating.sum()) >= before:
+    if int(st.floating.sum()) >= f:
         # force the closest-to-bound variable out (guards fp stalemates)
         j = float_idx[int(np.argmin(np.minimum(st.x[float_idx], 1.0 - st.x[float_idx])))]
         st.x[j] = 1.0 if st.x[j] >= 0.5 else 0.0
         st.floating[j] = False
+    st.trace["null_frozen"] += f - int(st.floating.sum())
 
 
 def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
@@ -370,6 +393,7 @@ def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
             idx = np.flatnonzero(st.floating)
             st.x[idx] = np.where(st.x[idx] >= 0.5, 1.0, 0.0)
             st.floating[idx] = False
+            st.trace["final_snapped"] = int(idx.size)
             break
         if _pairing_pass(st, active):
             continue
@@ -385,7 +409,7 @@ def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
         raise RuntimeError(
             f"floating-colors invariant violated: error {achieved} > bound {bound}"
         )
-    return RoundingResult(b, achieved, bound, "beck_fiala")
+    return RoundingResult(b, achieved, bound, "beck_fiala", details=dict(st.trace))
 
 
 @dataclass(frozen=True)
@@ -436,7 +460,7 @@ def partial_coloring_round(
     iters = 0
     fallback = False
 
-    edge_arrays = [h.edges[e] for e in range(m)]
+    edge_arrays = h.edges
 
     def recompute_projector(float_idx):
         nonlocal proj_q, proj_dirty

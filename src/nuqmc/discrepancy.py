@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
+_BLOCK_CELLS = 1 << 16  # grid cells per row block of the in-place difference
 
 
 class BudgetExceededError(RuntimeError):
@@ -146,6 +147,11 @@ def _scan_grid(
     grid; `extra_ranks` are the grid ranks of `extra_axes`.  With `contained`,
     `extra_axes` holds the columns of a point multiset that must contain the
     counted points; a ValueError says it does not, before the budget check.
+
+    The mass grid must be a fresh, writable array that nothing else holds:
+    the scan forms |mass - count/normalizer| in it, one block of rows at a
+    time, so no more than the mass grid and the count grid are alive at
+    once.  |mass - c| is bitwise equal to |c - mass|.
     """
     counted = points if points_filter is None else points[points_filter]
     axes, ranks, extra_ranks = _grid(counted, extra_axes)
@@ -163,10 +169,14 @@ def _scan_grid(
     best_val = -1.0
     best_corner = None
     best_closed = True
+    rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     for closed in (True, False):
         # in place, and freed before the other variant: dense grids are large
-        vals = _cumulative_counts(ranks, shape, strict=not closed) / float(normalizer)
-        vals -= mass_provider(axes, closed, extra_ranks)
+        vals = mass_provider(axes, closed, extra_ranks)
+        counts = _cumulative_counts(ranks, shape, strict=not closed)
+        for lo in range(0, shape[0], rows):
+            vals[lo:lo + rows] -= counts[lo:lo + rows] / float(normalizer)
+        del counts
         np.abs(vals, out=vals)
         flat = int(np.argmax(vals))
         v = float(vals.ravel()[flat])

@@ -6,7 +6,10 @@ N^ is N rounded up to a power of two, m = log2(N^).  For every level vector
     prod_s { j_s 2^{m_s} + 1, ..., (j_s + 1) 2^{m_s} }
 
 partition the lattice, so each lattice point lies in exactly (m+1)^d edges
-and the hypergraph has maximum degree (m+1)^d.  Every anchored lattice
+and the hypergraph has maximum degree (m+1)^d.  build_scheme writes the
+hypergraph straight into CSR form: each level vector's cells are one
+reshape-and-transpose of the lattice, filling one n_hat^d-long stretch of
+the member array, so no per-edge array is built.  Every anchored lattice
 prefix {1..J_1} x ... x {1..J_d} is a disjoint union of at most one cell per
 level vector (read off the binary representations of the J_s), which turns a
 per-edge rounding error e into an anchored-prefix error of at most
@@ -16,7 +19,8 @@ round_array pads a fractional array with zeros to the power-of-two lattice,
 rounds it with a balancing engine, and returns the 0/1 array together with a
 certificate chaining the engine's per-edge error through the decomposition;
 the exact maximum prefix error is recomputed by cumulative sums and asserted
-against the chain on every run.
+against the chain on every run.  The certificate's engine_trace carries the
+engine's step counters.
 """
 
 from __future__ import annotations
@@ -87,26 +91,27 @@ def build_scheme(n_side: int, d: int):
             f"lattice {n_hat}^{d} exceeds the budget of {LATTICE_BUDGET} points"
         )
     m = n_hat.bit_length() - 1
-    lattice = np.arange(n_hat**d, dtype=np.int64).reshape((n_hat,) * d)
-    edges = []
+    n_vertices = n_hat**d
+    lattice = np.arange(n_vertices, dtype=np.int64).reshape((n_hat,) * d)
+    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+    levels = list(itertools.product(range(m + 1), repeat=d))
+    # every level partitions the lattice, so it fills one n_vertices-long
+    # stretch of `members`: its cells in row-major block order, each cell's
+    # points in row-major (hence ascending) order
+    members = np.empty((len(levels), n_vertices), dtype=np.int64)
+    starts = []
     offsets = {}
-    for level in itertools.product(range(m + 1), repeat=d):
-        offsets[level] = len(edges)
-        shape = []
-        for s in range(d):
-            shape += [n_hat >> level[s], 1 << level[s]]
-        blocks = lattice.reshape(shape)
-        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-        rows = blocks.transpose(perm).reshape(-1, 1 << sum(level))
-        edges.extend(np.sort(rows, axis=1))
-    scheme = DyadicScheme(n_side, n_hat, m, d, offsets, len(edges))
-    expected_edges = (2 ** (m + 1) - 1) ** d
-    recomputed = sum(
-        int(np.prod([n_hat >> ls for ls in lev]))
-        for lev in itertools.product(range(m + 1), repeat=d)
-    )
-    assert scheme.n_edges == expected_edges == recomputed
-    h = Hypergraph(n_hat**d, tuple(edges))
+    n_edges = 0
+    for k, level in enumerate(levels):
+        shape = [v for ms in level for v in (n_hat >> ms, 1 << ms)]
+        members[k] = lattice.reshape(shape).transpose(perm).ravel()
+        starts.append(np.arange(k * n_vertices, (k + 1) * n_vertices, 1 << sum(level)))
+        offsets[level] = n_edges
+        n_edges += starts[-1].size
+    ptr = np.concatenate(starts + [[members.size]])
+    scheme = DyadicScheme(n_side, n_hat, m, d, offsets, n_edges)
+    assert scheme.n_edges == (2 ** (m + 1) - 1) ** d == len(ptr) - 1
+    h = Hypergraph(n_vertices, csr=(ptr, members.ravel()))
     assert h.max_degree == scheme.degree
     return scheme, h
 
@@ -221,6 +226,7 @@ def round_array(beta: np.ndarray, engine: str = "beck_fiala", seed: int = 0):
         "engine_guarantee": res.guaranteed_bound,
         "guaranteed_prefix_bound": res.guaranteed_bound * degree,
         "measured_prefix_error": measured,
+        "engine_trace": dict(res.details),
         "witness_prefix": witness,
         "reference_prefix_bound": reference_prefix_bound(n_side, d),
         "n_side": n_side,

@@ -232,7 +232,10 @@ class BoxMeasure:
 
     def mass_on_grid(self, axes: Sequence[np.ndarray], closed: bool) -> np.ndarray:
         """Masses of [0, a] for every corner a in the tensor grid
-        axes[0] x ... x axes[d-1]; result has shape (len(axes[0]), ...)."""
+        axes[0] x ... x axes[d-1]; result has shape (len(axes[0]), ...).
+
+        The result is a fresh, writable array: the exact scans overwrite
+        it in place."""
         raise NotImplementedError
 
     def jump_coordinates(self):
@@ -269,7 +272,8 @@ class ProductMeasure(BoxMeasure):
 
     def mass_on_grid(self, axes, closed=True):
         self._check_axes(axes)
-        out = self.cdfs[0](np.asarray(axes[0], dtype=float))
+        # a copy: a CDF may hand back its argument, and the grid must be fresh
+        out = np.array(self.cdfs[0](np.asarray(axes[0], dtype=float)), dtype=float)
         for s in range(1, self.dim):
             out = np.multiply.outer(out, self.cdfs[s](np.asarray(axes[s], dtype=float)))
         return out
@@ -370,7 +374,9 @@ class RestrictionMeasure(BoxMeasure):
 
     def mass_on_grid(self, axes, closed=True):
         self._check_axes(axes)
-        return self.omega.intersection_volume_grid(axes) / self.cached_volume
+        grid = self.omega.intersection_volume_grid(axes)
+        grid /= self.cached_volume
+        return grid
 
     def sample(self, seed: int, count: int) -> PointSet:
         if count < 1:

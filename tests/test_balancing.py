@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nuqmc.balancing import (
+    TRACE_KEYS,
     Hypergraph,
     PartialColoringConfig,
     beck_fiala_round,
@@ -45,6 +46,32 @@ def test_hypergraph_degree_cached_and_checked():
         Hypergraph(2, ([0, 0],))
 
 
+def test_hypergraph_csr_validation():
+    # unsorted edges are sorted and empty edges kept; CSR input runs the
+    # same validation as an edge list
+    h = Hypergraph(5, ([3, 1], [], [4, 0, 2], [2]))
+    assert h.ptr.tolist() == [0, 2, 2, 5, 6]
+    assert h.members.tolist() == [1, 3, 0, 2, 4, 2]
+    assert h.to_dict() == {"n": 5, "edges": [[1, 3], [], [0, 2, 4], [2]]}
+    assert h.max_degree == 2
+    c = Hypergraph(5, csr=([0, 2, 2, 5, 6], [3, 1, 4, 0, 2, 2]))
+    assert np.array_equal(c.ptr, h.ptr) and np.array_equal(c.members, h.members)
+    # a vertex shared by neighbouring edges is not a repeat
+    assert Hypergraph(3, ([0, 2], [2], [2, 1])).max_degree == 3
+    with pytest.raises(ValueError, match="repeat"):
+        Hypergraph(5, ([1], [0, 2, 0]))
+    with pytest.raises(ValueError, match="repeat"):
+        Hypergraph(5, csr=([0, 2], [1, 1]))
+    with pytest.raises(ValueError, match="outside"):
+        Hypergraph(5, ([1, 5],))
+    with pytest.raises(ValueError, match="outside"):
+        Hypergraph(5, ([], [2, -1]))
+    with pytest.raises(ValueError, match="max_degree"):
+        Hypergraph(5, ([0, 1], [1, 2]), max_degree=1)
+    with pytest.raises(ValueError, match="csr"):
+        Hypergraph(5, csr=([0, 3], [1, 2]))
+
+
 def test_hypergraph_json_roundtrip():
     h = Hypergraph(4, ([0, 2], [1, 2, 3]))
     h2 = Hypergraph.from_dict(h.to_dict())
@@ -59,6 +86,21 @@ def test_edge_error_examples():
     assert edge_error(Hypergraph(2, ([0, 1],)), [0.5, 0.5], [1, 1]) == pytest.approx(1.0)
     h = Hypergraph(3, ([0, 1, 2],))
     assert edge_error(h, [0.3, 0.3, 0.3], [1, 0, 0]) == pytest.approx(0.1)
+
+
+def test_edge_error_matches_loop_oracle():
+    # segmented sums against a per-edge loop, on empty and unsorted edges
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        edges = [
+            rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            for _ in range(int(rng.integers(0, 30)))
+        ]
+        h = Hypergraph(n, tuple(edges))
+        beta, b = rng.random(n), (rng.random(n) < 0.5).astype(float)
+        oracle = max((abs(float(np.sum(beta[e] - b[e]))) for e in edges), default=0.0)
+        assert edge_error(h, beta, b) == pytest.approx(oracle, abs=1e-12)
 
 
 # --- beck_fiala --------------------------------------------------------------
@@ -104,6 +146,21 @@ def test_hard_guarantee_random_instances():
         assert res.achieved_error <= max(2 * h.max_degree - 1, 0)
         assert np.all(res.b[np.asarray(beta) == 0.0] == 0)
         assert res.achieved_error == edge_error(h, beta, res.b)
+
+
+def test_beck_fiala_trace_accounts_for_every_variable():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        h = random_hypergraph(rng, n_max=80, m_max=120)
+        beta = rng.random(h.n)
+        beta[rng.random(h.n) < 0.25] = 0.0
+        trace = beck_fiala_round(h, beta).details
+        assert tuple(trace) == TRACE_KEYS
+        frozen = (
+            trace["pairing_frozen"] + trace["lp_frozen"] + trace["null_frozen"]
+            + trace["final_snapped"]
+        )
+        assert frozen == np.count_nonzero((beta > 1e-9) & (beta < 1.0 - 1e-9))
 
 
 def brute_force_optimum(h, beta):
@@ -159,6 +216,8 @@ def test_null_step_preserves_active_sums():
     _null_step(st, active)
     assert st.x[h.edges[0]].sum() == pytest.approx(before, abs=1e-9)
     assert int(st.floating.sum()) < n_floating
+    assert st.trace["null_steps"] == 1 and st.trace["lsqr_null_steps"] == 0
+    assert st.trace["null_frozen"] == n_floating - int(st.floating.sum())
 
 
 def test_empty_edges_degenerate():

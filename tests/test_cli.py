@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 
+from nuqmc.balancing import TRACE_KEYS
 from nuqmc.cli import main
 
 
@@ -116,6 +117,33 @@ def test_round_command(tmp_path, capsys):
     res = json.loads(out.read_text())
     assert res["guaranteed_bound"] == 1.0
     assert res["achieved_error"] <= 1.0
+
+
+def test_round_command_output_unchanged(tmp_path, capsys):
+    # an empty edge and unsorted edges; apart from the engine counters the
+    # output is byte-identical to that of the per-edge-list implementation
+    h = tmp_path / "h.json"
+    h.write_text(
+        '{"n": 10, "edges": [[3, 1, 2], [], [9, 0, 5, 7], [8, 6, 4, 2, 0], [5, 1], '
+        "[7, 3, 9, 6, 1, 0], [2, 4, 6, 8, 9, 5, 3]]}"
+    )
+    beta = tmp_path / "beta.json"
+    beta.write_text("[0.25, 0.5, 0.75, 0.125, 0.625, 0.375, 0.875, 0.3, 0.6, 0.9]")
+    out = tmp_path / "res.json"
+    code, _, _ = run(capsys, "round", "--hypergraph", str(h), "--beta", str(beta),
+                     "--out", str(out))
+    assert code == 0
+    res = json.loads(out.read_text())
+    trace = {k: res.pop(k) for k in TRACE_KEYS}
+    assert all(isinstance(v, int) for v in trace.values())
+    expected = {
+        "b": [0, 1, 1, 0, 0, 0, 1, 1, 1, 1],
+        "achieved_error": 1.0499999999999998,
+        "guaranteed_bound": 5.0,
+        "engine": "beck_fiala",
+        "fallback": False,
+    }
+    assert out.read_text() == json.dumps({**expected, **trace}, indent=2) + "\n"
 
 
 def test_integrate_command(tmp_path, capsys):

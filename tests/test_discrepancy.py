@@ -1,6 +1,7 @@
 """Exact scan, randomized estimator, and discrete two-set discrepancy."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,3 +324,22 @@ def test_restriction_measure_scan():
     mu = RestrictionMeasure(OmegaRegion([([0.0], [0.5])]))
     rep = exact_star_discrepancy(PointSet([[0.25]]), mu)
     assert rep.value == pytest.approx(naive_star_discrepancy(PointSet([[0.25]]), mu), abs=1e-12)
+
+
+def test_dense_scan_holds_two_grids():
+    # a 1025 x 1025 critical grid: the scan keeps the mass grid and the count
+    # grid alive, not a third array for their difference
+    mu = RestrictionMeasure([([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])])
+    ps = mu.sample(7, 1024)
+    grid_bytes = 1025 * 1025 * 8
+    tracemalloc.start()
+    try:
+        rep = exact_star_discrepancy(ps, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * grid_bytes
+    # value and witness of the scan that held three grids
+    assert rep.value == 0.030064549388919837
+    assert rep.witness.corner.tolist() == [0.4751757825765715, 0.4504098513244865]
+    assert rep.witness.closed and rep.boxes_scanned == 2 * 1025 * 1025

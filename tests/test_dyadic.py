@@ -1,5 +1,6 @@
 """Dyadic scheme geometry, prefix decomposition, and the rounding chain."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -50,6 +51,30 @@ def test_partition_property_every_level():
             e = h.edges[scheme.edge_id(level, j)]
             seen[e] += 1
         assert np.all(seen == 1), f"level {level} is not a partition"
+
+
+def cell_members(scheme, level, j):
+    """Oracle: the lattice points of the cell at `level` with block index
+    `j`, as sorted row-major vertex ids."""
+    ranges = [np.arange(js << ms, (js + 1) << ms) for js, ms in zip(j, level)]
+    grid = np.meshgrid(*ranges, indexing="ij")
+    return np.sort(np.ravel_multi_index([g.ravel() for g in grid], (scheme.n_hat,) * scheme.d))
+
+
+@pytest.mark.parametrize("n_side, d", [(1, 1), (5, 1), (8, 2), (4, 3)])
+def test_scheme_csr_matches_cell_oracle(n_side, d):
+    scheme, h = build_scheme(n_side, d)
+    ids = []
+    for level in itertools.product(range(scheme.m + 1), repeat=d):
+        blocks = [scheme.n_hat >> ms for ms in level]
+        for j in itertools.product(*(range(b) for b in blocks)):
+            e = scheme.edge_id(level, j)
+            ids.append(e)
+            members = h.members[h.ptr[e] : h.ptr[e + 1]]
+            assert np.array_equal(members, cell_members(scheme, level, j))
+    # edge ids run level by level, the blocks of a level in row-major order
+    assert ids == list(range(h.m))
+    assert h.ptr[-1] == h.members.size == h.n * scheme.degree
 
 
 def test_degree_property_exact():
@@ -161,3 +186,26 @@ def test_binary_fixture_roundtrip(tmp_path):
     path.write_bytes(array_to_bytes(arr))
     back = array_from_bytes(path.read_bytes(), (3, 5))
     assert np.array_equal(arr, back)
+
+
+@pytest.mark.parametrize(
+    "d, n_side, seed, digest",
+    [
+        (2, 64, 0, "51d8c3765973a8dee3a7d02953504f4ef3c9dc8a139efd4929707c9729b0aedb"),
+        (2, 64, 1, "1f45f72eebec8ec533ac8d52123a42da50cef3c81299215e9a06fd4283900906"),
+        (2, 64, 2, "9b1191e6acb91329a21560bba6607e4d0086365b48e2549d12e74b04a3cf03b9"),
+        (3, 16, 0, "1788aef2094dbe103420c62fef525cc1edc44aa1fa88ee25a6289e0b163c721c"),
+    ],
+)
+def test_round_array_output_pinned(d, n_side, seed, digest):
+    # rounded arrays pinned to the output of the per-edge-list implementation
+    beta = np.random.default_rng(seed).random((n_side,) * d)
+    b, cert = round_array(beta)
+    assert hashlib.sha256(b.tobytes()).hexdigest() == digest
+    trace = cert["engine_trace"]
+    assert trace["lp_jumps"] == 1
+    frozen = (
+        trace["pairing_frozen"] + trace["lp_frozen"] + trace["null_frozen"]
+        + trace["final_snapped"]
+    )
+    assert frozen == beta.size

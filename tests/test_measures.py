@@ -195,3 +195,20 @@ def test_measure_from_config_roundtrip(tmp_path):
 def test_zero_corner_open_mass_zero():
     for mu in (uniform_measure(2), DiscreteMeasure(PointSet([[0.0, 0.0]]))):
         assert mu.mass(AnchoredBox(np.array([0.0, 0.7]), closed=False)) == 0.0
+
+
+def test_mass_on_grid_returns_fresh_writable_arrays():
+    # the exact scans write into the mass grid, so it may not alias an axis
+    axes2 = [np.array([0.25, 0.5, 1.0]), np.array([0.5, 1.0])]
+    cases = [
+        (uniform_measure(1), axes2[:1]),
+        (ProductMeasure([PowerCdf(2.0), UniformCdf()]), axes2),
+        (RestrictionMeasure(OmegaRegion([([0.0, 0.0], [0.5, 1.0])])), axes2),
+        (DiscreteMeasure(PointSet([[0.25, 0.5], [0.5, 1.0]])), axes2),
+        (ProductExtensionMeasure(uniform_measure(1)), axes2),
+    ]
+    for mu, axes in cases:
+        for closed in (True, False):
+            grid = mu.mass_on_grid(axes, closed)
+            assert grid.flags.writeable
+            assert not any(np.shares_memory(grid, ax) for ax in axes)

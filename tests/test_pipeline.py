@@ -1,5 +1,6 @@
 """End-to-end constructions, the block sequence, and size calculators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_construct_certificate_stacks():
     assert d_built <= cert["achieved_bound"] + 1e-12
     # constructed points live in the region (Omega-adapted route)
     assert np.all(pts.points[:, 0] <= 0.5)
+
+
+def test_construct_d2_engine_trace():
+    # power(2)^2 at N=64: one LP jump freezes all but 256 of the 4096 cells
+    mu = ProductMeasure([PowerCdf(2.0), PowerCdf(2.0)])
+    pts, cert = construct_point_set(mu, 64, ConstructionConfig(seed=0))
+    # the points of the per-edge-list implementation
+    digest = "6f7f1e1635a8eaaf3dacd79d8683c805c66a4a8e5638990cf0b11a34920d58f8"
+    assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest
+    trace = cert["selection"]["rounding"]["engine_trace"]
+    assert (trace["lp_jumps"], trace["lp_frozen"], trace["null_steps"]) == (1, 3840, 0)
+    assert trace["pairing_frozen"] + trace["lp_frozen"] + trace["final_snapped"] == 64 * 64
 
 
 def test_construct_from_discrete_measure():
