@@ -330,13 +330,7 @@ def _null_step(st: _EngineState, active) -> None:
     st.trace["null_steps"] += 1
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size
-    n_active = int(np.count_nonzero(active))
-    if not n_active:
-        # unconstrained: snap everything to the nearest bound
-        st.x[float_idx] = np.where(st.x[float_idx] >= 0.5, 1.0, 0.0)
-        st.floating[float_idx] = False
-        st.trace["null_frozen"] += f
-        return
+    n_active = int(np.count_nonzero(active))  # >= 1: beck_fiala_round snaps otherwise
     rows, cols = st.active_floating(active)
     if f <= 1500:
         mat = np.zeros((n_active, f))

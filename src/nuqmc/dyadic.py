@@ -41,8 +41,6 @@ __all__ = [
     "max_prefix_error",
     "prefix_cells",
     "reference_prefix_bound",
-    "array_to_bytes",
-    "array_from_bytes",
     "LATTICE_BUDGET",
 ]
 
@@ -155,16 +153,6 @@ def max_prefix_error(beta: np.ndarray, b: np.ndarray):
     flat = int(np.argmax(np.abs(acc)))
     idx = np.unravel_index(flat, acc.shape)
     return float(abs(acc.ravel()[flat])), tuple(int(i) + 1 for i in idx)
-
-
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    """Flat binary fixture layout: row-major 8-byte floats (shape carried
-    out of band)."""
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def array_from_bytes(buf: bytes, shape) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
 
 def reference_prefix_bound(n_side: int, d: int) -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discrepancy import _scan_grid
+from .discrepancy import _grid, _scan_grid
 from .measures import OmegaRegion, PointSet, RestrictionMeasure
 from .pipeline import ConstructionConfig, construct_point_set
 
@@ -68,12 +68,12 @@ def omega_discrepancy(
     if ps.dim != omega.dim:
         raise ValueError("point set and region dimensions differ")
     n = n_override if n_override is not None else ps.n
-    inside = omega.contains(ps.points)
+    axes, ranks = _grid(ps.points[omega.contains(ps.points)])
 
-    def mass_provider(axes, closed, _):
+    def mass_provider(axes, closed):
         return omega.intersection_volume_grid(axes)
 
-    val, _, _ = _scan_grid(ps.points, n, mass_provider, budget, points_filter=inside)
+    val, _, _ = _scan_grid(axes, ranks, n, mass_provider, budget)
     return (2.0**ps.dim) * val
 
 

@@ -48,8 +48,6 @@ __all__ = [
     "DiscreteMeasure",
     "ProductExtensionMeasure",
     "uniform_measure",
-    "mass",
-    "sample",
     "validate",
     "measure_from_config",
     "MeasureDiagnostics",
@@ -214,13 +212,10 @@ class BoxMeasure:
 
     Subclasses implement `mass_on_grid` (vectorized evaluation on a tensor
     grid of corners) and `sample`.  Scalar `mass` is routed through the grid
-    path so the two can never disagree.  `continuous` declares whether the
-    measure gives zero mass to box faces (then the `closed` flag is
-    irrelevant).
+    path so the two can never disagree.
     """
 
     dim: int
-    continuous: bool = True
 
     def mass(self, box: AnchoredBox) -> float:
         if box.dim != self.dim:
@@ -261,8 +256,6 @@ class BoxMeasure:
 class ProductMeasure(BoxMeasure):
     """mu([0,a]) = prod_s F_s(a_s) with per-coordinate CDFs; sampling by
     per-coordinate inverse-CDF transform of uniform variates."""
-
-    continuous = True
 
     def __init__(self, cdfs: Sequence):
         if len(cdfs) < 1:
@@ -365,8 +358,6 @@ class OmegaRegion:
 class RestrictionMeasure(BoxMeasure):
     """mu(A) = lambda(Omega ∩ A) / lambda(Omega) for a union-of-boxes Omega."""
 
-    continuous = True
-
     def __init__(self, omega: OmegaRegion | Sequence):
         self.omega = omega if isinstance(omega, OmegaRegion) else OmegaRegion(omega)
         self.dim = self.omega.dim
@@ -397,8 +388,6 @@ class RestrictionMeasure(BoxMeasure):
 class DiscreteMeasure(BoxMeasure):
     """Uniform atoms 1/K on K given points; `closed` decides whether atoms on
     the upper faces of the query box are counted."""
-
-    continuous = False
 
     def __init__(self, atoms: PointSet):
         self.atoms = atoms
@@ -447,7 +436,6 @@ class ProductExtensionMeasure(BoxMeasure):
     def __init__(self, base: BoxMeasure):
         self.base = base
         self.dim = base.dim + 1
-        self.continuous = base.continuous
 
     def jump_coordinates(self):
         base_jumps = self.base.jump_coordinates()
@@ -470,16 +458,6 @@ class ProductExtensionMeasure(BoxMeasure):
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def mass(measure: BoxMeasure, box: AnchoredBox) -> float:
-    """Exact mass of an anchored box under the measure."""
-    return measure.mass(box)
-
-
-def sample(measure: BoxMeasure, seed: int, count: int) -> PointSet:
-    """`count` i.i.d. draws, deterministic given `seed`."""
-    return measure.sample(seed, count)
 
 
 @dataclass

@@ -34,7 +34,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import BudgetExceededError, exact_star_discrepancy, discrete_discrepancy
+from .discrepancy import (
+    BudgetExceededError,
+    _grid,
+    _stable_orders,
+    discrete_discrepancy,
+    exact_star_discrepancy,
+)
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
 from .selection import select_subset
 
@@ -91,17 +97,22 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     d = mu.dim
     k = cfg.resolve_k(n, d)
     z = mu.sample(cfg.seed, k)
-    sel = select_subset(z, n, engine=cfg.engine, seed=cfg.seed)
+    # one sort per axis of z serves the decomposition and both scans; only
+    # the orders are alive while the selection rounds
+    orders = _stable_orders(z.points)
+    sel = select_subset(z, n, engine=cfg.engine, seed=cfg.seed, _orders=orders)
+    grid = _grid(z.points, orders)
+    del orders
 
     try:
-        sampling = exact_star_discrepancy(z, mu).value
+        sampling = exact_star_discrepancy(z, mu, _sorted=grid).value
         sampling_mode = "measured"
     except BudgetExceededError:
         sampling = 1.0 / n
         sampling_mode = "nominal"
 
     try:
-        dd = discrete_discrepancy(sel.selected, z)
+        dd = discrete_discrepancy(sel.selected, z, _sorted=grid, _rows=sel.indices)
     except BudgetExceededError:
         dd = None
     box_bound = sel.certificate["box_bound"]

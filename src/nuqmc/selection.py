@@ -2,8 +2,11 @@
 
 Given z_1..z_K in [0,1]^d and N <= sqrt(K), the points are ranked per
 coordinate (stable sort, ties broken by original index) and the ranks are cut
-into N slabs per axis whose sizes differ from K/N by at most one.  The slab
-intersections partition the points into N^d cells, and the scaled occupancy
+into N slabs per axis whose sizes differ from K/N by at most one.  The sort
+is the one the exact scans use (`discrepancy._stable_orders`), so a
+construction sorts each axis of z once for the decomposition and both
+certificate scans.  The slab intersections partition the points into N^d
+cells, and the scaled occupancy
 
     beta_cell = N/(K+N) * #(points in cell)
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrepancy import _stable_orders
 from .dyadic import reference_prefix_bound, round_array
 from .measures import PointSet
 
@@ -72,8 +76,11 @@ class CellDecomposition:
         return int(cum[idx])
 
 
-def decompose(z: PointSet, n_target: int) -> CellDecomposition:
-    """Rank-slab cell decomposition of z for a target size N <= sqrt(K)."""
+def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
+    """Rank-slab cell decomposition of z for a target size N <= sqrt(K).
+
+    `_orders` is `discrepancy._stable_orders(z.points)` when the caller
+    already has it."""
     k, d = z.n, z.dim
     if n_target < 1:
         raise ValueError("N must be >= 1")
@@ -91,10 +98,11 @@ def decompose(z: PointSet, n_target: int) -> CellDecomposition:
     # rank r (1-based) lies in slab i iff boundaries[i] < r <= boundaries[i+1],
     # i.e. i = ceil(r*N/K) - 1 for boundaries[i] = floor(i*K/N)
     slab_of_rank = (np.arange(1, k + 1, dtype=np.int64) * n_target + k - 1) // k - 1
+    if _orders is None:
+        _orders = _stable_orders(z.points)
     point_cells = np.empty((k, d), dtype=np.int64)
     for s in range(d):
-        order = np.argsort(z.points[:, s], kind="stable")  # ties keep index order
-        point_cells[order, s] = slab_of_rank
+        point_cells[_orders[s], s] = slab_of_rank  # ties keep index order
 
     shape = (n_target,) * d
     flat = np.ravel_multi_index(tuple(point_cells[:, s] for s in range(d)), shape)
@@ -125,15 +133,16 @@ class SelectionResult:
 
 
 def select_subset(
-    z: PointSet, n_target: int, engine: str = "beck_fiala", seed: int = 0
+    z: PointSet, n_target: int, engine: str = "beck_fiala", seed: int = 0, *, _orders=None
 ) -> SelectionResult:
     """Select exactly N points of z tracking its anchored-box counts.
 
     Deterministic given (z order, N, engine, seed); the certificate is
-    derived from the rounding that actually ran."""
-    decomp = decompose(z, n_target)
+    derived from the rounding that actually ran.  `_orders` is passed on to
+    `decompose`."""
+    decomp = decompose(z, n_target, _orders=_orders)
     k, d = decomp.k, decomp.d
-    b, round_cert = round_array(decomp.beta, engine=engine, seed=seed)
+    beta = decomp.beta
 
     # representative = lowest original index among each 1-cell's members
     flat_cells = np.ravel_multi_index(
@@ -141,6 +150,8 @@ def select_subset(
     )
     first_member = np.full(decomp.counts.size, k, dtype=np.int64)
     np.minimum.at(first_member, flat_cells, np.arange(k, dtype=np.int64))
+    del decomp, flat_cells  # the rounding reads only beta; (K, d) slab indices go first
+    b, round_cert = round_array(beta, engine=engine, seed=seed)
     chosen_cells = np.flatnonzero(b.ravel() == 1)
     reps = first_member[chosen_cells]
     assert np.all(reps < k), "a selected cell has no members (zero preservation broke)"

@@ -8,6 +8,9 @@ import pytest
 
 from nuqmc.discrepancy import (
     BudgetExceededError,
+    _grid,
+    _merge_axes,
+    _stable_orders,
     discrete_discrepancy,
     estimate_star_discrepancy,
     exact_star_discrepancy,
@@ -343,3 +346,46 @@ def test_dense_scan_holds_two_grids():
     assert rep.value == 0.030064549388919837
     assert rep.witness.corner.tolist() == [0.4751757825765715, 0.4504098513244865]
     assert rep.witness.closed and rep.boxes_scanned == 2 * 1025 * 1025
+
+
+def _tie_heavy_clouds():
+    rng = np.random.default_rng(21)
+    grid8 = rng.integers(0, 9, size=(5000, 2)) / 8.0  # holds 0.0 and 1.0
+    rows = rng.random((40, 3))
+    dup_rows = rows[rng.integers(0, 40, size=3000)]  # duplicate rows
+    return [
+        grid8,
+        dup_rows,
+        np.vstack([np.zeros((700, 1)), np.ones((700, 1)), rng.random((600, 1))]),
+        rng.random((4000, 2)),
+        np.zeros((1, 1)),
+        np.zeros((0, 2)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cloud", _tie_heavy_clouds(), ids=["grid8", "dup", "ends", "free", "one", "empty"]
+)
+def test_shared_sort_matches_stable_argsort_and_unique(cloud):
+    # one default argsort per axis with the tie order restored is the stable
+    # argsort, and the grid read off it is np.unique's axis and inverse
+    orders = _stable_orders(cloud)
+    axes, ranks = _grid(cloud, orders)
+    assert len(axes) == len(ranks) == len(orders) == cloud.shape[1]
+    for s in range(cloud.shape[1]):
+        col = cloud[:, s]
+        ax, inv = np.unique(np.concatenate([col, [1.0]]), return_inverse=True)
+        assert np.array_equal(orders[s], np.argsort(col, kind="stable"))
+        assert np.array_equal(axes[s], ax)
+        assert np.array_equal(ranks[s], inv[: col.size])
+
+
+def test_merge_axes_adds_atoms_and_moves_ranks():
+    rng = np.random.default_rng(22)
+    cloud = rng.integers(0, 5, size=(300, 2)) / 4.0
+    extra = [np.array([0.1, 0.25, 0.6]), np.zeros(0)]
+    axes, ranks = _merge_axes(*_grid(cloud), extra)
+    for s in range(2):
+        ax, inv = np.unique(np.concatenate([cloud[:, s], [1.0], extra[s]]), return_inverse=True)
+        assert np.array_equal(axes[s], ax)
+        assert np.array_equal(ranks[s], inv[: len(cloud)])

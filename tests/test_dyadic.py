@@ -178,16 +178,6 @@ def test_reference_constant_recorded():
     assert cert["reference_prefix_bound"] == pytest.approx(reference_prefix_bound(8, 1))
 
 
-def test_binary_fixture_roundtrip(tmp_path):
-    from nuqmc.dyadic import array_from_bytes, array_to_bytes
-
-    arr = np.random.default_rng(2).random((3, 5))
-    path = tmp_path / "beta.f64"
-    path.write_bytes(array_to_bytes(arr))
-    back = array_from_bytes(path.read_bytes(), (3, 5))
-    assert np.array_equal(arr, back)
-
-
 @pytest.mark.parametrize(
     "d, n_side, seed, digest",
     [

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nuqmc.discrepancy import exact_star_discrepancy
+from nuqmc.discrepancy import discrete_discrepancy, exact_star_discrepancy
 from nuqmc.measures import (
+    DiscreteMeasure,
     OmegaRegion,
     PointSet,
     PowerCdf,
+    ProductExtensionMeasure,
     ProductMeasure,
     RestrictionMeasure,
     uniform_measure,
@@ -78,6 +80,31 @@ def test_construct_from_discrete_measure():
     mu = DiscreteMeasure(atoms)
     pts, cert = construct_point_set(mu, 8, ConstructionConfig(seed=3))
     assert exact_star_discrepancy(pts, mu).value <= cert["bound"] + 1e-12
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["power2-d1", "power2-d2", "discrete-d2", "extension-block"],
+)
+def test_construct_scans_equal_standalone_scans(case):
+    # the shared sort of the K-point cloud gives the certificate the exact
+    # values of the standalone scans, which sort for themselves
+    rng = np.random.default_rng(30)
+    # atoms on a k/8 (k/4) grid: ties in the cloud and jump coordinates
+    atoms_2d = PointSet(rng.integers(0, 9, size=(200, 2)) / 8.0)
+    atoms_1d = PointSet(rng.integers(0, 5, size=(30, 1)) / 4.0)
+    mu, n = {
+        "power2-d1": (ProductMeasure([PowerCdf(2.0)]), 64),
+        "power2-d2": (ProductMeasure([PowerCdf(2.0), PowerCdf(2.0)]), 16),
+        "discrete-d2": (DiscreteMeasure(atoms_2d), 8),
+        "extension-block": (ProductExtensionMeasure(DiscreteMeasure(atoms_1d)), 4),
+    }[case]
+    cfg = ConstructionConfig(seed=2)
+    pts, cert = construct_point_set(mu, n, cfg)
+    z = mu.sample(cfg.seed, cfg.resolve_k(n, mu.dim))
+    assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
+    assert cert["sampling_term"] == exact_star_discrepancy(z, mu).value
+    assert cert["selection_dd"] == discrete_discrepancy(pts, z)
 
 
 def test_k_policies():

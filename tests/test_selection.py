@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nuqmc.discrepancy import discrete_discrepancy
+from nuqmc.discrepancy import _stable_orders, discrete_discrepancy
 from nuqmc.measures import PointSet, PowerCdf, ProductMeasure, uniform_measure
 from nuqmc.selection import decompose, select_subset
 
@@ -42,6 +42,33 @@ def test_decompose_slabs_match_boundary_search():
         assert np.array_equal(dc.point_cells, cells)
         assert np.array_equal(dc.counts, counts)
         assert np.array_equal(dc.beta, counts * (n / (k + n)))
+
+
+def test_decompose_byte_equal_to_stable_argsort():
+    # slabs from the shared sort equal slabs from kind="stable" on tie-heavy
+    # clouds (a k/8 grid with 0.0 and 1.0, duplicate rows), whether the
+    # orders are passed in or computed by decompose itself
+    rng = np.random.default_rng(8)
+    rows = rng.random((30, 2))
+    for pts, n in [
+        (rng.integers(0, 9, size=(4096, 2)) / 8.0, 16),
+        (rows[rng.integers(0, 30, size=2500)], 12),
+        (rng.integers(0, 9, size=(3000, 1)) / 8.0, 40),
+    ]:
+        z = PointSet(pts)
+        k, d = pts.shape
+        cells = np.empty((k, d), dtype=np.int64)
+        for s in range(d):
+            cells[np.argsort(pts[:, s], kind="stable"), s] = (
+                np.arange(1, k + 1) * n + k - 1
+            ) // k - 1
+        for dc in (decompose(z, n), decompose(z, n, _orders=_stable_orders(pts))):
+            assert dc.point_cells.tobytes() == cells.tobytes()
+            counts = np.bincount(
+                np.ravel_multi_index(tuple(cells.T), (n,) * d), minlength=n**d
+            ).reshape((n,) * d)
+            assert dc.counts.tobytes() == counts.tobytes()
+            assert dc.beta.tobytes() == (counts * (n / (k + n))).tobytes()
 
 
 def test_decompose_single_target():
