@@ -21,13 +21,20 @@ construction sorts its K-point cloud once: the orders give the rank-slab
 decomposition its slabs and both scans their grid, and the selected points'
 ranks are the cloud's ranks at their rows.  Coordinates of the mass side
 (atoms) are merged into the axes by one small np.unique of axis and atoms.
-Counts over the whole grid come from one bincount at those indices and
-d-dimensional cumulative sums, so a scan of K points costs O(K log K + grid
-cells * d) rather than O(grid cells * K * d).  The scan refuses to run when
-grid_cells * d exceeds a configurable step budget (default 1e8, overridable
-via the NUQMC_BUDGET environment variable).  The budget is checked on the
-grid's size once the atoms are merged in, before anything of that size is
-allocated; without atoms, a refused scan on a shared sort sorts nothing.
+
+The scan streams the grid in blocks of whole rows of axis 0, about
+`_BLOCK_CELLS` cells each (one row when a row is larger), so no grid-sized
+array is allocated.  Taken in axis-0 rank order, the points that start
+counting in a block are one stretch: one bincount of it, cumulative sums along the other axes, and a
+cumulative sum along axis 0 carried over from the block before give the
+block's counts; the mass side is evaluated on the same rows.  A scan of K
+points costs O(K log K + grid cells * d) rather than O(grid cells * K * d).
+Without atoms, a construction's sampling scan and its selection scan share
+one grid, so one pass counts the cloud once for both.  The scan refuses to
+run when grid_cells * d exceeds a configurable step budget (default 1e8,
+overridable via the NUQMC_BUDGET environment variable).  The budget is
+checked on the grid's size once the atoms are merged in, before any block is
+counted; without atoms, a refused scan on a shared sort sorts nothing.
 
 All operations are pure; scans may be partitioned arbitrarily and max-reduced
 without changing the result.
@@ -54,7 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
-_BLOCK_CELLS = 1 << 16  # grid cells per row block of the in-place difference
+_BLOCK_CELLS = 1 << 16  # grid cells per row block of the streamed scans
 
 
 class BudgetExceededError(RuntimeError):
@@ -154,22 +161,6 @@ def _merge_axes(axes, ranks, extra=None):
     return merged_axes, merged_ranks
 
 
-def _cumulative_counts(ranks, shape, strict: bool) -> np.ndarray:
-    """Counts of points inside [0, corner] (or [0, corner) when strict) for
-    every corner of the grid: a bincount at each point's first corner, then a
-    cumsum along every axis."""
-    first = ranks
-    if strict:
-        first = [r + 1 for r in ranks]
-        ok = np.logical_and.reduce([f < size for f, size in zip(first, shape)])
-        first = [f[ok] for f in first]
-    flat = np.ravel_multi_index(first, shape)
-    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-    for axis in range(len(shape)):
-        np.cumsum(counts, axis=axis, out=counts)
-    return counts
-
-
 def _contains(sub_ranks, full_ranks, shape) -> bool:
     """Whether every subset row occurs among the full rows at least as often
     (multisets), from the grid ranks of both on the same axes.  Rows are keyed
@@ -187,22 +178,75 @@ def _contains(sub_ranks, full_ranks, shape) -> bool:
     return bool(np.all(need <= have))
 
 
-def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
+def _count_blocks(ranks, order, shape, rows):
+    """Counts of the points inside [0, corner] and inside [0, corner) for
+    every corner of the grid, yielded as (closed, strict) pairs of blocks of
+    `rows` rows of axis 0.
+
+    A point is counted from its first corner on, its rank on every axis.
+    Taken in `order` (by axis-0 rank; the flat indices are sorted here when
+    it is None), the points whose first corner lies in a block are one
+    stretch: a block costs one bincount of that stretch and a cumsum along
+    every other axis, and its cumsum along axis 0 starts from the last
+    cumulative row of the block before.  A strict count is the closed count
+    one corner lower on every axis (zero where there is none), so the strict
+    block is the closed one, with that carried row on top, shifted by one."""
+    d = len(shape)
+    stride = math.prod(shape[1:])
+    flat = (ranks[0] if order is None else ranks[0][order]) * stride
+    if d > 1:
+        rest = [r if order is None else r[order] for r in ranks[1:]]
+        flat += np.ravel_multi_index(rest, shape[1:])
+        del rest
+    if order is None:
+        flat.sort()
+    # flat rises with the row, so a search at a row start splits it exactly
+    carry = np.zeros(shape[1:], dtype=np.intp)
+    up = (slice(None),) + (slice(1, None),) * (d - 1)
+    down = (slice(None),) + (slice(None, -1),) * (d - 1)
+    for lo in range(0, shape[0], rows):
+        hi = min(lo + rows, shape[0])
+        a, b = np.searchsorted(flat, (lo * stride, hi * stride))
+        block = np.bincount(flat[a:b] - lo * stride, minlength=(hi - lo) * stride)
+        block = block.reshape((hi - lo,) + shape[1:])
+        for axis in range(1, d):
+            np.cumsum(block, axis=axis, out=block)
+        block[0] += carry
+        np.cumsum(block, axis=0, out=block)
+        strict = np.zeros_like(block)
+        strict[up] = np.concatenate([carry[None], block[:-1]])[down]
+        carry = block[-1]
+        yield block, strict
+
+
+def _scan_grid(
+    axes, ranks, normalizer, mass_provider, budget, extra_axes=None, *, order=None, subset=None
+):
     """Core scan: max over grid corners and variants of
-    |count/normalizer - mass|, plus the witnessing corner.
+    |mass - count/normalizer|, plus the witnessing corner; returns
+    (value, witness, 2 * grid cells).
 
     `axes` and `ranks` are the critical grid of the counted points and their
-    ranks on it, as `_grid` gives them.  `extra_axes` (per-axis
-    coordinates of the mass side, required for exactness against purely
-    atomic set functions) are merged into the grid first.
-    `mass_provider(axes, closed)` returns the mass grid.  The budget is
-    checked on the merged grid's size, before anything of that size is
-    allocated.
+    ranks on it, as `_grid` gives them; `order` lists the points by axis-0
+    rank when the caller has it (`_stable_orders(points)[0]`).  `extra_axes`
+    (per-axis coordinates of the mass side, required for exactness against
+    purely atomic set functions) are merged into the grid first.  The budget
+    is checked on the merged grid's size, before any block is counted.
 
-    The mass grid must be a fresh, writable array that nothing else holds:
-    the scan forms |mass - count/normalizer| in it, one block of rows at a
-    time, so no more than the mass grid and the count grid are alive at
-    once.  |mass - c| is bitwise equal to |c - mass|.
+    The grid is streamed in blocks of about `_BLOCK_CELLS` cells, whole rows
+    of axis 0 each (`_count_blocks`), so nothing grid-sized is allocated.
+    `mass_provider(block_axes, closed)` is called once per block and variant,
+    closed first, with `axes[0]` cut to the block's rows; it returns the
+    masses of that block as a fresh, writable array, which the scan
+    overwrites with |mass - count/normalizer| (bitwise |count/normalizer -
+    mass|).  The maximum is kept with a strict > in C order, closed variant
+    first, so value and witness are those of an argmax over the whole grid.
+
+    `subset=(sub_ranks, ratio)`, a sub-multiset of the counted points by its
+    ranks on `axes` (with no `extra_axes`), adds the selection discrepancy
+    |ratio * count - subset count| to the same pass: each block of counts
+    serves both terms.  Value and witness are then pairs (mass term, subset
+    term); the mass term's entries are None when `mass_provider` is None.
     """
     axes, ranks = _merge_axes(axes, ranks, extra_axes)
     shape = tuple(len(a) for a in axes)
@@ -214,27 +258,45 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
             "use estimate_star_discrepancy or raise the budget"
         )
 
-    best_val = -1.0
-    best_corner = None
-    best_closed = True
     rows = max(1, _BLOCK_CELLS * shape[0] // cells)
-    for closed in (True, False):
-        # in place, and freed before the other variant: dense grids are large
-        vals = mass_provider(axes, closed)
-        counts = _cumulative_counts(ranks, shape, strict=not closed)
-        for lo in range(0, shape[0], rows):
-            vals[lo:lo + rows] -= counts[lo:lo + rows] / float(normalizer)
-        del counts
+    stride = cells // shape[0]
+    counts = _count_blocks(ranks, order, shape, rows)
+    if subset is not None:
+        sub_ranks, ratio = subset
+        sub_counts = _count_blocks(sub_ranks, None, shape, rows)
+    best = {}  # (term, closed) -> (value, flat index of the corner)
+
+    def keep(key, vals, lo):
         np.abs(vals, out=vals)
-        flat = int(np.argmax(vals))
-        v = float(vals.ravel()[flat])
-        del vals
-        if v > best_val:
-            best_val = v
-            idx = np.unravel_index(flat, shape)
-            best_corner = np.array([axes[s][idx[s]] for s in range(d)])
-            best_closed = closed
-    return best_val, AnchoredBox(best_corner, closed=best_closed), 2 * cells
+        j = int(np.argmax(vals))
+        v = float(vals.ravel()[j])
+        if key not in best or v > best[key][0]:
+            best[key] = (v, lo * stride + j)
+
+    for lo in range(0, shape[0], rows):
+        block_axes = [axes[0][lo:lo + rows], *axes[1:]]
+        sub_blocks = next(sub_counts) if subset is not None else (None, None)
+        for closed, c, c_sub in zip((True, False), next(counts), sub_blocks):
+            if mass_provider is not None:
+                vals = mass_provider(block_axes, closed)
+                vals -= c / float(normalizer)
+                keep(("mass", closed), vals, lo)
+            if c_sub is not None:
+                vals = ratio * c
+                vals -= c_sub
+                keep(("subset", closed), vals, lo)
+
+    def result(term):
+        if (term, True) not in best:
+            return None, None
+        closed = not best[term, False][0] > best[term, True][0]
+        v, flat = best[term, closed]
+        idx = np.unravel_index(flat, shape)
+        return v, AnchoredBox(np.array([axes[s][idx[s]] for s in range(d)]), closed=closed)
+
+    if subset is None:
+        return (*result("mass"), 2 * cells)
+    return (*zip(result("mass"), result("subset")), 2 * cells)
 
 
 def local_star_discrepancy(ps: PointSet, mu: BoxMeasure, box: AnchoredBox) -> float:
@@ -257,16 +319,38 @@ def exact_star_discrepancy(
 
     For measures with atoms the grid also carries the atom coordinates, since
     the sup can sit at corners mixing point and atom positions.  `_sorted`
-    is `_grid(ps.points)` when the caller already has it."""
+    is `_grid(ps.points)` when the caller already has it; the scan then puts
+    the points in axis-0 order itself."""
     if ps.dim != mu.dim:
         raise DimensionMismatchError(
             f"point set dimension {ps.dim} != measure dimension {mu.dim}"
         )
-    axes, ranks = _grid(ps.points) if _sorted is None else _sorted
+    order = None
+    if _sorted is None:
+        orders = _stable_orders(ps.points)
+        _sorted, order = _grid(ps.points, orders), orders[0]
+    axes, ranks = _sorted
     val, witness, scanned = _scan_grid(
-        axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates()
+        axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates(), order=order
     )
     return DiscrepancyReport(val, witness, "exact", scanned)
+
+
+def _counts_at(points, corners, closed: bool) -> np.ndarray:
+    """Points inside [0, c] ([0, c) when not closed) for every corner c.
+    The corners are taken a slice at a time, and the axes one at a time, so
+    the (corners, points) comparison holds about `_BLOCK_CELLS` entries or
+    one row of points, whichever is larger."""
+    below = np.less_equal if closed else np.less
+    step = max(1, _BLOCK_CELLS // max(1, len(points)))
+    out = np.empty(len(corners), dtype=np.intp)
+    for lo in range(0, len(corners), step):
+        part = corners[lo:lo + step]
+        inside = below(points[None, :, 0], part[:, None, 0])
+        for s in range(1, points.shape[1]):
+            inside &= below(points[None, :, s], part[:, None, s])
+        out[lo:lo + step] = inside.sum(axis=1)
+    return out
 
 
 def estimate_star_discrepancy(
@@ -304,10 +388,7 @@ def estimate_star_discrepancy(
             pick = axes[s][rng.integers(0, len(axes[s]), size=t)]
             corners[:, s] = np.where(snap, pick, corners[:, s])
         for closed in (True, False):
-            if closed:
-                cnt = np.sum(np.all(ps.points[None, :, :] <= corners[:, None, :], axis=2), axis=1)
-            else:
-                cnt = np.sum(np.all(ps.points[None, :, :] < corners[:, None, :], axis=2), axis=1)
+            cnt = _counts_at(ps.points, corners, closed)
             masses = np.array(
                 [mu.mass(AnchoredBox(c, closed=closed)) for c in corners]
             )
@@ -349,11 +430,39 @@ def discrete_discrepancy(
     else:
         axes, full_ranks = _sorted
         sub_ranks = [r[_rows] for r in full_ranks]
-    ratio = subset.n / full.n
-
-    def mass_provider(axes, closed):
-        shape = tuple(len(a) for a in axes)
-        return ratio * _cumulative_counts(full_ranks, shape, strict=not closed)
-
-    val, _, _ = _scan_grid(axes, sub_ranks, 1.0, mass_provider, budget)
+    (_, val), _, _ = _scan_grid(
+        axes, full_ranks, None, None, budget, subset=(sub_ranks, subset.n / full.n)
+    )
     return val
+
+
+def _construction_scans(z: PointSet, mu: BoxMeasure, rows, grid, order):
+    """Exact sampling term D*(z; mu) and selection discrepancy of the points
+    of z at `rows` (as `discrete_discrepancy` counts it), each None where its
+    scan is over budget.  `grid` is `_grid(z.points, orders)` and `order`
+    is `orders[0]`.
+
+    Without atoms both scans run on z's grid, so one streamed pass counts z
+    once per block for both terms.  With atoms the sampling scan's grid also
+    carries them; the grids, and whether each fits the budget, differ, so
+    the two scans run apart."""
+    axes, ranks = grid
+    if mu.jump_coordinates() is None:
+        sub_ranks = [r[rows] for r in ranks]
+        try:
+            values, _, _ = _scan_grid(
+                axes, ranks, z.n, mu.mass_on_grid, None, order=order,
+                subset=(sub_ranks, len(rows) / z.n),
+            )
+        except BudgetExceededError:
+            return None, None
+        return values
+    try:
+        sampling = exact_star_discrepancy(z, mu, _sorted=grid).value
+    except BudgetExceededError:
+        sampling = None
+    try:
+        dd = discrete_discrepancy(PointSet(z.points[rows]), z, _sorted=grid, _rows=rows)
+    except BudgetExceededError:
+        dd = None
+    return sampling, dd

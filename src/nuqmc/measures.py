@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -229,7 +230,10 @@ class BoxMeasure:
         """Masses of [0, a] for every corner a in the tensor grid
         axes[0] x ... x axes[d-1]; result has shape (len(axes[0]), ...).
 
-        The result is a fresh, writable array: the exact scans overwrite
+        The exact scans stream their grid in blocks of rows: they call this
+        once per block with axes[0] cut to a contiguous slice of the grid's
+        axis, and the result must equal those rows of the whole grid's
+        masses bitwise.  It is a fresh, writable array: the scans overwrite
         it in place."""
         raise NotImplementedError
 
@@ -400,7 +404,6 @@ class DiscreteMeasure(BoxMeasure):
     def mass_on_grid(self, axes, closed=True):
         self._check_axes(axes)
         shape = tuple(len(np.asarray(a)) for a in axes)
-        counts = np.zeros(shape, dtype=np.int64)
         # atom contributes to corner j iff atom coord <=/< axes[s][j_s] for all s;
         # first eligible index per axis, then a suffix-box increment via cumsum
         first = []
@@ -411,11 +414,10 @@ class DiscreteMeasure(BoxMeasure):
             # closed: first j with ax[j] >= coord ; open: first j with ax[j] > coord
             first.append(f)
             ok &= f < len(ax)
-        if np.any(ok):
-            flat = np.ravel_multi_index([f[ok] for f in first], shape)
-            np.add.at(counts.ravel(), flat, 1)
-            for axis in range(self.dim):
-                np.cumsum(counts, axis=axis, out=counts)
+        flat = np.ravel_multi_index([f[ok] for f in first], shape)
+        counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+        for axis in range(self.dim):
+            np.cumsum(counts, axis=axis, out=counts)
         return counts / float(self.k)
 
     def sample(self, seed: int, count: int) -> PointSet:

@@ -34,13 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import (
-    BudgetExceededError,
-    _grid,
-    _stable_orders,
-    discrete_discrepancy,
-    exact_star_discrepancy,
-)
+from .discrepancy import _construction_scans, _grid, _stable_orders, exact_star_discrepancy
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
 from .selection import select_subset
 
@@ -102,19 +96,13 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     orders = _stable_orders(z.points)
     sel = select_subset(z, n, engine=cfg.engine, seed=cfg.seed, _orders=orders)
     grid = _grid(z.points, orders)
+    order = orders[0]
     del orders
-
-    try:
-        sampling = exact_star_discrepancy(z, mu, _sorted=grid).value
-        sampling_mode = "measured"
-    except BudgetExceededError:
+    sampling, dd = _construction_scans(z, mu, sel.indices, grid, order)
+    sampling_mode = "measured"
+    if sampling is None:
         sampling = 1.0 / n
         sampling_mode = "nominal"
-
-    try:
-        dd = discrete_discrepancy(sel.selected, z, _sorted=grid, _rows=sel.indices)
-    except BudgetExceededError:
-        dd = None
     box_bound = sel.certificate["box_bound"]
     bound = min(1.0, box_bound / n + sampling)
     achieved = min(1.0, dd / n + sampling) if dd is not None else bound

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nuqmc import discrepancy
 from nuqmc.discrepancy import (
     BudgetExceededError,
     _grid,
@@ -90,7 +91,7 @@ def test_witness_reproduces_value():
     assert local_star_discrepancy(ps, mu, rep.witness) == rep.value
 
 
-def test_matches_naive_oracle_small():
+def check_matches_naive_oracle_small():
     rng = np.random.default_rng(11)
     for trial in range(12):
         d = int(rng.integers(1, 3))
@@ -106,6 +107,10 @@ def test_matches_naive_oracle_small():
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
+def test_matches_naive_oracle_small():
+    check_matches_naive_oracle_small()
+
+
 def tied_points(rng, n, d):
     """Coordinates snapped to k/8, duplicate rows, and the corners 0.0 and 1.0
     present on every axis."""
@@ -115,7 +120,7 @@ def tied_points(rng, n, d):
     return np.concatenate([pts, pts[: max(1, n // 3)]])
 
 
-def test_matches_naive_oracle_with_ties():
+def check_matches_naive_oracle_with_ties():
     rng = np.random.default_rng(21)
     for d in (1, 2, 3):
         for trial in range(6):
@@ -129,6 +134,10 @@ def test_matches_naive_oracle_with_ties():
             rep = exact_star_discrepancy(ps, mu)
             assert rep.value == pytest.approx(naive_star_discrepancy(ps, mu), abs=1e-12)
             assert local_star_discrepancy(ps, mu, rep.witness) == rep.value
+
+
+def test_matches_naive_oracle_with_ties():
+    check_matches_naive_oracle_with_ties()
 
 
 def test_discrete_measure_with_atoms_on_points():
@@ -219,6 +228,39 @@ def test_estimator_monotone_in_nested_trials():
     assert vals[2] <= exact_star_discrepancy(ps, mu).value + 1e-12
 
 
+
+@pytest.mark.parametrize("block_cells", [1, None])
+def test_estimator_bit_identical_in_corner_slices(block_cells, monkeypatch):
+    # corners are counted a slice at a time; the draws are those of one
+    # (trials, points, d) broadcast per batch, so estimates are unchanged
+    # (values and witnesses pinned from that form)
+    if block_cells is not None:
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
+    ps = PointSet(np.random.default_rng(0).random((3000, 2)))
+    corners = np.concatenate([ps.points[:50], np.random.default_rng(1).random((50, 2))])
+    for closed, below in ((True, np.less_equal), (False, np.less)):
+        cnt = np.sum(np.all(below(ps.points[None], corners[:, None]), axis=2), axis=1)
+        assert np.array_equal(discrepancy._counts_at(ps.points, corners, closed), cnt)
+    rep = estimate_star_discrepancy(ps, ProductMeasure([PowerCdf(2.0)] * 2), trials=700, seed=0)
+    assert rep.value == 0.259343229900738
+    assert rep.witness.corner.tolist() == [0.8968012322637599, 0.5833200469234759]
+    assert rep.witness.closed and rep.boxes_scanned == 1400
+
+
+def test_estimator_batch_memory_bounded():
+    # one batch of 256 corners against 50k points: the broadcast form held a
+    # (256, 50000, 2) boolean, 25.6 MB
+    ps = PointSet(np.random.default_rng(3).random((50_000, 2)))
+    tracemalloc.start()
+    try:
+        rep = estimate_star_discrepancy(ps, ProductMeasure([PowerCdf(2.0)] * 2), trials=256, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 50_000 * 2 / 4
+    assert rep.value == 0.2502991617950187
+    assert rep.witness.corner.tolist() == [0.8202433236799063, 0.5787059863929609]
+
 # --- discrete two-set discrepancy ------------------------------------------
 
 
@@ -260,7 +302,7 @@ def test_discrete_discrepancy_example():
     assert naive_discrete_discrepancy(sub, full) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_discrete_discrepancy_matches_naive():
+def check_discrete_discrepancy_matches_naive():
     rng = np.random.default_rng(9)
     for _ in range(8):
         d = int(rng.integers(1, 3))
@@ -273,7 +315,11 @@ def test_discrete_discrepancy_matches_naive():
         )
 
 
-def test_discrete_discrepancy_matches_naive_with_ties():
+def test_discrete_discrepancy_matches_naive():
+    check_discrete_discrepancy_matches_naive()
+
+
+def check_discrete_discrepancy_matches_naive_with_ties():
     # duplicate rows in both sets, snapped coordinates, corners at 0.0 and 1.0
     rng = np.random.default_rng(22)
     for d in (1, 2, 3):
@@ -292,6 +338,10 @@ def test_discrete_discrepancy_matches_naive_with_ties():
             assert discrete_discrepancy(both, dup) == pytest.approx(
                 naive_discrete_discrepancy(both, dup), abs=1e-12
             )
+
+
+def test_discrete_discrepancy_matches_naive_with_ties():
+    check_discrete_discrepancy_matches_naive_with_ties()
 
 
 def test_discrete_discrepancy_containment_enforced():
@@ -389,3 +439,29 @@ def test_merge_axes_adds_atoms_and_moves_ranks():
         ax, inv = np.unique(np.concatenate([cloud[:, s], [1.0], extra[s]]), return_inverse=True)
         assert np.array_equal(axes[s], ax)
         assert np.array_equal(ranks[s], inv[: len(cloud)])
+
+
+@pytest.mark.parametrize("block_cells", [1, 7])
+def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
+    # blocks of one row, ragged last blocks and counts carried across block
+    # starts; at the default block size every oracle grid is one block
+    rng = np.random.default_rng(41)
+    sets = [PointSet(tied_points(rng, 12, d)) for d in (1, 2, 3)]
+    sets += [PointSet(rng.random((40, d))) for d in (1, 2)]
+    # centred lattices: the maximum is attained in every row, so the witness
+    # is the first corner in C order, closed before open
+    lattice = (np.arange(4) + 0.5) / 4
+    sets += [PointSet(lattice[:, None]), PointSet(np.stack(np.meshgrid(lattice, lattice), -1).reshape(-1, 2))]
+    measures = [uniform_measure, lambda d: DiscreteMeasure(PointSet(rng.random((6, d))))]
+    cases = [(ps, make(ps.dim)) for ps in sets for make in measures]
+    whole = [exact_star_discrepancy(ps, mu) for ps, mu in cases]
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
+    for (ps, mu), ref in zip(cases, whole):
+        rep = exact_star_discrepancy(ps, mu)
+        assert rep.value == ref.value and rep.boxes_scanned == ref.boxes_scanned
+        assert rep.witness.corner.tolist() == ref.witness.corner.tolist()
+        assert rep.witness.closed == ref.witness.closed
+    check_matches_naive_oracle_small()
+    check_matches_naive_oracle_with_ties()
+    check_discrete_discrepancy_matches_naive()
+    check_discrete_discrepancy_matches_naive_with_ties()

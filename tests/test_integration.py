@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from nuqmc import discrepancy
 from nuqmc.discrepancy import exact_star_discrepancy
 from nuqmc.integration import (
     BUILTIN_INTEGRANDS,
@@ -116,7 +117,7 @@ def grid_omega_discrepancy_oracle(ps, omega):
     return 2.0**ps.dim * best
 
 
-def test_omega_discrepancy_ties_and_outside_points_match_oracle():
+def check_omega_discrepancy_ties_and_outside_points_match_oracle():
     # snapped coordinates, duplicate rows, corners 0.0 and 1.0, and some or
     # all points outside the region
     rng = np.random.default_rng(31)
@@ -141,6 +142,17 @@ def test_omega_discrepancy_ties_and_outside_points_match_oracle():
         assert omega_discrepancy(outside, omega) == pytest.approx(
             2.0**d * omega.volume, abs=1e-12
         )
+
+
+def test_omega_discrepancy_ties_and_outside_points_match_oracle():
+    check_omega_discrepancy_ties_and_outside_points_match_oracle()
+
+
+@pytest.mark.parametrize("block_cells", [1, 7])
+def test_omega_discrepancy_in_small_row_blocks(block_cells, monkeypatch):
+    # one-row and ragged blocks of the streamed scan, with carried counts
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
+    check_omega_discrepancy_ties_and_outside_points_match_oracle()
 
 
 def test_integrate_constant_exact():

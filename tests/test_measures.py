@@ -1,5 +1,7 @@
 """Measure-oracle tests: exact masses, sampling laws, diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,8 @@ def test_mass_on_grid_returns_fresh_writable_arrays():
             grid = mu.mass_on_grid(axes, closed)
             assert grid.flags.writeable
             assert not any(np.shares_memory(grid, ax) for ax in axes)
+            # the scans stream the grid in row blocks: any contiguous slice of
+            # axis 0 gives those rows of the whole grid, bit for bit
+            for lo, hi in itertools.combinations(range(len(axes[0]) + 1), 2):
+                rows = mu.mass_on_grid([axes[0][lo:hi], *axes[1:]], closed)
+                assert rows.tobytes() == grid[lo:hi].tobytes()

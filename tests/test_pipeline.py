@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ def test_construct_scans_equal_standalone_scans(case):
     assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
     assert cert["sampling_term"] == exact_star_discrepancy(z, mu).value
     assert cert["selection_dd"] == discrete_discrepancy(pts, z)
+
+
+def test_construction_scans_stream_below_a_sixteenth_of_a_grid():
+    # the N=16 L-region build scans a 4097 x 4097 grid (134 MB of float64)
+    # twice; streamed in row blocks, one pass serving both scans, the whole
+    # build stays far below one grid
+    mu = RestrictionMeasure([([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])])
+    grid_bytes = 4097 * 4097 * 8
+    tracemalloc.start()
+    try:
+        _, cert = construct_point_set(mu, 16, ConstructionConfig(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert["k"] == 4096
+    assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
+    assert peak < grid_bytes / 16
 
 
 def test_k_policies():
