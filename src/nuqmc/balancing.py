@@ -20,7 +20,11 @@ per-edge error |sum_E (beta - b)|:
     (b) a batched jump to a vertex of {x : A_active x = A_active x_cur,
         0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
         null-space moves, and at a vertex the floating count is at most the
-        number of active edges, so the floating set shrinks geometrically;
+        number of active edges, so the floating set shrinks geometrically.
+        An active edge whose two halves (Hypergraph.halves) are both active
+        is their disjoint union, so its row is the sum of theirs: the LP
+        holds only the active rows not implied by their halves, which
+        leaves the polytope unchanged, and HiGHS runs without presolve;
     (c) a single explicit null-space step (orthogonal decomposition with
         pivot tolerance 1e-10) as a progress guard.
 
@@ -69,6 +73,8 @@ _BOUND_SNAP = 1e-9
 _HASH_RNG_SEED = 0x5EED_BA1A  # fixed: signature hashing must be seed-free deterministic
 # Beck-Fiala step counters: how often each step ran and how many variables
 # it froze ("lsqr_null_steps" are the null steps on the sparse branch).
+# "lp_rows" sums the rows passed to the LP solver over the jumps, and
+# "lp_implied_rows" the active rows left out as sums of two kept ones.
 # "final_snapped" counts the variables of the unconstrained last step, so
 # the four frozen counts add up to the variables left floating by the
 # initial snap.
@@ -77,6 +83,8 @@ TRACE_KEYS = (
     "pairing_frozen",
     "lp_jumps",
     "lp_frozen",
+    "lp_rows",
+    "lp_implied_rows",
     "null_steps",
     "lsqr_null_steps",
     "null_frozen",
@@ -95,9 +103,17 @@ class Hypergraph:
     max_degree is recomputed by bincount and checked against the cached
     value when one is given.  Serialization is the JSON object
     {"n": n, "edges": [[...], ...]}.
+
+    `halves`, an (m, 2) int array, optionally names for every edge two other
+    edges that partition it (-1, -1 where there are none); the dyadic
+    scheme gives each cell its two children.  The same pass checks that
+    they lie in [0, m), differ from their edge, and that their sizes add up
+    to its size; that they partition it is the caller's promise.  Without
+    them every row is (-1, -1).  Beck-Fiala leaves an edge's row out of its
+    LP when both halves are active.  Serialization does not carry them.
     """
 
-    def __init__(self, n: int, edges=(), max_degree: int = -1, *, csr=None):
+    def __init__(self, n: int, edges=(), max_degree: int = -1, *, csr=None, halves=None):
         if n < 0:
             raise ValueError("n must be nonnegative")
         if csr is None:
@@ -129,10 +145,28 @@ class Hypergraph:
         recomputed = int(np.bincount(members, minlength=n).max()) if n else 0
         if max_degree >= 0 and max_degree != recomputed:
             raise ValueError(f"cached max_degree {max_degree} != recomputed {recomputed}")
+        m = len(ptr) - 1
+        if halves is None:
+            halves = np.full((m, 2), -1, dtype=np.int64)
+        else:
+            halves = np.asarray(halves, dtype=np.int64)
+            if halves.shape != (m, 2):
+                raise ValueError(f"halves must have shape ({m}, 2)")
+            h0, h1 = halves[:, 0], halves[:, 1]
+            split = (np.minimum(h0, h1) >= 0) & (np.maximum(h0, h1) < m)
+            if np.any(~split & ((h0 != -1) | (h1 != -1))):
+                raise ValueError(f"halves must be edge ids in [0, {m}), or -1, -1")
+            own = np.arange(m)
+            if np.any((h0 == own) | (h1 == own)):
+                raise ValueError("an edge may not be its own half")
+            sizes = np.diff(ptr)
+            if np.any(split & (sizes[h0] + sizes[h1] != sizes)):
+                raise ValueError("the sizes of an edge's halves must add up to its size")
         self.n = n
         self.ptr = ptr
         self.members = members
         self.max_degree = recomputed
+        self.halves = halves
 
     @property
     def m(self) -> int:
@@ -246,15 +280,18 @@ class _EngineState:
         cols = (np.cumsum(self.floating) - 1)[self.members[keep]]
         return rows, cols
 
-    def var_active_edges(self, v, active):
-        es = self.v_edges[self.v_ptr[v] : self.v_ptr[v + 1]]
-        return np.sort(es[active[es]])
-
 
 def _pairing_pass(st: _EngineState, active) -> int:
     """Freeze variables by walking i->up / j->down for pairs (i, j) of
     floating variables with identical active-edge membership.  Returns the
-    number of variables frozen."""
+    number of variables frozen.
+
+    The floating variables are sorted by a hash of their active-edge sets;
+    a neighbour in that order is a partner when the hashes and the exact
+    edge lists agree (hashing alone never certifies a pair).  Inside every
+    run of such neighbours, positions s, s+2, s+4, ... from its start s are
+    paired with the next one, as a greedy left-to-right walk pairs them.
+    The pairs are disjoint, so all of them move at once."""
     st.trace["pairing_passes"] += 1
     float_idx = np.flatnonzero(st.floating)
     if float_idx.size < 2:
@@ -266,55 +303,66 @@ def _pairing_pass(st: _EngineState, active) -> int:
     )
     sig = sig_full[float_idx]
     order = np.argsort(sig, kind="stable")
-    sig_sorted = sig[order]
-    frozen = 0
-    i = 0
-    while i + 1 < len(order):
-        if sig_sorted[i] == sig_sorted[i + 1]:
-            a = int(float_idx[order[i]])
-            b = int(float_idx[order[i + 1]])
-            # exact verification: hashing alone must never certify a pair
-            ea = st.var_active_edges(a, active)
-            eb = st.var_active_edges(b, active)
-            if len(ea) == len(eb) and np.array_equal(ea, eb):
-                lo, hi = (a, b) if st.x[a] < st.x[b] else (b, a)
-                if st.x[a] == st.x[b]:
-                    hi, lo = min(a, b), max(a, b)
-                t = min(1.0 - st.x[hi], st.x[lo])
-                st.x[hi] += t
-                st.x[lo] -= t
-                for v in (a, b):
-                    if st.x[v] <= _BOUND_SNAP:
-                        st.x[v] = 0.0
-                        st.floating[v] = False
-                        frozen += 1
-                    elif st.x[v] >= 1.0 - _BOUND_SNAP:
-                        st.x[v] = 1.0
-                        st.floating[v] = False
-                        frozen += 1
-                i += 2
-                continue
-        i += 1
+    var = float_idx[order]
+    sig = sig[order]
+    # every vertex's active edges, ascending, as a stretch of `act_edges`
+    act = active[st.v_edges]
+    act_edges = st.v_edges[act]
+    act_ptr = np.concatenate([[0], np.cumsum(act)])[st.v_ptr]
+    start = act_ptr[var]
+    count = act_ptr[var + 1] - start
+    eq = (sig[1:] == sig[:-1]) & (count[1:] == count[:-1])
+    cand = np.flatnonzero(eq)
+    lens = count[cand]
+    seg = np.repeat(np.arange(cand.size), lens)
+    within = np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    differ = act_edges[start[cand][seg] + within] != act_edges[start[cand + 1][seg] + within]
+    eq[cand[np.bincount(seg[differ], minlength=cand.size) > 0]] = False
+    pos = np.arange(eq.size)
+    run_start = np.maximum.accumulate(np.where(eq & ~np.r_[False, eq[:-1]], pos, 0))
+    pairs = np.flatnonzero(eq & ((pos - run_start) % 2 == 0))
+    if not pairs.size:
+        return 0
+    a, b = var[pairs], var[pairs + 1]
+    xa, xb = st.x[a], st.x[b]
+    # the larger value walks up (the lower index on a tie), the other down
+    up = np.where(xa == xb, np.minimum(a, b), np.where(xa < xb, b, a))
+    down = np.where(up == a, b, a)
+    t = np.minimum(1.0 - st.x[up], st.x[down])
+    st.x[up] += t
+    st.x[down] -= t
+    # every other floating variable lies strictly inside the snap band
+    before = int(st.floating.sum())
+    _snap(st.x, st.floating)
+    frozen = before - int(st.floating.sum())
     st.trace["pairing_frozen"] += frozen
     return frozen
 
 
 def _lp_round(st: _EngineState, active) -> bool:
     """Jump to a vertex of the active polytope; returns True on progress."""
-    n_active = int(np.count_nonzero(active))
-    if not n_active:
+    if not active.any():
         return False
+    # an active edge with both halves active is their disjoint union: its
+    # row is the sum of theirs (recursively), so it is left out
+    h0, h1 = st.h.halves.T
+    kept = active & ~((h0 >= 0) & active[h0] & active[h1])
+    n_kept = int(np.count_nonzero(kept))
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size
-    rows, cols = st.active_floating(active)
-    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_active, f)).tocsr()
+    rows, cols = st.active_floating(kept)
+    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_kept, f)).tocsr()
     xf = st.x[float_idx]
     b_eq = a_eq @ xf
     # movement-minimizing-ish objective with a deterministic tiebreak wiggle
     c = (0.5 - xf) + 1e-3 * np.cos(0.7 * float_idx + 0.3)
     method = "highs-ds" if f <= 20000 else "highs-ipm"
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method=method)
+    res = linprog(
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method=method, options={"presolve": False}
+    )
     st.trace["lp_jumps"] += 1
+    st.trace["lp_rows"] += n_kept
+    st.trace["lp_implied_rows"] += int(np.count_nonzero(active)) - n_kept
     if res.status != 0:
         return False
     st.x[float_idx] = res.x

@@ -239,8 +239,10 @@ def _scan_grid(
     closed first, with `axes[0]` cut to the block's rows; it returns the
     masses of that block as a fresh, writable array, which the scan
     overwrites with |mass - count/normalizer| (bitwise |count/normalizer -
-    mass|).  The maximum is kept with a strict > in C order, closed variant
-    first, so value and witness are those of an argmax over the whole grid.
+    mass|).  Without `extra_axes` the measure has no atoms, so the open box
+    has the closed box's mass, and the closed call serves both variants.
+    The maximum is kept with a strict > in C order, closed variant first,
+    so value and witness are those of an argmax over the whole grid.
 
     `subset=(sub_ranks, ratio)`, a sub-multiset of the counted points by its
     ranks on `axes` (with no `extra_axes`), adds the selection discrepancy
@@ -278,8 +280,15 @@ def _scan_grid(
         sub_blocks = next(sub_counts) if subset is not None else (None, None)
         for closed, c, c_sub in zip((True, False), next(counts), sub_blocks):
             if mass_provider is not None:
-                vals = mass_provider(block_axes, closed)
-                vals -= c / float(normalizer)
+                if closed or extra_axes is not None:
+                    mass = mass_provider(block_axes, closed)
+                if closed and extra_axes is None:
+                    # the open variant reuses the closed mass, so keep()
+                    # gets a new array here
+                    vals = mass - c / float(normalizer)
+                else:
+                    vals = mass
+                    vals -= c / float(normalizer)
                 keep(("mass", closed), vals, lo)
             if c_sub is not None:
                 vals = ratio * c

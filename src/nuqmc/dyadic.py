@@ -9,7 +9,10 @@ partition the lattice, so each lattice point lies in exactly (m+1)^d edges
 and the hypergraph has maximum degree (m+1)^d.  build_scheme writes the
 hypergraph straight into CSR form: each level vector's cells are one
 reshape-and-transpose of the lattice, filling one n_hat^d-long stretch of
-the member array, so no per-edge array is built.  Every anchored lattice
+the member array, so no per-edge array is built.  It also names every
+non-unit cell's two halves, its children along the first axis with a
+nonzero level, by one ravel_multi_index per level vector; the Beck-Fiala
+LP leaves a cell's row out when both halves' rows are in.  Every anchored lattice
 prefix {1..J_1} x ... x {1..J_d} is a disjoint union of at most one cell per
 level vector (read off the binary representations of the J_s), which turns a
 per-edge rounding error e into an anchored-prefix error of at most
@@ -37,6 +40,7 @@ from .discrepancy import BudgetExceededError
 __all__ = [
     "DyadicScheme",
     "build_scheme",
+    "check_lattice",
     "round_array",
     "max_prefix_error",
     "prefix_cells",
@@ -76,11 +80,10 @@ class DyadicScheme:
         )
 
 
-def build_scheme(n_side: int, d: int):
-    """Build the scheme and its hypergraph; vertices are the lattice points
-    of {1..N^}^d in row-major order.
-
-    Refuses lattices above LATTICE_BUDGET points."""
+def check_lattice(n_side: int, d: int) -> int:
+    """Side N^ of the lattice for (N, d); raises BudgetExceededError above
+    LATTICE_BUDGET points.  It allocates nothing, so a construction checks
+    it before it samples."""
     if n_side < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
     n_hat = 1 << max(0, (n_side - 1).bit_length())
@@ -88,6 +91,15 @@ def build_scheme(n_side: int, d: int):
         raise BudgetExceededError(
             f"lattice {n_hat}^{d} exceeds the budget of {LATTICE_BUDGET} points"
         )
+    return n_hat
+
+
+def build_scheme(n_side: int, d: int):
+    """Build the scheme and its hypergraph; vertices are the lattice points
+    of {1..N^}^d in row-major order.
+
+    Refuses lattices above LATTICE_BUDGET points (`check_lattice`)."""
+    n_hat = check_lattice(n_side, d)
     m = n_hat.bit_length() - 1
     n_vertices = n_hat**d
     lattice = np.arange(n_vertices, dtype=np.int64).reshape((n_hat,) * d)
@@ -109,7 +121,22 @@ def build_scheme(n_side: int, d: int):
     ptr = np.concatenate(starts + [[members.size]])
     scheme = DyadicScheme(n_side, n_hat, m, d, offsets, n_edges)
     assert scheme.n_edges == (2 ** (m + 1) - 1) ** d == len(ptr) - 1
-    h = Hypergraph(n_vertices, csr=(ptr, members.ravel()))
+    # a cell's halves are its two children along the first axis s whose
+    # level is nonzero: that level one lower, block index 2 j_s and 2 j_s + 1
+    halves = np.full((n_edges, 2), -1, dtype=np.int64)
+    for level, first in offsets.items():
+        axis = next((s for s, ms in enumerate(level) if ms), None)
+        if axis is None:
+            continue
+        blocks = tuple(n_hat >> ms for ms in level)
+        child = level[:axis] + (level[axis] - 1,) + level[axis + 1:]
+        child_blocks = tuple(n_hat >> ms for ms in child)
+        j = np.indices(blocks).reshape(d, -1)
+        j[axis] *= 2
+        lower = offsets[child] + np.ravel_multi_index(j, child_blocks)
+        halves[first:first + lower.size, 0] = lower
+        halves[first:first + lower.size, 1] = lower + math.prod(child_blocks[axis + 1:])
+    h = Hypergraph(n_vertices, csr=(ptr, members.ravel()), halves=halves)
     assert h.max_degree == scheme.degree
     return scheme, h
 

@@ -1,7 +1,8 @@
 """End-to-end constructions and sample-size calculators.
 
-construct_point_set samples K points from the target measure, runs the
-subset selection, and attaches a certificate that stacks
+construct_point_set checks the N^d rounding lattice against its budget
+before it samples anything, then samples K points from the target measure,
+runs the subset selection, and attaches a certificate that stacks
 
     (box-count bound of the selection) / N  +  (sampling error of the K set)
 
@@ -35,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .discrepancy import _construction_scans, _grid, _stable_orders, exact_star_discrepancy
+from .dyadic import check_lattice
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
 from .selection import select_subset
 
@@ -90,6 +92,8 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
         raise ValueError("N must be >= 1")
     d = mu.dim
     k = cfg.resolve_k(n, d)
+    # the selection rounds over an N^d lattice: refuse it before sampling
+    check_lattice(n, d)
     z = mu.sample(cfg.seed, k)
     # one sort per axis of z serves the decomposition and both scans; only
     # the orders are alive while the selection rounds

@@ -72,6 +72,26 @@ def test_hypergraph_csr_validation():
         Hypergraph(5, csr=([0, 3], [1, 2]))
 
 
+def test_hypergraph_halves_validation():
+    # edges 0..2: {0, 1, 2, 3} = {0, 1} + {2, 3}
+    csr = ([0, 4, 6, 8], [0, 1, 2, 3, 0, 1, 2, 3])
+    h = Hypergraph(4, csr=csr, halves=[[1, 2], [-1, -1], [-1, -1]])
+    assert h.halves.tolist() == [[1, 2], [-1, -1], [-1, -1]]
+    assert Hypergraph(4, csr=csr).halves.tolist() == [[-1, -1]] * 3
+    assert Hypergraph(4, ([0, 1],)).halves.tolist() == [[-1, -1]]
+    assert h.to_dict() == Hypergraph(4, csr=csr).to_dict()
+    for bad, match in (
+        ([[1, 3], [-1, -1], [-1, -1]], "edge ids"),
+        ([[1, -1], [-1, -1], [-1, -1]], "edge ids"),
+        ([[-1, 2], [-1, -1], [-1, -1]], "edge ids"),
+        ([[0, 2], [-1, -1], [-1, -1]], "own half"),
+        ([[1, 2], [0, 2], [-1, -1]], "sizes"),
+        ([[1, 2]], "shape"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Hypergraph(4, csr=csr, halves=bad)
+
+
 def test_hypergraph_json_roundtrip():
     h = Hypergraph(4, ([0, 2], [1, 2, 3]))
     h2 = Hypergraph.from_dict(h.to_dict())
@@ -293,3 +313,107 @@ def test_partial_median_error_study():
     median = float(np.median(errors))
     print(f"\npartial-coloring median error {median:.3f} vs target {target:.3f}")
     assert median >= 0.0  # study is recorded; the ceiling above is the assertion
+
+
+# --- pairing pass and LP rows -------------------------------------------------
+
+
+def pairing_pass_loop(st, active):
+    """Reference: the greedy walk over neighbours in signature order, one
+    exact edge-list comparison per equal-hash neighbour."""
+    float_idx = np.flatnonzero(st.floating)
+    if float_idx.size < 2:
+        return 0
+    in_active = active[st.edge_of]
+    sig = np.bincount(
+        st.members[in_active], weights=st.edge_hash[st.edge_of[in_active]], minlength=st.h.n
+    )[float_idx]
+    order = np.argsort(sig, kind="stable")
+    sig_sorted = sig[order]
+
+    def edges_of(v):
+        es = st.v_edges[st.v_ptr[v]:st.v_ptr[v + 1]]
+        return np.sort(es[active[es]])
+
+    frozen = 0
+    i = 0
+    while i + 1 < len(order):
+        a, b = int(float_idx[order[i]]), int(float_idx[order[i + 1]])
+        if sig_sorted[i] == sig_sorted[i + 1] and np.array_equal(edges_of(a), edges_of(b)):
+            lo, hi = (a, b) if st.x[a] < st.x[b] else (b, a)
+            if st.x[a] == st.x[b]:
+                hi, lo = min(a, b), max(a, b)
+            t = min(1.0 - st.x[hi], st.x[lo])
+            st.x[hi] += t
+            st.x[lo] -= t
+            for v in (a, b):
+                if st.x[v] <= 1e-9:
+                    st.x[v], st.floating[v] = 0.0, False
+                    frozen += 1
+                elif st.x[v] >= 1.0 - 1e-9:
+                    st.x[v], st.floating[v] = 1.0, False
+                    frozen += 1
+            i += 2
+            continue
+        i += 1
+    return frozen
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_pairing_pass_matches_greedy_loop(collide):
+    # with collide, every edge hashes to 1.0, so a signature is only the
+    # number of active edges and different edge sets share it
+    from nuqmc.balancing import _EngineState, _pairing_pass
+
+    rng = np.random.default_rng(8)
+    collisions = paired = 0
+    for _ in range(60):
+        h = random_hypergraph(rng, n_max=60, m_max=90, delta_max=4)
+        beta = rng.random(h.n)
+        beta[rng.random(h.n) < 0.2] = 0.0
+        beta[rng.random(h.n) < 0.3] = 0.5  # ties in x
+        frozen = rng.random(h.n) < 0.2
+        active = rng.random(h.m) < 0.6
+        states = [_EngineState(h, beta), _EngineState(h, beta)]
+        for st in states:
+            st.floating[frozen] = False
+            if collide:
+                st.edge_hash = np.ones_like(st.edge_hash)
+        # distinct active-edge sets of the floating variables, per signature
+        sets = {}
+        for v in np.flatnonzero(states[0].floating):
+            es = states[0].v_edges[states[0].v_ptr[v]:states[0].v_ptr[v + 1]]
+            sig = float(states[0].edge_hash[es[active[es]]].sum())
+            sets.setdefault(sig, set()).add(tuple(es[active[es]]))
+        collisions += sum(len(s) > 1 for s in sets.values())
+        got = _pairing_pass(states[0], active)
+        want = pairing_pass_loop(states[1], active)
+        assert got == want
+        assert np.array_equal(states[0].x, states[1].x)
+        assert np.array_equal(states[0].floating, states[1].floating)
+        paired += got
+    assert paired > 0 and (collisions > 0) == collide
+
+
+def test_lp_jump_keeps_every_active_sum():
+    # d=2 N=16 dyadic hypergraph: the LP holds only the rows not implied by
+    # their halves, yet every active edge keeps its floating sum, the
+    # implied rows included
+    from nuqmc.balancing import _EngineState, _lp_round
+    from nuqmc.dyadic import build_scheme
+
+    _, h = build_scheme(16, 2)
+    beta = np.random.default_rng(3).random(h.n)
+    beta[np.random.default_rng(4).random(h.n) < 0.3] = 0.0
+    st = _EngineState(h, beta)
+    active = st.active_mask()
+    h0, h1 = h.halves.T
+    split = active & (h0 >= 0)
+    # the zeros leave some active edges with one active half: those keep their row
+    assert np.any(split & (active[h0] != active[h1]))
+    sums = np.add.reduceat(st.x[h.members], h.ptr[:-1])
+    assert _lp_round(st, active)
+    after = np.add.reduceat(st.x[h.members], h.ptr[:-1])
+    assert np.abs(after - sums)[active].max() <= 1e-9
+    assert st.trace["lp_implied_rows"] == np.count_nonzero(split & active[h0] & active[h1]) > 0
+    assert st.trace["lp_rows"] + st.trace["lp_implied_rows"] == np.count_nonzero(active)

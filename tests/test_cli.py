@@ -213,6 +213,24 @@ def test_exit_code_budget(tmp_path, capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_exit_code_lattice_budget_before_sampling(tmp_path, capsys, monkeypatch):
+    # the fourth block of the sequence has N=16384 in d=2: its lattice is
+    # refused (code 3) before its K = 2^32 points are sampled
+    from nuqmc.measures import ProductExtensionMeasure
+
+    sample = ProductExtensionMeasure.sample
+
+    def guarded(self, seed, count):
+        assert count <= 1 << 20, f"sampled {count} points"
+        return sample(self, seed, count)
+
+    monkeypatch.setattr(ProductExtensionMeasure, "sample", guarded)
+    code, _, err = run(capsys, "seq", "--measure", "uniform", "--d", "1", "--count", "70",
+                       "--out", str(tmp_path / "seq.csv"))
+    assert code == 3
+    assert "lattice" in err
+
+
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
     p = tmp_path / "p.csv"
     np.savetxt(p, np.random.default_rng(0).random((50, 2)), delimiter=",")

@@ -465,3 +465,25 @@ def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
     check_matches_naive_oracle_with_ties()
     check_discrete_discrepancy_matches_naive()
     check_discrete_discrepancy_matches_naive_with_ties()
+
+
+def test_atomless_scan_evaluates_mass_once_per_block(monkeypatch):
+    # without atoms the open box has the closed box's mass, so one call per
+    # row block serves both variants
+    calls = []
+
+    class Counting(ProductMeasure):
+        def mass_on_grid(self, axes, closed=True):
+            calls.append(closed)
+            return super().mass_on_grid(axes, closed)
+
+    ps = PointSet(np.random.default_rng(5).random((30, 2)))
+    mu = Counting([PowerCdf(2.0)] * 2)
+    whole = exact_star_discrepancy(ps, mu)
+    assert calls == [True]
+    calls.clear()
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 7)  # one row of the 31 x 31 grid per block
+    rep = exact_star_discrepancy(ps, mu)
+    assert calls == [True] * 31
+    assert (rep.value, rep.witness.closed) == (whole.value, whole.witness.closed)
+    assert rep.witness.corner.tolist() == whole.witness.corner.tolist()

@@ -77,6 +77,27 @@ def test_scheme_csr_matches_cell_oracle(n_side, d):
     assert h.ptr[-1] == h.members.size == h.n * scheme.degree
 
 
+@pytest.mark.parametrize("n_side, d", [(1, 1), (5, 1), (8, 2), (4, 3)])
+def test_scheme_halves_partition_every_cell(n_side, d):
+    # a cell's halves are its children along the first axis with a nonzero
+    # level; their members, merged, are the cell's
+    scheme, h = build_scheme(n_side, d)
+    assert h.halves.shape == (h.m, 2)
+    for level in itertools.product(range(scheme.m + 1), repeat=d):
+        blocks = [scheme.n_hat >> ms for ms in level]
+        for j in itertools.product(*(range(b) for b in blocks)):
+            e = scheme.edge_id(level, j)
+            if not any(level):
+                assert h.halves[e].tolist() == [-1, -1]
+                continue
+            s = next(s for s, ms in enumerate(level) if ms)
+            child = level[:s] + (level[s] - 1,) + level[s + 1:]
+            kids = [scheme.edge_id(child, j[:s] + (2 * j[s] + k,) + j[s + 1:]) for k in (0, 1)]
+            assert h.halves[e].tolist() == kids
+            merged = np.sort(np.concatenate([h.edges[k] for k in kids]))
+            assert np.array_equal(merged, h.edges[e])
+
+
 def test_degree_property_exact():
     for n_side, d in ((4, 1), (8, 1), (4, 2), (2, 3)):
         scheme, h = build_scheme(n_side, d)

@@ -70,7 +70,23 @@ def test_construct_d2_engine_trace():
     assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest
     trace = cert["selection"]["rounding"]["engine_trace"]
     assert (trace["lp_jumps"], trace["lp_frozen"], trace["null_steps"]) == (1, 3840, 0)
+    # 769 active rows, 321 of them the sum of their two halves' rows
+    assert (trace["lp_rows"], trace["lp_implied_rows"]) == (448, 321)
     assert trace["pairing_frozen"] + trace["lp_frozen"] + trace["final_snapped"] == 64 * 64
+
+
+def test_construct_refuses_lattice_before_sampling():
+    # N=16384 at d=2 would sample K = 2^32 points (about 69 GB) before the
+    # 2^28-point lattice is refused
+    from nuqmc.discrepancy import BudgetExceededError
+
+    class NoSampling(ProductMeasure):
+        def sample(self, seed, count):
+            raise AssertionError(f"sampled {count} points")
+
+    mu = NoSampling([PowerCdf(2.0), PowerCdf(2.0)])
+    with pytest.raises(BudgetExceededError, match="lattice"):
+        construct_point_set(mu, 16384)
 
 
 def test_construct_from_discrete_measure():
