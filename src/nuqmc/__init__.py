@@ -25,14 +25,7 @@ from .discrepancy import (
     exact_star_discrepancy,
     local_star_discrepancy,
 )
-from .balancing import (
-    Hypergraph,
-    PartialColoringConfig,
-    RoundingResult,
-    beck_fiala_round,
-    edge_error,
-    partial_coloring_round,
-)
+from .balancing import Hypergraph, RoundingResult, beck_fiala_round, edge_error
 from .dyadic import build_scheme, max_prefix_error, prefix_cells, round_array
 from .selection import CellDecomposition, SelectionResult, decompose, select_subset
 from .pipeline import (

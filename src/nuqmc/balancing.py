@@ -1,46 +1,40 @@
-"""Constructive linear-discrepancy engines for hypergraphs.
+"""Constructive linear-discrepancy rounding for hypergraphs.
 
 Given a hypergraph H on n vertices with maximum degree Delta and a fractional
-vector beta in [0,1]^n, both engines produce b in {0,1}^n with controlled
-per-edge error |sum_E (beta - b)|:
+vector beta in [0,1]^n, beck_fiala_round produces b in {0,1}^n with per-edge
+error |sum_E (beta - b)| <= 2*Delta - 1 (Beck and Fiala, "Integer-making
+theorems", 1981).  It is the constructive stand-in for the paper's
+non-constructive balancing step.
 
-  * beck_fiala_round -- deterministic floating-colors iterated rounding.
-    While an edge has more than Delta floating (fractional) variables its sum
-    is held exactly constant; moves happen in the null space of the active
-    system until variables freeze at {0,1}.  Once an edge has at most Delta
-    floating variables each can still move by less than one unit, so every
-    edge ends with error < Delta <= 2*Delta - 1.  The hard guarantee is
-    2*Delta - 1.
+beck_fiala_round is deterministic floating-colors iterated rounding.  While
+an edge has more than Delta floating (fractional) variables its sum is held
+exactly constant; moves happen in the null space of the active system until
+variables freeze at {0,1}.  Once an edge has at most Delta floating
+variables each can still move by less than one unit, so every edge ends
+with error < Delta <= 2*Delta - 1.  The hard guarantee is 2*Delta - 1.
 
-    The implementation takes null-space steps in three ways, cheapest first:
-    (a) "signature pairs": two floating variables lying in exactly the same
-        active edges can be moved oppositely, which is a null direction
-        computable by hashing (for hierarchical edge systems this realizes a
-        full pairing cascade and finishes in near-linear time);
-    (b) a batched jump to a vertex of {x : A_active x = A_active x_cur,
-        0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
-        null-space moves, and at a vertex the floating count is at most the
-        number of active edges, so the floating set shrinks geometrically.
-        An active edge whose two halves (Hypergraph.halves) are both active
-        is their disjoint union, so its row is the sum of theirs: the LP
-        holds only the active rows not implied by their halves, which
-        leaves the polytope unchanged, and HiGHS runs without presolve;
-    (c) a single explicit null-space step (orthogonal decomposition with
-        pivot tolerance 1e-10) as a progress guard.
+The implementation takes null-space steps in three ways, cheapest first:
+(a) "signature pairs": two floating variables lying in exactly the same
+    active edges can be moved oppositely, which is a null direction
+    computable by hashing (for hierarchical edge systems this realizes a
+    full pairing cascade and finishes in near-linear time);
+(b) a batched jump to a vertex of {x : A_active x = A_active x_cur,
+    0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
+    null-space moves, and at a vertex the floating count is at most the
+    number of active edges, so the floating set shrinks geometrically.
+    An active edge whose two halves (Hypergraph.halves) are both active
+    is their disjoint union, so its row is the sum of theirs: the LP
+    holds only the active rows not implied by their halves, which
+    leaves the polytope unchanged, and HiGHS runs without presolve;
+(c) a single explicit null-space step as a progress guard: a probe vector
+    minus its least-squares projection onto the active rows' span (sparse
+    lsqr), so no dense matrix of the active system is ever formed.
 
-  * partial_coloring_round -- seeded constrained random walk with per-edge
-    drift caps proportional to sqrt(Delta log 2m), freezing variables that
-    reach {0,1}; when the walk stalls the surviving fractional subvector is
-    finished by beck_fiala_round.  This engine is a heuristic: its achieved
-    error is recorded and flagged if it exceeds the reported target, and only
-    the cap + fallback ceiling is hard.
-
-Both engines preserve zeros (beta_i = 0 implies b_i = 0), round integral
-vectors to themselves, and are pure functions of their inputs (the
-partial-coloring walk is deterministic given its seed).
+The engine preserves zeros (beta_i = 0 implies b_i = 0), rounds integral
+vectors to themselves, and is a pure function of its input.
 
 A Hypergraph is stored in CSR form, (ptr, members), and that is the only
-form the Beck-Fiala engine reads: per-edge sums are segmented reductions,
+form the engine reads: per-edge sums are segmented reductions,
 the active system's nonzeros come from one gather over the members, and
 the signature hash is one weighted bincount, so no step loops over edges
 in Python.  Validation is vectorised the same way, whether the input is an
@@ -50,30 +44,20 @@ variables each froze in RoundingResult.details.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import lsqr
 
-__all__ = [
-    "Hypergraph",
-    "RoundingResult",
-    "beck_fiala_round",
-    "partial_coloring_round",
-    "edge_error",
-    "PartialColoringConfig",
-]
+__all__ = ["Hypergraph", "RoundingResult", "beck_fiala_round", "edge_error"]
 
 _BOUND_SNAP = 1e-9
 _HASH_RNG_SEED = 0x5EED_BA1A  # fixed: signature hashing must be seed-free deterministic
 # Beck-Fiala step counters: how often each step ran and how many variables
-# it froze ("lsqr_null_steps" are the null steps on the sparse branch).
-# "lp_rows" sums the rows passed to the LP solver over the jumps, and
+# it froze.  "lp_rows" sums the rows passed to the LP solver over the jumps, and
 # "lp_implied_rows" the active rows left out as sums of two kept ones.
 # "final_snapped" counts the variables of the unconstrained last step, so
 # the four frozen counts add up to the variables left floating by the
@@ -86,7 +70,6 @@ TRACE_KEYS = (
     "lp_rows",
     "lp_implied_rows",
     "null_steps",
-    "lsqr_null_steps",
     "null_frozen",
     "final_snapped",
 )
@@ -175,7 +158,7 @@ class Hypergraph:
     @cached_property
     def edges(self) -> tuple:
         """Per-edge member arrays (views of `members`), for inspection and
-        serialization; the engines work on the CSR arrays."""
+        serialization; the engine works on the CSR arrays."""
         return tuple(np.split(self.members, self.ptr[1:-1])) if self.m else ()
 
     def to_dict(self):
@@ -185,13 +168,13 @@ class Hypergraph:
     def from_dict(cls, d):
         return cls(int(d["n"]), tuple(d["edges"]))
 
-    def incidence_csr(self):
-        """(edge_ptr, members): concatenated member arrays with offsets."""
-        return self.ptr, self.members
-
 
 @dataclass(frozen=True)
 class RoundingResult:
+    """A rounding and its error.  `engine` is always "beck_fiala" and
+    `fallback` always False; both stay in the serialized form, which
+    certificates and `nuqmc round` output carry."""
+
     b: np.ndarray
     achieved_error: float
     guaranteed_bound: float
@@ -257,7 +240,7 @@ class _EngineState:
         self.x = beta.astype(float).copy()
         self.floating = np.ones(h.n, dtype=bool)
         _snap(self.x, self.floating)
-        self.ptr, self.members = h.incidence_csr()
+        self.ptr, self.members = h.ptr, h.members
         self.edge_of = np.repeat(np.arange(h.m), np.diff(self.ptr))
         rng = np.random.default_rng(_HASH_RNG_SEED)
         self.edge_hash = rng.random(max(h.m, 1))
@@ -374,32 +357,28 @@ def _lp_round(st: _EngineState, active) -> bool:
 
 
 def _null_step(st: _EngineState, active) -> None:
-    """One explicit null-space move; freezes at least one variable."""
+    """One explicit null-space move; freezes at least one variable.
+
+    The direction is a probe vector minus its least-squares fit by the
+    active rows (lsqr on the sparse system), the first probe that leaves a
+    nonzero residual.  No dense matrix is formed: a dense null-space basis
+    of a 65536-variable dyadic system would need a 65536^2 matrix."""
     st.trace["null_steps"] += 1
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size
     n_active = int(np.count_nonzero(active))  # >= 1: beck_fiala_round snaps otherwise
     rows, cols = st.active_floating(active)
-    if f <= 1500:
-        mat = np.zeros((n_active, f))
-        mat[rows, cols] = 1.0
-        basis = null_space(mat, rcond=1e-10)
-        if basis.shape[1] == 0:
-            raise RuntimeError("active system unexpectedly has full column rank")
-        v = basis[:, 0]
-    else:
-        st.trace["lsqr_null_steps"] += 1
-        mat = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_active, f)).tocsr()
-        v = None
-        for probe in range(min(f, 32)):
-            g = np.cos(0.31 * np.arange(f) + probe)
-            w = lsqr(mat.T, g, atol=1e-14, btol=1e-14)[0]
-            cand = g - mat.T @ w
-            if np.abs(mat @ cand).max() <= 1e-9 and np.abs(cand).max() > 1e-9:
-                v = cand
-                break
-        if v is None:
-            raise RuntimeError("failed to find a sparse null direction")
+    mat = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_active, f)).tocsr()
+    v = None
+    for probe in range(min(f, 32)):
+        g = np.cos(0.31 * np.arange(f) + probe)
+        w = lsqr(mat.T, g, atol=1e-14, btol=1e-14)[0]
+        cand = g - mat.T @ w
+        if np.abs(mat @ cand).max() <= 1e-9 and np.abs(cand).max() > 1e-9:
+            v = cand
+            break
+    if v is None:
+        raise RuntimeError("failed to find a sparse null direction")
     v = v / np.abs(v).max()
     xf = st.x[float_idx]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -452,160 +431,3 @@ def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
             f"floating-colors invariant violated: error {achieved} > bound {bound}"
         )
     return RoundingResult(b, achieved, bound, "beck_fiala", details=dict(st.trace))
-
-
-@dataclass(frozen=True)
-class PartialColoringConfig:
-    gamma: float = 0.01          # random-walk step size
-    cap_factor: float = 2.5      # per-edge drift cap = cap_factor*sqrt(Delta log 2m)
-    max_iters: int = 1_000_000   # iteration cap per walk before falling back
-    stall_limit: int = 25
-
-
-def partial_coloring_round(
-    h: Hypergraph, beta, seed: int, config: PartialColoringConfig | None = None
-) -> RoundingResult:
-    """Randomized constrained random walk targeting the sqrt(Delta log 2m)
-    regime; deterministic given `seed`.
-
-    Per-edge drifts are hard-capped at cap_factor*sqrt(Delta log 2m) by a
-    line search, and steps are projected orthogonally to edges already at
-    their cap.  Variables freeze on reaching {0,1}; if the walk stalls or
-    exhausts its iteration budget the surviving fractional subvector is
-    finished with beck_fiala_round (recorded via ``fallback``).
-
-    The reported guaranteed_bound is the doubled form 10*sqrt(2 Delta log 2m)
-    (linear-discrepancy route); details also carry the single-sided target
-    5*sqrt(2 Delta log 2m) and whether each was met.  Certification is
-    limited to the hard ceiling cap + (2*Delta' - 1) with Delta' the fallback
-    subproblem degree.
-    """
-    cfg = config or PartialColoringConfig()
-    beta = _check_beta(h, beta)
-    rng = np.random.default_rng(seed)
-    delta = h.max_degree
-    m = h.m
-    if m > 0 and delta > 0:
-        cap = cfg.cap_factor * math.sqrt(delta * math.log(2 * m))
-        reported = 10.0 * math.sqrt(2.0 * delta * math.log(2 * m))
-        target5 = 5.0 * math.sqrt(2.0 * delta * math.log(2 * m))
-    else:
-        cap = reported = target5 = 0.0
-
-    st = _EngineState(h, beta)
-    ptr, members = st.ptr, st.members
-    drift = np.zeros(m)
-    capped = np.zeros(m, dtype=bool)
-    proj_q = None
-    proj_dirty = True
-    stalls = 0
-    iters = 0
-    fallback = False
-
-    edge_arrays = h.edges
-
-    def recompute_projector(float_idx):
-        nonlocal proj_q, proj_dirty
-        rows = [
-            e for e in np.flatnonzero(capped)
-            if edge_arrays[e].size and st.floating[edge_arrays[e]].any()
-        ]
-        if not rows:
-            proj_q = None
-            proj_dirty = False
-            return
-        col_of = np.full(h.n, -1, dtype=np.int64)
-        col_of[float_idx] = np.arange(float_idx.size)
-        mat = np.zeros((len(rows), float_idx.size))
-        for r, e in enumerate(rows):
-            fl = edge_arrays[e][st.floating[edge_arrays[e]]]
-            mat[r, col_of[fl]] = 1.0
-        proj_q = np.linalg.qr(mat.T, mode="reduced")[0]
-        proj_dirty = False
-
-    while st.floating.any() and iters < cfg.max_iters:
-        iters += 1
-        float_idx = np.flatnonzero(st.floating)
-        if proj_dirty:
-            recompute_projector(float_idx)
-        g = rng.standard_normal(float_idx.size) * cfg.gamma
-        if proj_q is not None:
-            g = g - proj_q @ (proj_q.T @ g)
-        if np.abs(g).max() < 1e-14:
-            stalls += 1
-            if stalls > cfg.stall_limit:
-                break
-            continue
-        # per-edge drift increments
-        gvec = np.zeros(h.n)
-        gvec[float_idx] = g
-        if members.size:
-            cums = np.concatenate([[0.0], np.cumsum(gvec[members])])
-            dinc = cums[ptr[1:]] - cums[ptr[:-1]]
-        else:
-            dinc = np.zeros(m)
-        t = 1.0
-        xf = st.x[float_idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(g > 1e-14, (1.0 - xf) / g, np.inf)
-            dn = np.where(g < -1e-14, xf / (-g), np.inf)
-        t = min(t, up.min(initial=np.inf), dn.min(initial=np.inf))
-        if m:
-            free = ~capped
-            pos = free & (dinc > 1e-14)
-            neg = free & (dinc < -1e-14)
-            if pos.any():
-                t = min(t, float(((cap - drift[pos]) / dinc[pos]).min()))
-            if neg.any():
-                t = min(t, float(((-cap - drift[neg]) / dinc[neg]).min()))
-        if not np.isfinite(t) or t <= 1e-14:
-            stalls += 1
-            if stalls > cfg.stall_limit:
-                break
-            continue
-        stalls = 0
-        st.x[float_idx] = xf + t * g
-        drift += t * dinc
-        before = int(st.floating.sum())
-        _snap(st.x, st.floating)
-        if int(st.floating.sum()) != before:
-            proj_dirty = True
-        if cap > 0:
-            newly = (~capped) & (np.abs(drift) >= cap * (1.0 - 1e-12))
-            if newly.any():
-                capped |= newly
-                proj_dirty = True
-
-    hard_bound = cap
-    if st.floating.any():
-        fallback = True
-        float_idx = np.flatnonzero(st.floating)
-        sub_map = np.full(h.n, -1, dtype=np.int64)
-        sub_map[float_idx] = np.arange(float_idx.size)
-        sub_edges = []
-        for e in edge_arrays:
-            fl = e[st.floating[e]]
-            if fl.size:
-                sub_edges.append(sub_map[fl])
-        sub_h = Hypergraph(float_idx.size, tuple(sub_edges))
-        sub_res = beck_fiala_round(sub_h, st.x[float_idx])
-        st.x[float_idx] = sub_res.b
-        st.floating[:] = False
-        hard_bound = cap + sub_res.guaranteed_bound
-
-    b = st.x
-    achieved = edge_error(h, beta, b)
-    if achieved > hard_bound + 1e-6:
-        raise RuntimeError(
-            f"drift-cap invariant violated: error {achieved} > ceiling {hard_bound}"
-        )
-    details = {
-        "target_banaszczyk": target5,
-        "met_reported_bound": achieved <= reported,
-        "met_banaszczyk_target": achieved <= target5,
-        "bound_exceeded": achieved > reported,
-        "drift_cap": cap,
-        "hard_ceiling": hard_bound,
-        "iterations": iters,
-    }
-    return RoundingResult(b, achieved, reported, "partial_coloring", fallback, details)

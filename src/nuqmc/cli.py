@@ -80,10 +80,6 @@ def _resolve_k_policy(text: str):
     raise ValueError("--k-policy must be scaled, paper, or K=<int>")
 
 
-def _engine_name(text: str) -> str:
-    return {"beck-fiala": "beck_fiala", "partial": "partial_coloring"}[text]
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -92,9 +88,7 @@ def _engine_name(text: str) -> str:
 def _cmd_gen(args):
     t0 = time.time()
     mu = _load_measure(args.measure, args.d)
-    cfg = pipeline.ConstructionConfig(
-        _resolve_k_policy(args.k_policy), args.scale_c, _engine_name(args.engine), args.seed
-    )
+    cfg = pipeline.ConstructionConfig(_resolve_k_policy(args.k_policy), args.scale_c, args.seed)
     pts, cert = pipeline.construct_point_set(mu, args.n, cfg)
     pts.to_csv(args.out)
     outputs = [args.out]
@@ -110,9 +104,7 @@ def _cmd_gen(args):
 def _cmd_seq(args):
     t0 = time.time()
     mu = _load_measure(args.measure, args.d)
-    cfg = pipeline.ConstructionConfig(
-        _resolve_k_policy(args.k_policy), args.scale_c, _engine_name(args.engine), args.seed
-    )
+    cfg = pipeline.ConstructionConfig(_resolve_k_policy(args.k_policy), args.scale_c, args.seed)
     pts, state = pipeline.take_sequence(mu, args.count, cfg)
     pts.to_csv(args.out)
     outputs = [args.out]
@@ -150,7 +142,7 @@ def _cmd_disc(args):
 def _cmd_select(args):
     t0 = time.time()
     z = measures.PointSet.from_csv(args.points, header=args.header)
-    res = selection.select_subset(z, args.n, engine=_engine_name(args.engine), seed=args.seed)
+    res = selection.select_subset(z, args.n)
     res.selected.to_csv(args.out)
     outputs = [args.out]
     if args.certificate:
@@ -167,10 +159,7 @@ def _cmd_round(args):
     t0 = time.time()
     h = balancing.Hypergraph.from_dict(json.loads(Path(args.hypergraph).read_text()))
     beta = np.asarray(json.loads(Path(args.beta).read_text()), dtype=float)
-    if args.engine == "beck-fiala":
-        res = balancing.beck_fiala_round(h, beta)
-    else:
-        res = balancing.partial_coloring_round(h, beta, args.seed)
+    res = balancing.beck_fiala_round(h, beta)
     payload = res.to_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, default=float) + "\n")
@@ -196,11 +185,11 @@ def _cmd_integrate(args):
 
 
 def _bench_one(payload):
-    boxes, gname, n, seeds, k_policy, scale_c, engine = payload
+    boxes, gname, n, seeds, k_policy, scale_c = payload
     omega = measures.OmegaRegion(boxes)
     g, _ = integration.BUILTIN_INTEGRANDS[gname]
     ig = integration.Integrand(g, omega, name=gname)
-    cfg = pipeline.ConstructionConfig(k_policy, scale_c, engine, seeds[0])
+    cfg = pipeline.ConstructionConfig(k_policy, scale_c, seeds[0])
     return integration.benchmark(ig, [n], seeds, cfg)
 
 
@@ -211,8 +200,7 @@ def _cmd_bench(args):
     n_list = [int(v) for v in args.n_list.split(",")]
     seeds = list(range(args.seeds))
     payloads = [
-        (boxes, args.g, n, seeds, _resolve_k_policy(args.k_policy), args.scale_c,
-         _engine_name(args.engine))
+        (boxes, args.g, n, seeds, _resolve_k_policy(args.k_policy), args.scale_c)
         for n in n_list
     ]
     if args.jobs > 1:
@@ -338,7 +326,6 @@ def _build_parser():
                        help="measure config JSON path, or 'uniform' with --d")
         q.add_argument("--d", type=int, help="dimension for --measure uniform")
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--engine", choices=["beck-fiala", "partial"], default="beck-fiala")
         q.add_argument("--k-policy", default="scaled",
                        help="scaled | paper | K=<int> (sampling budget policy)")
         q.add_argument("--scale-c", type=int, default=16,
@@ -374,8 +361,6 @@ def _build_parser():
     q.add_argument("--points", required=True)
     q.add_argument("--header", action="store_true")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--engine", choices=["beck-fiala", "partial"], default="beck-fiala")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--certificate")
     q.set_defaults(func=_cmd_select)
@@ -383,8 +368,6 @@ def _build_parser():
     q = sub.add_parser("round", help="round a fractional vector over a hypergraph")
     q.add_argument("--hypergraph", required=True, help='JSON {"n": ..., "edges": [[...]]}')
     q.add_argument("--beta", required=True, help="JSON array of fractional values")
-    q.add_argument("--engine", choices=["beck-fiala", "partial"], default="beck-fiala")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_round)
 
@@ -400,7 +383,6 @@ def _build_parser():
     q.add_argument("--g", choices=sorted(integration.BUILTIN_INTEGRANDS), required=True)
     q.add_argument("--n-list", required=True, help="comma-separated point counts")
     q.add_argument("--seeds", type=int, default=5, help="number of Monte Carlo seeds")
-    q.add_argument("--engine", choices=["beck-fiala", "partial"], default="beck-fiala")
     q.add_argument("--k-policy", default="scaled")
     q.add_argument("--scale-c", type=int, default=16)
     q.add_argument("--jobs", type=int, default=1, help="parallel workers over the N list")

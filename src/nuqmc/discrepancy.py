@@ -383,6 +383,7 @@ def estimate_star_discrepancy(
     if cells <= trials:
         exact = exact_star_discrepancy(ps, mu, _sorted=grid)
         return DiscrepancyReport(exact.value, exact.witness, "estimate", exact.boxes_scanned)
+    del grid  # the corners below read only the axes, not the K ranks per axis
 
     rng = np.random.default_rng(seed)
     d = ps.dim

@@ -19,7 +19,7 @@ per-edge rounding error e into an anchored-prefix error of at most
 e * (m+1)^d.
 
 round_array pads a fractional array with zeros to the power-of-two lattice,
-rounds it with a balancing engine, and returns the 0/1 array together with a
+rounds it with beck_fiala_round, and returns the 0/1 array together with a
 certificate chaining the engine's per-edge error through the decomposition;
 the exact maximum prefix error is recomputed by cumulative sums and asserted
 against the chain on every run.  The certificate's engine_trace carries the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balancing import Hypergraph, beck_fiala_round, partial_coloring_round
+from .balancing import Hypergraph, beck_fiala_round
 from .discrepancy import BudgetExceededError
 
 __all__ = [
@@ -188,21 +188,19 @@ def reference_prefix_bound(n_side: int, d: int) -> float:
     return 10.0 * math.sqrt(d) * (2.0 + math.log2(max(n_side, 1))) ** ((3 * d + 1) / 2)
 
 
-def round_array(beta: np.ndarray, engine: str = "beck_fiala", seed: int = 0):
+def round_array(beta: np.ndarray):
     """Round a fractional array over {1..N}^d to 0/1 via the dyadic
     hypergraph; returns (b, certificate).
 
-    The array is zero-padded to {1..N^}^d, rounded by the chosen engine, and
+    The array is zero-padded to {1..N^}^d, rounded by beck_fiala_round, and
     unpadded; cells with beta = 0 round to 0.  The certificate carries the
     engine's recomputed per-edge error, the derived anchored-prefix bound
-    per_edge_error * (m+1)^d, the engine's guaranteed chain when available,
+    per_edge_error * (m+1)^d, the guaranteed chain (2*Delta - 1) * (m+1)^d,
     and the exact measured prefix error (asserted <= the derived bound).
 
     Parameters
     ----------
     beta : array with values in [0,1], up to N points per axis
-    engine : "beck_fiala" | "partial_coloring"
-    seed : used by the partial_coloring engine only
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim < 1:
@@ -212,14 +210,7 @@ def round_array(beta: np.ndarray, engine: str = "beck_fiala", seed: int = 0):
     scheme, h = build_scheme(n_side, d)
     padded = np.zeros((scheme.n_hat,) * d)
     padded[tuple(slice(0, s) for s in beta.shape)] = beta
-    flat = padded.ravel()
-
-    if engine == "beck_fiala":
-        res = beck_fiala_round(h, flat)
-    elif engine == "partial_coloring":
-        res = partial_coloring_round(h, flat, seed)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    res = beck_fiala_round(h, padded.ravel())
 
     b_full = res.b.reshape((scheme.n_hat,) * d)
     assert np.all(b_full[padded == 0.0] == 0.0)
@@ -248,7 +239,6 @@ def round_array(beta: np.ndarray, engine: str = "beck_fiala", seed: int = 0):
         "n_hat": scheme.n_hat,
         "d": d,
     }
-    if res.engine == "beck_fiala":
-        # chain: measured <= achieved*(m+1)^d <= (2*Delta-1)*(m+1)^d
-        assert res.achieved_error <= res.guaranteed_bound + 1e-9
+    # chain: measured <= achieved*(m+1)^d <= (2*Delta-1)*(m+1)^d
+    assert res.achieved_error <= res.guaranteed_bound + 1e-9
     return b, certificate

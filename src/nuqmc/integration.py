@@ -130,7 +130,7 @@ def benchmark(
     ref = reference_integral(integrand)
     rows = []
     for n in n_list:
-        built_cfg = ConstructionConfig(cfg.k_policy, cfg.scale_c, cfg.engine, seeds[0])
+        built_cfg = ConstructionConfig(cfg.k_policy, cfg.scale_c, seeds[0])
         pts, _ = construct_point_set(mu, n, built_cfg)
         est = integrate(integrand, pts)
         rows.append(IntegrationReport(est, ref, abs(est - ref), n, "constructed", seeds[0]))

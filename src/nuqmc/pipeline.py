@@ -1,7 +1,8 @@
 """End-to-end constructions and sample-size calculators.
 
-construct_point_set checks the N^d rounding lattice against its budget
-before it samples anything, then samples K points from the target measure,
+construct_point_set checks the N^d rounding lattice and the K-point cloud
+(K*d coordinates, at most SAMPLE_BUDGET) against their budgets before it
+samples anything, then samples K points from the target measure,
 runs the subset selection, and attaches a certificate that stacks
 
     (box-count bound of the selection) / N  +  (sampling error of the K set)
@@ -35,7 +36,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import _construction_scans, _grid, _stable_orders, exact_star_discrepancy
+from .discrepancy import (
+    BudgetExceededError,
+    _construction_scans,
+    _grid,
+    _stable_orders,
+    exact_star_discrepancy,
+)
 from .dyadic import check_lattice
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
 from .selection import select_subset
@@ -51,14 +58,18 @@ __all__ = [
     "inverse_size",
     "alexander_bound",
     "PAPER_K_FACTOR",
+    "SAMPLE_BUDGET",
 ]
 
 PAPER_K_FACTOR = 2**26
+# coordinates (K*d) of the K-point cloud a construction may sample: 512 MB of
+# float64, before its per-axis sort orders
+SAMPLE_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
 class ConstructionConfig:
-    """K policy, engine and seed for a construction.
+    """K policy and seed for a construction.
 
     k_policy: "paper" (K = 2^26 d N^2), "scaled" (K = scale_c * N^2), or an
     explicit integer K.
@@ -66,7 +77,6 @@ class ConstructionConfig:
 
     k_policy: object = "scaled"
     scale_c: int = 16
-    engine: str = "beck_fiala"
     seed: int = 0
 
     def resolve_k(self, n: int, d: int) -> int:
@@ -92,13 +102,18 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
         raise ValueError("N must be >= 1")
     d = mu.dim
     k = cfg.resolve_k(n, d)
-    # the selection rounds over an N^d lattice: refuse it before sampling
+    # refuse the N^d lattice the selection rounds over, and the cloud, before
+    # sampling
     check_lattice(n, d)
+    if k * d > SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"K*d = {k}*{d} coordinates exceeds the sample budget of {SAMPLE_BUDGET}"
+        )
     z = mu.sample(cfg.seed, k)
     # one sort per axis of z serves the decomposition and both scans; only
     # the orders are alive while the selection rounds
     orders = _stable_orders(z.points)
-    sel = select_subset(z, n, engine=cfg.engine, seed=cfg.seed, _orders=orders)
+    sel = select_subset(z, n, _orders=orders)
     grid = _grid(z.points, orders)
     order = orders[0]
     del orders
@@ -115,7 +130,7 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
         "d": d,
         "k": k,
         "k_policy": str(cfg.k_policy),
-        "engine": cfg.engine,
+        "engine": sel.certificate["rounding"]["engine"],
         "seed": cfg.seed,
         "selection": sel.certificate,
         "selection_dd": dd,
@@ -162,7 +177,7 @@ def _build_block(state: SequenceState, mu: BoxMeasure, cfg: ConstructionConfig):
     nu = ProductExtensionMeasure(mu)
     n_i = block_size(i)
     block_seed = int(np.random.default_rng((cfg.seed, i)).integers(0, 2**63 - 1))
-    block_cfg = ConstructionConfig(cfg.k_policy, cfg.scale_c, cfg.engine, block_seed)
+    block_cfg = ConstructionConfig(cfg.k_policy, cfg.scale_c, block_seed)
     pts, cert = construct_point_set(nu, n_i, block_cfg)
     full = pts.points[np.argsort(pts.points[:, -1], kind="stable")].copy()
     # strictly increasing auxiliary coordinate: ties get the minimal

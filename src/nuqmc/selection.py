@@ -132,13 +132,11 @@ class SelectionResult:
         }
 
 
-def select_subset(
-    z: PointSet, n_target: int, engine: str = "beck_fiala", seed: int = 0, *, _orders=None
-) -> SelectionResult:
+def select_subset(z: PointSet, n_target: int, *, _orders=None) -> SelectionResult:
     """Select exactly N points of z tracking its anchored-box counts.
 
-    Deterministic given (z order, N, engine, seed); the certificate is
-    derived from the rounding that actually ran.  `_orders` is passed on to
+    Deterministic given (z order, N); the certificate is derived from the
+    rounding that actually ran.  `_orders` is passed on to
     `decompose`."""
     decomp = decompose(z, n_target, _orders=_orders)
     k, d = decomp.k, decomp.d
@@ -151,7 +149,7 @@ def select_subset(
     first_member = np.full(decomp.counts.size, k, dtype=np.int64)
     np.minimum.at(first_member, flat_cells, np.arange(k, dtype=np.int64))
     del decomp, flat_cells  # the rounding reads only beta; (K, d) slab indices go first
-    b, round_cert = round_array(beta, engine=engine, seed=seed)
+    b, round_cert = round_array(beta)
     chosen_cells = np.flatnonzero(b.ravel() == 1)
     reps = first_member[chosen_cells]
     assert np.all(reps < k), "a selected cell has no members (zero preservation broke)"

@@ -170,7 +170,7 @@ def test_criterion_3_dyadic_chain():
         for n_side in (8, 16, 32, 64):
             for _ in range(2):
                 beta = rng.random((n_side,) * d)
-                b, cert = round_array(beta, engine="beck_fiala")
+                b, cert = round_array(beta)
                 assert (
                     cert["measured_prefix_error"]
                     <= cert["per_edge_error"] * cert["degree"] + 1e-9

@@ -215,20 +215,24 @@ def test_exit_code_budget(tmp_path, capsys, monkeypatch):
 
 def test_exit_code_lattice_budget_before_sampling(tmp_path, capsys, monkeypatch):
     # the fourth block of the sequence has N=16384 in d=2: its lattice is
-    # refused (code 3) before its K = 2^32 points are sampled
-    from nuqmc.measures import ProductExtensionMeasure
+    # refused (code 3) before its K = 2^32 points are sampled; the paper
+    # policy at N=4 is refused before its K = 2^30 points are sampled
+    from nuqmc.measures import ProductExtensionMeasure, ProductMeasure
 
-    sample = ProductExtensionMeasure.sample
+    for cls in (ProductExtensionMeasure, ProductMeasure):
+        def guarded(self, seed, count, sample=cls.sample):
+            assert count <= 1 << 20, f"sampled {count} points"
+            return sample(self, seed, count)
 
-    def guarded(self, seed, count):
-        assert count <= 1 << 20, f"sampled {count} points"
-        return sample(self, seed, count)
-
-    monkeypatch.setattr(ProductExtensionMeasure, "sample", guarded)
-    code, _, err = run(capsys, "seq", "--measure", "uniform", "--d", "1", "--count", "70",
-                       "--out", str(tmp_path / "seq.csv"))
-    assert code == 3
-    assert "lattice" in err
+        monkeypatch.setattr(cls, "sample", guarded)
+    for argv, reason in (
+        (["seq", "--count", "70"], "lattice"),
+        (["gen", "--n", "4", "--k-policy", "paper"], "sample budget"),
+    ):
+        code, _, err = run(capsys, *argv, "--measure", "uniform", "--d", "1",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 3
+        assert reason in err
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):

@@ -139,7 +139,7 @@ def test_round_array_all_zero_and_all_one():
 
 def test_round_array_half_weights_d1():
     beta = np.full(8, 0.5)
-    b, cert = round_array(beta, engine="beck_fiala")
+    b, cert = round_array(beta)
     # guaranteed chain: (2*Delta-1)*(m+1) with Delta = m+1 = 4
     assert cert["guaranteed_prefix_bound"] == pytest.approx((2 * 4 - 1) * 4)
     assert cert["measured_prefix_error"] <= cert["prefix_bound"] + 1e-9
@@ -170,15 +170,6 @@ def test_round_array_bound_chain_random():
         measured, witness = max_prefix_error(beta, b)
         assert measured == cert["measured_prefix_error"]
         assert len(witness) == d
-
-
-def test_round_array_partial_coloring_engine():
-    rng = np.random.default_rng(9)
-    beta = rng.random(16)
-    b, cert = round_array(beta, engine="partial_coloring", seed=4)
-    assert set(np.unique(b)) <= {0.0, 1.0}
-    assert cert["engine"] == "partial_coloring"
-    assert cert["measured_prefix_error"] <= cert["prefix_bound"] + 1e-9
 
 
 def test_max_prefix_error_examples():

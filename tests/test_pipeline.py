@@ -16,6 +16,7 @@ from nuqmc.measures import (
     ProductExtensionMeasure,
     ProductMeasure,
     RestrictionMeasure,
+    UniformCdf,
     uniform_measure,
 )
 from nuqmc.pipeline import (
@@ -77,16 +78,20 @@ def test_construct_d2_engine_trace():
 
 def test_construct_refuses_lattice_before_sampling():
     # N=16384 at d=2 would sample K = 2^32 points (about 69 GB) before the
-    # 2^28-point lattice is refused
+    # 2^28-point lattice is refused; the paper policy at d=1 N=4 would sample
+    # K = 2^30 points (8.6 GB) on a 4-point lattice
     from nuqmc.discrepancy import BudgetExceededError
 
     class NoSampling(ProductMeasure):
         def sample(self, seed, count):
             raise AssertionError(f"sampled {count} points")
 
-    mu = NoSampling([PowerCdf(2.0), PowerCdf(2.0)])
-    with pytest.raises(BudgetExceededError, match="lattice"):
-        construct_point_set(mu, 16384)
+    for cdfs, n, cfg, match in (
+        ([PowerCdf(2.0), PowerCdf(2.0)], 16384, None, "lattice"),
+        ([UniformCdf()], 4, ConstructionConfig(k_policy="paper"), "sample budget"),
+    ):
+        with pytest.raises(BudgetExceededError, match=match):
+            construct_point_set(NoSampling(cdfs), n, cfg)
 
 
 def test_construct_from_discrete_measure():
