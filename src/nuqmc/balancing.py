@@ -40,6 +40,12 @@ the signature hash is one weighted bincount, so no step loops over edges
 in Python.  Validation is vectorised the same way, whether the input is an
 edge list or CSR arrays.  beck_fiala_round counts its steps and the
 variables each froze in RoundingResult.details.
+
+scipy is imported by the two steps that use it, (b) and (c), not by this
+module, so `import nuqmc` loads numpy only and a construction that never
+leaves the pairing pass (every d=1 build: the dyadic edges are nested)
+never loads scipy.  The cost is moved, not saved: a process that reaches
+an LP jump or a null step pays scipy's import, about 0.6 s, once, there.
 """
 
 from __future__ import annotations
@@ -48,9 +54,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import lsqr
 
 __all__ = ["Hypergraph", "RoundingResult", "beck_fiala_round", "edge_error"]
 
@@ -324,6 +327,9 @@ def _pairing_pass(st: _EngineState, active) -> int:
 
 def _lp_round(st: _EngineState, active) -> bool:
     """Jump to a vertex of the active polytope; returns True on progress."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     if not active.any():
         return False
     # an active edge with both halves active is their disjoint union: its
@@ -363,6 +369,9 @@ def _null_step(st: _EngineState, active) -> None:
     active rows (lsqr on the sparse system), the first probe that leaves a
     nonzero residual.  No dense matrix is formed: a dense null-space basis
     of a 65536-variable dyadic system would need a 65536^2 matrix."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import lsqr
+
     st.trace["null_steps"] += 1
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size

@@ -4,8 +4,10 @@ Subcommands: gen, seq, disc, select, round, integrate, bench, verify,
 inverse-size.  Structured outputs are JSON, point sets are CSV (one row per
 point, no header unless --header).  Every command that writes files also
 writes a run manifest (<first output>.manifest.json) with the full argv, the
-seed, SHA-256 hashes of inputs and outputs, and the wall time; identical
-argv + seed reproduce byte-identical outputs.
+seed, SHA-256 hashes of inputs and outputs, the python, numpy and scipy
+versions, and the wall time; identical argv + seed reproduce byte-identical
+outputs under the same numpy/scipy versions (the LP jump's vertex depends
+on the HiGHS build that scipy ships).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation (e.g. the
 selection hypothesis N <= sqrt(K)), 3 step/lattice budget exceeded.  The
@@ -17,9 +19,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +62,12 @@ def _write_manifest(args, inputs, outputs, t0):
         "seed": getattr(args, "seed", None),
         "inputs": {str(p): _sha256(p) for p in inputs if Path(p).exists()},
         "outputs": {str(p): _sha256(p) for p in outputs if Path(p).exists()},
+        # read from package metadata, so that recording scipy's does not import it
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy"),
+        },
         "wall_time_s": time.time() - t0,
     }
     path = Path(str(outputs[0]) + ".manifest.json")

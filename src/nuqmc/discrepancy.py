@@ -187,7 +187,7 @@ def _count_blocks(ranks, order, shape, rows):
     Taken in `order` (by axis-0 rank; the flat indices are sorted here when
     it is None), the points whose first corner lies in a block are one
     stretch: a block costs one bincount of that stretch and a cumsum along
-    every other axis, and its cumsum along axis 0 starts from the last
+    every other axis, and its running sum along axis 0 starts from the last
     cumulative row of the block before.  A strict count is the closed count
     one corner lower on every axis (zero where there is none), so the strict
     block is the closed one, with that carried row on top, shifted by one."""
@@ -212,7 +212,13 @@ def _count_blocks(ranks, order, shape, rows):
         for axis in range(1, d):
             np.cumsum(block, axis=axis, out=block)
         block[0] += carry
-        np.cumsum(block, axis=0, out=block)
+        if stride >= 256:
+            # int64 cumsum costs ~3 ns an element, a row add ~0.3 ns plus
+            # ~1 us a call: rows win once they hold a few hundred cells
+            for i in range(1, hi - lo):
+                np.add(block[i], block[i - 1], out=block[i])
+        else:
+            np.cumsum(block, axis=0, out=block)
         strict = np.zeros_like(block)
         strict[up] = np.concatenate([carry[None], block[:-1]])[down]
         carry = block[-1]

@@ -9,8 +9,12 @@ runs the subset selection, and attaches a certificate that stacks
 
 where the sampling term is the exactly measured discrepancy of the K-point
 empirical measure against mu whenever the exact scan is affordable, and the
-nominal 1/N of the K = 2^26 d N^2 policy otherwise (tagged in the
-certificate, never silently).
+nominal 1/N otherwise (tagged sampling_mode "nominal" in the certificate,
+never silently).  Only a measured sampling term makes `bound` a proven
+bound.  The nominal 1/N is the rate of the paper's K = 2^26 d N^2 policy,
+which the sample budget refuses at every N >= 2; under the default
+"scaled" policy (K = 16 N^2) nothing proves it, so a "nominal" certificate's
+`bound` is the selection bound plus an unproven 1/N, not a bound.
 
 The infinite sequence interleaves blocks of sizes N_i = 2^(2^i - 2)
 (1, 4, 64, 16384, ...) built in dimension d+1 for nu = mu x lambda, ordered
@@ -96,7 +100,8 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
 
     The certificate's `bound` field is box_bound/N + sampling term; its
     `sampling_mode` records whether the sampling term was measured exactly or
-    is the nominal 1/N."""
+    is the nominal 1/N, which no policy that runs proves (see the module
+    docstring)."""
     cfg = cfg or ConstructionConfig()
     if n < 1:
         raise ValueError("N must be >= 1")

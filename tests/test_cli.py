@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -75,6 +78,7 @@ def test_manifest_reproducibility(tmp_path, capsys):
         assert code == 0
         manifest = json.loads((tmp_path / f"pts_{rep}.csv.manifest.json").read_text())
         assert manifest["seed"] == 3
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
         hashes.append(sha(out_csv))
     assert hashes[0] == hashes[1]
 
@@ -251,3 +255,35 @@ def test_help_documents_formats(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "csv" in out.lower()
+
+
+# Runs in a fresh interpreter: what this session has imported says nothing.
+_COLD_START = """
+import sys
+import nuqmc
+import nuqmc.cli
+from nuqmc import PowerCdf, ProductMeasure, construct_point_set, exact_star_discrepancy
+
+mu = ProductMeasure([PowerCdf(2.0)])
+pts, _ = construct_point_set(mu, 64)
+exact_star_discrepancy(pts, mu)
+pts.to_csv(sys.argv[1])
+argv = ["disc", "--points", sys.argv[1], "--measure", "uniform", "--d", "1",
+        "--report", sys.argv[2]]
+assert nuqmc.cli.main(argv) == 0
+assert "scipy" not in sys.modules, "scipy loaded before any LP jump"
+
+_, cert = construct_point_set(ProductMeasure([PowerCdf(2.0)] * 2), 64)
+assert "scipy" in sys.modules
+assert cert["selection"]["rounding"]["engine_trace"]["lp_jumps"] >= 1
+"""
+
+
+def test_scipy_loads_at_the_first_lp_jump(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path / "p.csv"), str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "r.json.manifest.json").exists()

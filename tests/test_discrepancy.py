@@ -9,6 +9,7 @@ import pytest
 from nuqmc import discrepancy
 from nuqmc.discrepancy import (
     BudgetExceededError,
+    _count_blocks,
     _grid,
     _merge_axes,
     _stable_orders,
@@ -465,6 +466,27 @@ def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
     check_matches_naive_oracle_with_ties()
     check_discrete_discrepancy_matches_naive()
     check_discrete_discrepancy_matches_naive_with_ties()
+
+
+@pytest.mark.parametrize("shape", [(700,), (40, 9), (30, 300), (6, 260, 3)])
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_count_blocks_match_cumulated_histogram(shape, rows):
+    # rows of 256 cells or more are cumulated one row add at a time, narrower
+    # ones by cumsum; both must give the cumsum of the histogram along every
+    # axis, and the strict counts that shifted one corner down on every axis
+    rng = np.random.default_rng(7)
+    ranks = [rng.integers(0, s, 500) for s in shape]
+    hist = np.zeros(shape, dtype=np.intp)
+    np.add.at(hist, tuple(ranks), 1)
+    closed = hist
+    for axis in range(len(shape)):
+        closed = np.cumsum(closed, axis=axis)
+    strict = np.zeros_like(closed)
+    strict[(slice(1, None),) * len(shape)] = closed[(slice(None, -1),) * len(shape)]
+    for order in (None, np.argsort(ranks[0], kind="stable")):
+        blocks = list(_count_blocks(ranks, order, shape, rows))
+        assert np.array_equal(np.concatenate([c for c, _ in blocks]), closed)
+        assert np.array_equal(np.concatenate([s for _, s in blocks]), strict)
 
 
 def test_atomless_scan_evaluates_mass_once_per_block(monkeypatch):
