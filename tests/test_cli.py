@@ -257,7 +257,7 @@ def test_help_documents_formats(capsys):
     assert "csv" in out.lower()
 
 
-# Runs in a fresh interpreter: what this session has imported says nothing.
+# Runs in a fresh interpreter: what the test process has already imported says nothing.
 _COLD_START = """
 import sys
 import nuqmc
