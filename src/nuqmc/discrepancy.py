@@ -18,7 +18,7 @@ One sort per axis gives both the grid and the ranks: `_stable_orders` argsorts
 each coordinate of the counted points once, and `_grid` reads the axis and the
 index on it of every point off that order, so no point is searched for.  A
 construction sorts its K-point cloud once: the orders give the rank-slab
-decomposition its slabs and both scans their grid, and the selected points'
+decomposition its slabs and both scans their ranks, and the selected points'
 ranks are the cloud's ranks at their rows.  Coordinates of the mass side
 (atoms) are merged into the axes by one small np.unique of axis and atoms.
 
@@ -29,12 +29,15 @@ counting in a block are one stretch: one bincount of it, cumulative sums along t
 cumulative sum along axis 0 carried over from the block before give the
 block's counts; the mass side is evaluated on the same rows.  A scan of K
 points costs O(K log K + grid cells * d) rather than O(grid cells * K * d).
-Without atoms, a construction's sampling scan and its selection scan share
-one grid, so one pass counts the cloud once for both.  The scan refuses to
-run when grid_cells * d exceeds a configurable step budget (default 1e8,
-overridable via the NUQMC_BUDGET environment variable).  The budget is
-checked on the grid's size once the atoms are merged in, before any block is
-counted; without atoms, a refused scan on a shared sort sorts nothing.
+The scan refuses to run when grid_cells * d exceeds a configurable step
+budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
+The budget is checked on the grid's size once the atoms are merged in,
+before any block is counted; without atoms, a refused scan on a shared sort
+sorts nothing.
+
+The discrete discrepancy of a subset against the set it was drawn from
+(`discrete_discrepancy`) counts both on the subset's own grid instead: at
+most 2N+1 slots per axis, whatever the size of the full set.
 
 All operations are pure; scans may be partitioned arbitrarily and max-reduced
 without changing the result.
@@ -178,28 +181,34 @@ def _contains(sub_ranks, full_ranks, shape) -> bool:
     return bool(np.all(need <= have))
 
 
-def _count_blocks(ranks, order, shape, rows):
+def _flat_ranks(ranks, order, shape):
+    """C-order flat index of every point's first corner (its rank on every
+    axis), listed by axis-0 rank: in `order` when given, else sorted."""
+    stride = math.prod(shape[1:])
+    flat = (ranks[0] if order is None else ranks[0][order]) * stride
+    if len(shape) > 1:
+        rest = [r if order is None else r[order] for r in ranks[1:]]
+        flat += np.ravel_multi_index(rest, shape[1:])
+    if order is None:
+        flat.sort()
+    return flat
+
+
+def _count_blocks(flat, shape, rows):
     """Counts of the points inside [0, corner] and inside [0, corner) for
     every corner of the grid, yielded as (closed, strict) pairs of blocks of
     `rows` rows of axis 0.
 
-    A point is counted from its first corner on, its rank on every axis.
-    Taken in `order` (by axis-0 rank; the flat indices are sorted here when
-    it is None), the points whose first corner lies in a block are one
-    stretch: a block costs one bincount of that stretch and a cumsum along
-    every other axis, and its running sum along axis 0 starts from the last
-    cumulative row of the block before.  A strict count is the closed count
-    one corner lower on every axis (zero where there is none), so the strict
-    block is the closed one, with that carried row on top, shifted by one."""
+    `flat` holds every point's first corner as a C-order flat index, in
+    axis-0 row order (`_flat_ranks`).  The points whose first corner lies in
+    a block are then one stretch: a block costs one bincount of that stretch
+    and a cumsum along every other axis, and its running sum along axis 0
+    starts from the last cumulative row of the block before.  A strict count
+    is the closed count one corner lower on every axis (zero where there is
+    none), so the strict block is the closed one, with that carried row on
+    top, shifted by one."""
     d = len(shape)
     stride = math.prod(shape[1:])
-    flat = (ranks[0] if order is None else ranks[0][order]) * stride
-    if d > 1:
-        rest = [r if order is None else r[order] for r in ranks[1:]]
-        flat += np.ravel_multi_index(rest, shape[1:])
-        del rest
-    if order is None:
-        flat.sort()
     # flat rises with the row, so a search at a row start splits it exactly
     carry = np.zeros(shape[1:], dtype=np.intp)
     up = (slice(None),) + (slice(1, None),) * (d - 1)
@@ -225,9 +234,17 @@ def _count_blocks(ranks, order, shape, rows):
         yield block, strict
 
 
-def _scan_grid(
-    axes, ranks, normalizer, mass_provider, budget, extra_axes=None, *, order=None, subset=None
-):
+def _check_budget(shape, budget):
+    cells = math.prod(shape)
+    if cells * len(shape) > _resolve_budget(budget):
+        raise BudgetExceededError(
+            f"critical grid needs {cells * len(shape)} steps > budget; "
+            "use estimate_star_discrepancy or raise the budget"
+        )
+    return cells
+
+
+def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None, *, order=None):
     """Core scan: max over grid corners and variants of
     |mass - count/normalizer|, plus the witnessing corner; returns
     (value, witness, 2 * grid cells).
@@ -236,8 +253,9 @@ def _scan_grid(
     ranks on it, as `_grid` gives them; `order` lists the points by axis-0
     rank when the caller has it (`_stable_orders(points)[0]`).  `extra_axes`
     (per-axis coordinates of the mass side, required for exactness against
-    purely atomic set functions) are merged into the grid first.  The budget
-    is checked on the merged grid's size, before any block is counted.
+    purely atomic set functions) are merged into the grid first; the merge
+    keeps the order of the ranks, so `order` still holds.  The budget is
+    checked on the merged grid's size, before any block is counted.
 
     The grid is streamed in blocks of about `_BLOCK_CELLS` cells, whole rows
     of axis 0 each (`_count_blocks`), so nothing grid-sized is allocated.
@@ -249,69 +267,38 @@ def _scan_grid(
     has the closed box's mass, and the closed call serves both variants.
     The maximum is kept with a strict > in C order, closed variant first,
     so value and witness are those of an argmax over the whole grid.
-
-    `subset=(sub_ranks, ratio)`, a sub-multiset of the counted points by its
-    ranks on `axes` (with no `extra_axes`), adds the selection discrepancy
-    |ratio * count - subset count| to the same pass: each block of counts
-    serves both terms.  Value and witness are then pairs (mass term, subset
-    term); the mass term's entries are None when `mass_provider` is None.
     """
     axes, ranks = _merge_axes(axes, ranks, extra_axes)
     shape = tuple(len(a) for a in axes)
     d = len(axes)
-    cells = math.prod(shape)
-    if cells * d > _resolve_budget(budget):
-        raise BudgetExceededError(
-            f"critical grid needs {cells * d} steps > budget; "
-            "use estimate_star_discrepancy or raise the budget"
-        )
+    cells = _check_budget(shape, budget)
 
     rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     stride = cells // shape[0]
-    counts = _count_blocks(ranks, order, shape, rows)
-    if subset is not None:
-        sub_ranks, ratio = subset
-        sub_counts = _count_blocks(sub_ranks, None, shape, rows)
-    best = {}  # (term, closed) -> (value, flat index of the corner)
-
-    def keep(key, vals, lo):
-        np.abs(vals, out=vals)
-        j = int(np.argmax(vals))
-        v = float(vals.ravel()[j])
-        if key not in best or v > best[key][0]:
-            best[key] = (v, lo * stride + j)
-
+    counts = _count_blocks(_flat_ranks(ranks, order, shape), shape, rows)
+    best = {}  # closed -> (value, flat index of the corner)
     for lo in range(0, shape[0], rows):
         block_axes = [axes[0][lo:lo + rows], *axes[1:]]
-        sub_blocks = next(sub_counts) if subset is not None else (None, None)
-        for closed, c, c_sub in zip((True, False), next(counts), sub_blocks):
-            if mass_provider is not None:
-                if closed or extra_axes is not None:
-                    mass = mass_provider(block_axes, closed)
-                if closed and extra_axes is None:
-                    # the open variant reuses the closed mass, so keep()
-                    # gets a new array here
-                    vals = mass - c / float(normalizer)
-                else:
-                    vals = mass
-                    vals -= c / float(normalizer)
-                keep(("mass", closed), vals, lo)
-            if c_sub is not None:
-                vals = ratio * c
-                vals -= c_sub
-                keep(("subset", closed), vals, lo)
+        for closed, c in zip((True, False), next(counts)):
+            if closed or extra_axes is not None:
+                mass = mass_provider(block_axes, closed)
+            if closed and extra_axes is None:
+                # the open variant reuses the closed mass, so this variant
+                # gets a new array
+                vals = mass - c / float(normalizer)
+            else:
+                vals = mass
+                vals -= c / float(normalizer)
+            np.abs(vals, out=vals)
+            j = int(np.argmax(vals))
+            v = float(vals.ravel()[j])
+            if closed not in best or v > best[closed][0]:
+                best[closed] = (v, lo * stride + j)
 
-    def result(term):
-        if (term, True) not in best:
-            return None, None
-        closed = not best[term, False][0] > best[term, True][0]
-        v, flat = best[term, closed]
-        idx = np.unravel_index(flat, shape)
-        return v, AnchoredBox(np.array([axes[s][idx[s]] for s in range(d)]), closed=closed)
-
-    if subset is None:
-        return (*result("mass"), 2 * cells)
-    return (*zip(result("mass"), result("subset")), 2 * cells)
+    closed = not best[False][0] > best[True][0]
+    v, flat = best[closed]
+    idx = np.unravel_index(flat, shape)
+    return v, AnchoredBox(np.array([axes[s][idx[s]] for s in range(d)]), closed=closed), 2 * cells
 
 
 def local_star_discrepancy(ps: PointSet, mu: BoxMeasure, box: AnchoredBox) -> float:
@@ -334,17 +321,17 @@ def exact_star_discrepancy(
 
     For measures with atoms the grid also carries the atom coordinates, since
     the sup can sit at corners mixing point and atom positions.  `_sorted`
-    is `_grid(ps.points)` when the caller already has it; the scan then puts
-    the points in axis-0 order itself."""
+    is `(*_grid(ps.points, orders), orders[0])` when the caller already has
+    the orders; with None in place of `orders[0]` the scan puts the points
+    in axis-0 order itself."""
     if ps.dim != mu.dim:
         raise DimensionMismatchError(
             f"point set dimension {ps.dim} != measure dimension {mu.dim}"
         )
-    order = None
     if _sorted is None:
         orders = _stable_orders(ps.points)
-        _sorted, order = _grid(ps.points, orders), orders[0]
-    axes, ranks = _sorted
+        _sorted = (*_grid(ps.points, orders), orders[0])
+    axes, ranks, order = _sorted
     val, witness, scanned = _scan_grid(
         axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates(), order=order
     )
@@ -387,7 +374,7 @@ def estimate_star_discrepancy(
     axes = _merge_axes(*grid, mu.jump_coordinates())[0]
     cells = math.prod(len(a) for a in axes)
     if cells <= trials:
-        exact = exact_star_discrepancy(ps, mu, _sorted=grid)
+        exact = exact_star_discrepancy(ps, mu, _sorted=(*grid, None))
         return DiscrepancyReport(exact.value, exact.witness, "estimate", exact.boxes_scanned)
     del grid  # the corners below read only the axes, not the K ranks per axis
 
@@ -428,57 +415,60 @@ def discrete_discrepancy(
     """max over anchored boxes of |#(subset in A) - (N/K) #(full in A)| on the
     unnormalized count scale; subset must be a sub-multiset of full.
 
-    The critical grid is the union of both sets' coordinates, which is full's
-    grid: both counting functions are piecewise constant on it, so the scan
-    over it realizes the sup exactly.  `_sorted` is `_grid(full.points)` and
-    `_rows` the rows of full that make up subset; then subset's ranks are
-    full's ranks at those rows and nothing is sorted.  Without them both sets
-    are sorted together, and containment is checked (a ValueError) before the
-    budget."""
+    The sup is attained on the subset's own coordinates.  A box can lower
+    each coordinate to the subset's largest one at or below it, which keeps
+    the subset's count and does not raise full's; or raise it to just below
+    the subset's next one (to 1.0, closed, past the last), which keeps the
+    subset's count and does not lower full's.  So each axis gets one slot
+    per distinct subset coordinate and one per gap around them, at most
+    (2N+1)^d cells whatever K is; full is binned onto the slots, both sets
+    are counted on them (`_count_blocks`), and every corner is a box.  The
+    budget is checked on this grid.
+
+    `_sorted` is `(*_grid(full.points, orders), orders[0])` and `_rows` the
+    rows of full that make up subset; then nothing is sorted.  Without them
+    both sets are sorted together, and containment is checked (a ValueError)
+    before the budget."""
     if subset.dim != full.dim:
         raise DimensionMismatchError("subset and full point sets must share a dimension")
     if _sorted is None:
-        axes, ranks = _grid(np.concatenate([full.points, subset.points]))
+        both = np.concatenate([full.points, subset.points])
+        orders = _stable_orders(both)
+        axes, ranks = _grid(both, orders)
         full_ranks = [r[: full.n] for r in ranks]
         sub_ranks = [r[full.n :] for r in ranks]
         if not _contains(sub_ranks, full_ranks, tuple(len(a) for a in axes)):
             raise ValueError("subset is not contained in full (as multisets)")
+        order = orders[0][orders[0] < full.n]
     else:
-        axes, full_ranks = _sorted
+        axes, full_ranks, order = _sorted
         sub_ranks = [r[_rows] for r in full_ranks]
-    (_, val), _, _ = _scan_grid(
-        axes, full_ranks, None, None, budget, subset=(sub_ranks, subset.n / full.n)
-    )
-    return val
 
+    # slot 2j + 1 of an axis holds the subset's j-th distinct rank, slot 2j
+    # the gap below it, and slot 2m the gap above the last
+    distinct, sub_slots = zip(*(np.unique(r, return_inverse=True) for r in sub_ranks))
+    shape = tuple(2 * q.size + 1 for q in distinct)
+    cells = _check_budget(shape, budget)
+    # in axis-0 rank order, the points of full in one axis-0 slot are one
+    # stretch, cut where the subset's ranks start and end
+    cuts = np.searchsorted(full_ranks[0][order], np.stack([distinct[0], distinct[0] + 1], 1))
+    lengths = np.diff(cuts.ravel(), prepend=0, append=full.n)
+    flat = np.repeat(np.arange(shape[0]) * (cells // shape[0]), lengths)
+    for s in range(1, len(shape)):
+        mark = np.zeros(len(axes[s]), dtype=np.intp)
+        mark[distinct[s]] = 1
+        slot = 2 * np.cumsum(mark) - mark  # the slot of every rank on axis s
+        flat += slot[full_ranks[s][order]] * math.prod(shape[s + 1:])
+    sub_flat = np.ravel_multi_index([2 * i + 1 for i in sub_slots], shape)
+    sub_flat.sort()
 
-def _construction_scans(z: PointSet, mu: BoxMeasure, rows, grid, order):
-    """Exact sampling term D*(z; mu) and selection discrepancy of the points
-    of z at `rows` (as `discrete_discrepancy` counts it), each None where its
-    scan is over budget.  `grid` is `_grid(z.points, orders)` and `order`
-    is `orders[0]`.
-
-    Without atoms both scans run on z's grid, so one streamed pass counts z
-    once per block for both terms.  With atoms the sampling scan's grid also
-    carries them; the grids, and whether each fits the budget, differ, so
-    the two scans run apart."""
-    axes, ranks = grid
-    if mu.jump_coordinates() is None:
-        sub_ranks = [r[rows] for r in ranks]
-        try:
-            values, _, _ = _scan_grid(
-                axes, ranks, z.n, mu.mass_on_grid, None, order=order,
-                subset=(sub_ranks, len(rows) / z.n),
-            )
-        except BudgetExceededError:
-            return None, None
-        return values
-    try:
-        sampling = exact_star_discrepancy(z, mu, _sorted=grid).value
-    except BudgetExceededError:
-        sampling = None
-    try:
-        dd = discrete_discrepancy(PointSet(z.points[rows]), z, _sorted=grid, _rows=rows)
-    except BudgetExceededError:
-        dd = None
-    return sampling, dd
+    rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    ratio = subset.n / full.n
+    best = 0.0
+    for (c, _), (c_sub, _) in zip(
+        _count_blocks(flat, shape, rows), _count_blocks(sub_flat, shape, rows)
+    ):
+        vals = ratio * c
+        vals -= c_sub
+        best = max(best, float(np.abs(vals, out=vals).max()))
+    return best

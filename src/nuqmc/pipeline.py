@@ -16,6 +16,12 @@ which the sample budget refuses at every N >= 2; under the default
 "scaled" policy (K = 16 N^2) nothing proves it, so a "nominal" certificate's
 `bound` is the selection bound plus an unproven 1/N, not a bound.
 
+Next to `bound` the certificate carries `achieved_bound`: `selection_dd`,
+the selection discrepancy measured exactly on the subset's own grid at every
+N, over N, plus the same sampling term (or `bound`, with `selection_dd`
+None, if even that grid is over the scan budget).  Like `bound`, it is
+unproven when the sampling term is nominal.
+
 The infinite sequence interleaves blocks of sizes N_i = 2^(2^i - 2)
 (1, 4, 64, 16384, ...) built in dimension d+1 for nu = mu x lambda, ordered
 by strictly increasing auxiliary coordinate and projected back to d
@@ -42,9 +48,9 @@ import numpy as np
 
 from .discrepancy import (
     BudgetExceededError,
-    _construction_scans,
     _grid,
     _stable_orders,
+    discrete_discrepancy,
     exact_star_discrepancy,
 )
 from .dyadic import check_lattice
@@ -98,7 +104,8 @@ class ConstructionConfig:
 def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None = None):
     """N-point low-discrepancy construction for mu; returns (PointSet, certificate).
 
-    The certificate's `bound` field is box_bound/N + sampling term; its
+    The certificate's `bound` field is box_bound/N + sampling term, and its
+    `achieved_bound` the measured selection_dd/N + sampling term; its
     `sampling_mode` records whether the sampling term was measured exactly or
     is the nominal 1/N, which no policy that runs proves (see the module
     docstring)."""
@@ -119,14 +126,16 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     # the orders are alive while the selection rounds
     orders = _stable_orders(z.points)
     sel = select_subset(z, n, _orders=orders)
-    grid = _grid(z.points, orders)
-    order = orders[0]
+    grid = (*_grid(z.points, orders), orders[0])
     del orders
-    sampling, dd = _construction_scans(z, mu, sel.indices, grid, order)
-    sampling_mode = "measured"
-    if sampling is None:
-        sampling = 1.0 / n
-        sampling_mode = "nominal"
+    try:
+        sampling, sampling_mode = exact_star_discrepancy(z, mu, _sorted=grid).value, "measured"
+    except BudgetExceededError:
+        sampling, sampling_mode = 1.0 / n, "nominal"
+    try:
+        dd = discrete_discrepancy(sel.selected, z, _sorted=grid, _rows=sel.indices)
+    except BudgetExceededError:
+        dd = None
     box_bound = sel.certificate["box_bound"]
     bound = min(1.0, box_bound / n + sampling)
     achieved = min(1.0, dd / n + sampling) if dd is not None else bound

@@ -10,6 +10,7 @@ from nuqmc import discrepancy
 from nuqmc.discrepancy import (
     BudgetExceededError,
     _count_blocks,
+    _flat_ranks,
     _grid,
     _merge_axes,
     _stable_orders,
@@ -339,6 +340,21 @@ def check_discrete_discrepancy_matches_naive_with_ties():
             assert discrete_discrepancy(both, dup) == pytest.approx(
                 naive_discrete_discrepancy(both, dup), abs=1e-12
             )
+    # points of full at 0.0 and at 1.0 on an axis where the subset has none,
+    # and low on the others: the sup may need the gap below the subset's
+    # first coordinate there, or the closed corner at 1.0 above its last
+    for d in (2, 3):
+        for _ in range(6):
+            inner = rng.integers(1, 8, size=(int(rng.integers(3, 12 if d < 3 else 7)), d)) / 8.0
+            ends = rng.integers(0, 3, size=(int(rng.integers(2, 7)), d)) / 8.0
+            axis = int(rng.integers(d))
+            ends[:, axis] = np.arange(len(ends)) % 2  # 0.0, 1.0, 0.0, ...
+            picks = rng.choice(len(inner), size=int(rng.integers(1, len(inner) + 1)), replace=False)
+            sub = PointSet(inner[picks])
+            z = PointSet(rng.permutation(np.concatenate([inner, ends])))
+            assert discrete_discrepancy(sub, z) == pytest.approx(
+                naive_discrete_discrepancy(sub, z), abs=1e-12
+            )
 
 
 def test_discrete_discrepancy_matches_naive_with_ties():
@@ -484,7 +500,7 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
     strict = np.zeros_like(closed)
     strict[(slice(1, None),) * len(shape)] = closed[(slice(None, -1),) * len(shape)]
     for order in (None, np.argsort(ranks[0], kind="stable")):
-        blocks = list(_count_blocks(ranks, order, shape, rows))
+        blocks = list(_count_blocks(_flat_ranks(ranks, order, shape), shape, rows))
         assert np.array_equal(np.concatenate([c for c, _ in blocks]), closed)
         assert np.array_equal(np.concatenate([s for _, s in blocks]), strict)
 

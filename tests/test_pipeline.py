@@ -130,9 +130,9 @@ def test_construct_scans_equal_standalone_scans(case):
 
 
 def test_construction_scans_stream_below_a_sixteenth_of_a_grid():
-    # the N=16 L-region build scans a 4097 x 4097 grid (134 MB of float64)
-    # twice; streamed in row blocks, one pass serving both scans, the whole
-    # build stays far below one grid
+    # the N=16 L-region build scans the cloud's 4097 x 4097 grid (134 MB of
+    # float64) in both variants, and the selection scan the subset's grid;
+    # streamed in row blocks, the whole build stays far below one cloud grid
     mu = RestrictionMeasure([([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])])
     grid_bytes = 4097 * 4097 * 8
     tracemalloc.start()
@@ -144,6 +144,25 @@ def test_construction_scans_stream_below_a_sixteenth_of_a_grid():
     assert cert["k"] == 4096
     assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
     assert peak < grid_bytes / 16
+
+
+@pytest.mark.parametrize("case", ["power2-d2-64", "L-region-128"])
+def test_selection_discrepancy_measured_past_the_cloud_grid_budget(case):
+    # the clouds' grids (65537^2 and 262145^2 cells) are over the scan budget,
+    # the subsets' grids (at most 129^2 and 257^2 cells) are not
+    mu, n = {
+        "power2-d2-64": (ProductMeasure([PowerCdf(2.0), PowerCdf(2.0)]), 64),
+        "L-region-128": (
+            RestrictionMeasure(OmegaRegion([([0.0, 0.0], [0.5, 1.0]), ([0.5, 0.0], [1.0, 0.5])])),
+            128,
+        ),
+    }[case]
+    cfg = ConstructionConfig(seed=0)
+    pts, cert = construct_point_set(mu, n, cfg)
+    z = mu.sample(cfg.seed, cfg.resolve_k(n, mu.dim))
+    assert cert["sampling_mode"] == "nominal" and cert["selection_dd"] is not None
+    assert cert["selection_dd"] == discrete_discrepancy(pts, z)
+    assert cert["achieved_bound"] < cert["bound"]
 
 
 def test_k_policies():
