@@ -341,6 +341,7 @@ def _lp_round(st: _EngineState, active) -> bool:
     f = float_idx.size
     rows, cols = st.active_floating(kept)
     a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_kept, f)).tocsr()
+    del rows, cols  # not alive while HiGHS holds its own copy of the matrix
     xf = st.x[float_idx]
     b_eq = a_eq @ xf
     # movement-minimizing-ish objective with a deterministic tiebreak wiggle

@@ -14,21 +14,24 @@ variant pairs the strict count with the closed mass; for discrete measures
 the mass side honours the strict limit as well (otherwise e.g. the
 discrepancy of a point set against its own empirical measure would not be 0).
 
-One sort per axis gives both the grid and the ranks: `_stable_orders` argsorts
-each coordinate of the counted points once, and `_grid` reads the axis and the
-index on it of every point off that order, so no point is searched for.  A
+One sort per axis gives the grid, the ranks and the orders (`_grid`), so no
+point is searched for.  Ranks are listed in axis-0 sorted order, which the
+points keep from the sort to the last scan: axis 0's ranks are the sorted
+run indices, and every other axis costs one scatter and one gather.  A
 construction sorts its K-point cloud once: the orders give the rank-slab
-decomposition its slabs and both scans their ranks, and the selected points'
-ranks are the cloud's ranks at their rows.  Coordinates of the mass side
-(atoms) are merged into the axes by one small np.unique of axis and atoms.
+decomposition its slabs and representatives, the ranks serve both scans,
+and the selected points' ranks are the cloud's at their axis-0 positions.
+Coordinates of the mass side (atoms) are merged into the axes by one small
+np.unique of axis and atoms.
 
 The scan streams the grid in blocks of whole rows of axis 0, about
 `_BLOCK_CELLS` cells each (one row when a row is larger), so no grid-sized
-array is allocated.  Taken in axis-0 rank order, the points that start
-counting in a block are one stretch: one bincount of it, cumulative sums along the other axes, and a
-cumulative sum along axis 0 carried over from the block before give the
-block's counts; the mass side is evaluated on the same rows.  A scan of K
-points costs O(K log K + grid cells * d) rather than O(grid cells * K * d).
+array is allocated.  In axis-0 order, the points that start counting in a
+block are one stretch: one bincount of it, cumulative sums along the other
+axes, and a cumulative sum along axis 0 carried over from the block before
+give the block's counts; the mass side is evaluated on the same rows.  A
+scan of K points costs O(K log K + grid cells * d) rather than
+O(grid cells * K * d).
 The scan refuses to run when grid_cells * d exceeds a configurable step
 budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
 The budget is checked on the grid's size once the atoms are merged in,
@@ -95,57 +98,47 @@ class DiscrepancyReport:
         }
 
 
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Flags of the positions where a sorted column takes a new value."""
-    new = np.ones(sorted_values.size, dtype=bool)
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
-    return new
+def _grid(points: np.ndarray):
+    """Critical grid axes, every point's rank on them and the per-axis
+    orders, from one sort per axis; returns (axes, ranks, orders).
 
-
-def _stable_orders(points: np.ndarray):
-    """Per-axis argsort of the columns of a point cloud, equal to
-    kind="stable": the default argsort, then index order restored inside
-    every run of equal values.  On 2**20 floats the default argsort is about
-    five times faster than the stable one."""
-    n = points.shape[0]
-    orders = []
+    `orders[s]` is the argsort of column s with kind="stable": the default
+    argsort (about five times faster on 2**20 floats), then index order
+    restored inside every run of equal values.  Axis s holds the distinct
+    coordinates of column s, then 1.0; a point's index on it is its closed
+    rank (the first corner whose closed box holds it) and the index plus one
+    its strict rank.  Ranks are listed in axis-0 order (`ranks[s][i]` is
+    point `orders[0][i]`'s), so axis 0's are the sorted run indices."""
+    k = points.shape[0]
+    axes, ranks, orders = [], [], []
     for s in range(points.shape[1]):
         order = np.argsort(points[:, s])
-        new = _run_starts(points[order, s])
-        tied = ~new
+        # the sorted column, then 1.0: the axis itself when its values are
+        # distinct and below 1.0
+        values = np.empty(k + 1)
+        np.take(points[:, s], order, out=values[:k], mode="clip")  # "raise" buffers out
+        values[k] = 1.0
+        keep = np.ones(k + 1, dtype=bool)  # where a new value starts
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        run = np.cumsum(keep[:k], out=np.empty(k, dtype=np.intp))
+        run -= 1
+        tied = ~keep[:k]
         tied[:-1] |= tied[1:]
         pos = np.flatnonzero(tied)
         if pos.size:
             # sort the tied points by (run, index); exact while K**2 < 2**63
-            run = (np.cumsum(new) - 1)[pos]
-            key = run * n + order[pos]
+            key = run[pos] * k + order[pos]
             key.sort()
-            order[pos] = key - run * n
-        orders.append(order)
-    return orders
-
-
-def _grid(points: np.ndarray, orders=None):
-    """Critical grid axes and the grid rank of every point, read off the
-    per-axis orders (`_stable_orders(points)` unless given).
-
-    Axis s holds the distinct coordinates of column s, then 1.0; a point's
-    index on it is its closed rank (the first corner whose closed box holds
-    it) and the index plus one its strict rank."""
-    if orders is None:
-        orders = _stable_orders(points)
-    axes, ranks = [], []
-    for s, order in enumerate(orders):
-        sorted_values = points[order, s]
-        new = _run_starts(sorted_values)
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.cumsum(new) - 1
-        ax = sorted_values[new]
-        if not ax.size or ax[-1] < 1.0:
-            ax = np.append(ax, 1.0)
+            order[pos] = key - run[pos] * k
+        ax = values if keep.all() else values[keep]
+        if s:
+            scattered = np.empty_like(run)
+            scattered[order] = run
+            np.take(scattered, orders[0], out=run, mode="clip")
         axes.append(ax)
-        ranks.append(rank)
-    return axes, ranks
+        ranks.append(run)
+        orders.append(order)
+    return axes, ranks, orders
 
 
 def _merge_axes(axes, ranks, extra=None):
@@ -181,16 +174,13 @@ def _contains(sub_ranks, full_ranks, shape) -> bool:
     return bool(np.all(need <= have))
 
 
-def _flat_ranks(ranks, order, shape):
+def _flat_ranks(ranks, shape):
     """C-order flat index of every point's first corner (its rank on every
-    axis), listed by axis-0 rank: in `order` when given, else sorted."""
-    stride = math.prod(shape[1:])
-    flat = (ranks[0] if order is None else ranks[0][order]) * stride
-    if len(shape) > 1:
-        rest = [r if order is None else r[order] for r in ranks[1:]]
-        flat += np.ravel_multi_index(rest, shape[1:])
-    if order is None:
-        flat.sort()
+    axis), from ranks listed in axis-0 order, so it rises with the row."""
+    if len(shape) == 1:
+        return ranks[0]
+    flat = np.ravel_multi_index(ranks[1:], shape[1:])
+    flat += ranks[0] * math.prod(shape[1:])
     return flat
 
 
@@ -244,18 +234,17 @@ def _check_budget(shape, budget):
     return cells
 
 
-def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None, *, order=None):
+def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     """Core scan: max over grid corners and variants of
     |mass - count/normalizer|, plus the witnessing corner; returns
     (value, witness, 2 * grid cells).
 
     `axes` and `ranks` are the critical grid of the counted points and their
-    ranks on it, as `_grid` gives them; `order` lists the points by axis-0
-    rank when the caller has it (`_stable_orders(points)[0]`).  `extra_axes`
+    ranks on it, listed in axis-0 order, as `_grid` gives them.  `extra_axes`
     (per-axis coordinates of the mass side, required for exactness against
     purely atomic set functions) are merged into the grid first; the merge
-    keeps the order of the ranks, so `order` still holds.  The budget is
-    checked on the merged grid's size, before any block is counted.
+    keeps the order of the ranks.  The budget is checked on the merged
+    grid's size, before any block is counted.
 
     The grid is streamed in blocks of about `_BLOCK_CELLS` cells, whole rows
     of axis 0 each (`_count_blocks`), so nothing grid-sized is allocated.
@@ -275,7 +264,7 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None, 
 
     rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     stride = cells // shape[0]
-    counts = _count_blocks(_flat_ranks(ranks, order, shape), shape, rows)
+    counts = _count_blocks(_flat_ranks(ranks, shape), shape, rows)
     best = {}  # closed -> (value, flat index of the corner)
     for lo in range(0, shape[0], rows):
         block_axes = [axes[0][lo:lo + rows], *axes[1:]]
@@ -321,19 +310,14 @@ def exact_star_discrepancy(
 
     For measures with atoms the grid also carries the atom coordinates, since
     the sup can sit at corners mixing point and atom positions.  `_sorted`
-    is `(*_grid(ps.points, orders), orders[0])` when the caller already has
-    the orders; with None in place of `orders[0]` the scan puts the points
-    in axis-0 order itself."""
+    is `_grid(ps.points)` when the caller already has it."""
     if ps.dim != mu.dim:
         raise DimensionMismatchError(
             f"point set dimension {ps.dim} != measure dimension {mu.dim}"
         )
-    if _sorted is None:
-        orders = _stable_orders(ps.points)
-        _sorted = (*_grid(ps.points, orders), orders[0])
-    axes, ranks, order = _sorted
+    axes, ranks, _ = _grid(ps.points) if _sorted is None else _sorted
     val, witness, scanned = _scan_grid(
-        axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates(), order=order
+        axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates()
     )
     return DiscrepancyReport(val, witness, "exact", scanned)
 
@@ -371,12 +355,12 @@ def estimate_star_discrepancy(
     if ps.dim != mu.dim:
         raise DimensionMismatchError("dimension mismatch")
     grid = _grid(ps.points)
-    axes = _merge_axes(*grid, mu.jump_coordinates())[0]
+    axes = _merge_axes(*grid[:2], mu.jump_coordinates())[0]
     cells = math.prod(len(a) for a in axes)
     if cells <= trials:
-        exact = exact_star_discrepancy(ps, mu, _sorted=(*grid, None))
+        exact = exact_star_discrepancy(ps, mu, _sorted=grid)
         return DiscrepancyReport(exact.value, exact.witness, "estimate", exact.boxes_scanned)
-    del grid  # the corners below read only the axes, not the K ranks per axis
+    del grid  # the corners below read only the axes, not the K ranks and orders
 
     rng = np.random.default_rng(seed)
     d = ps.dim
@@ -425,40 +409,44 @@ def discrete_discrepancy(
     are counted on them (`_count_blocks`), and every corner is a box.  The
     budget is checked on this grid.
 
-    `_sorted` is `(*_grid(full.points, orders), orders[0])` and `_rows` the
-    rows of full that make up subset; then nothing is sorted.  Without them
-    both sets are sorted together, and containment is checked (a ValueError)
-    before the budget."""
+    `_sorted` is `_grid(full.points)[1:]`, the ranks and orders, and `_rows`
+    the distinct rows of full that make up subset; then nothing is sorted,
+    and a K-long mark of the rows, read in axis-0 order, picks the subset's
+    ranks.  Without them both sets are sorted together, and containment is
+    checked (a ValueError) before the budget."""
     if subset.dim != full.dim:
         raise DimensionMismatchError("subset and full point sets must share a dimension")
     if _sorted is None:
         both = np.concatenate([full.points, subset.points])
-        orders = _stable_orders(both)
-        axes, ranks = _grid(both, orders)
-        full_ranks = [r[: full.n] for r in ranks]
-        sub_ranks = [r[full.n :] for r in ranks]
+        axes, ranks, orders = _grid(both)
+        in_full = orders[0] < full.n
+        full_ranks = [r[in_full] for r in ranks]
+        sub_ranks = [r[~in_full] for r in ranks]
         if not _contains(sub_ranks, full_ranks, tuple(len(a) for a in axes)):
             raise ValueError("subset is not contained in full (as multisets)")
-        order = orders[0][orders[0] < full.n]
     else:
-        axes, full_ranks, order = _sorted
-        sub_ranks = [r[_rows] for r in full_ranks]
+        full_ranks, orders = _sorted
+        chosen = np.zeros(full.n, dtype=bool)
+        chosen[_rows] = True
+        chosen = chosen[orders[0]]
+        sub_ranks = [r[chosen] for r in full_ranks]
+        del chosen  # the counts below need the K-long arrays of full only
 
     # slot 2j + 1 of an axis holds the subset's j-th distinct rank, slot 2j
     # the gap below it, and slot 2m the gap above the last
     distinct, sub_slots = zip(*(np.unique(r, return_inverse=True) for r in sub_ranks))
     shape = tuple(2 * q.size + 1 for q in distinct)
     cells = _check_budget(shape, budget)
-    # in axis-0 rank order, the points of full in one axis-0 slot are one
+    # in axis-0 order, the points of full in one axis-0 slot are one
     # stretch, cut where the subset's ranks start and end
-    cuts = np.searchsorted(full_ranks[0][order], np.stack([distinct[0], distinct[0] + 1], 1))
+    cuts = np.searchsorted(full_ranks[0], np.stack([distinct[0], distinct[0] + 1], 1))
     lengths = np.diff(cuts.ravel(), prepend=0, append=full.n)
     flat = np.repeat(np.arange(shape[0]) * (cells // shape[0]), lengths)
     for s in range(1, len(shape)):
-        mark = np.zeros(len(axes[s]), dtype=np.intp)
+        mark = np.zeros(full.n, dtype=np.intp)  # full has at most K distinct values
         mark[distinct[s]] = 1
         slot = 2 * np.cumsum(mark) - mark  # the slot of every rank on axis s
-        flat += slot[full_ranks[s][order]] * math.prod(shape[s + 1:])
+        flat += slot[full_ranks[s]] * math.prod(shape[s + 1:])
     sub_flat = np.ravel_multi_index([2 * i + 1 for i in sub_slots], shape)
     sub_flat.sort()
 

@@ -68,7 +68,7 @@ def omega_discrepancy(
     if ps.dim != omega.dim:
         raise ValueError("point set and region dimensions differ")
     n = n_override if n_override is not None else ps.n
-    axes, ranks = _grid(ps.points[omega.contains(ps.points)])
+    axes, ranks, _ = _grid(ps.points[omega.contains(ps.points)])
 
     def mass_provider(axes, closed):
         return omega.intersection_volume_grid(axes)

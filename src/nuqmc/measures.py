@@ -280,8 +280,9 @@ class ProductMeasure(BoxMeasure):
             raise ValueError("count must be >= 1")
         rng = np.random.default_rng(seed)
         u = rng.random((count, self.dim))
-        pts = np.column_stack([self.cdfs[s].inverse(u[:, s]) for s in range(self.dim)])
-        return PointSet(np.clip(pts, 0.0, 1.0))
+        for s, cdf in enumerate(self.cdfs):
+            u[:, s] = cdf.inverse(u[:, s])
+        return PointSet(np.clip(u, 0.0, 1.0, out=u))
 
 
 def uniform_measure(dim: int) -> ProductMeasure:

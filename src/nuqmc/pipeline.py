@@ -49,12 +49,12 @@ import numpy as np
 from .discrepancy import (
     BudgetExceededError,
     _grid,
-    _stable_orders,
     discrete_discrepancy,
     exact_star_discrepancy,
 )
 from .dyadic import check_lattice
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
+from . import selection
 from .selection import select_subset
 
 __all__ = [
@@ -122,18 +122,20 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
             f"K*d = {k}*{d} coordinates exceeds the sample budget of {SAMPLE_BUDGET}"
         )
     z = mu.sample(cfg.seed, k)
-    # one sort per axis of z serves the decomposition and both scans; only
-    # the orders are alive while the selection rounds
-    orders = _stable_orders(z.points)
-    sel = select_subset(z, n, _orders=orders)
-    grid = (*_grid(z.points, orders), orders[0])
-    del orders
+    # one sort per axis of z serves both scans and the decomposition; the
+    # rounding holds only the ranks and the axis-0 order the selection scan reads
+    axes, ranks, orders = _grid(z.points)
     try:
-        sampling, sampling_mode = exact_star_discrepancy(z, mu, _sorted=grid).value, "measured"
+        sampling = exact_star_discrepancy(z, mu, _sorted=(axes, ranks, orders)).value
+        sampling_mode = "measured"
     except BudgetExceededError:
         sampling, sampling_mode = 1.0 / n, "nominal"
+    del axes
+    decomp = selection.decompose(z, n, _orders=orders)  # bench/spans.py wraps it there
+    del orders[1:]
+    sel = select_subset(z, n, _decomp=decomp)
     try:
-        dd = discrete_discrepancy(sel.selected, z, _sorted=grid, _rows=sel.indices)
+        dd = discrete_discrepancy(sel.selected, z, _sorted=(ranks, orders), _rows=sel.indices)
     except BudgetExceededError:
         dd = None
     box_bound = sel.certificate["box_bound"]

@@ -3,10 +3,10 @@
 Given z_1..z_K in [0,1]^d and N <= sqrt(K), the points are ranked per
 coordinate (stable sort, ties broken by original index) and the ranks are cut
 into N slabs per axis whose sizes differ from K/N by at most one.  The sort
-is the one the exact scans use (`discrepancy._stable_orders`), so a
-construction sorts each axis of z once for the decomposition and both
-certificate scans.  The slab intersections partition the points into N^d
-cells, and the scaled occupancy
+is the one the exact scans use (`discrepancy._grid`), so a construction
+sorts each axis of z once for the decomposition and both certificate scans;
+cells are found in axis-0 order, with no (K, d) slab array.  The slab
+intersections partition the points into N^d cells, and the scaled occupancy
 
     beta_cell = N/(K+N) * #(points in cell)
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _stable_orders
+from .discrepancy import _grid
 from .dyadic import reference_prefix_bound, round_array
 from .measures import PointSet
 
@@ -50,9 +50,9 @@ class CellDecomposition:
     z: PointSet
     n_target: int
     boundaries: np.ndarray    # (d, N+1) rank cut points floor(i*K/N)
-    point_cells: np.ndarray   # (K, d) 0-based slab index per point per axis
     counts: np.ndarray        # (N,)*d cell occupancies
     beta: np.ndarray          # N/(K+N) * counts
+    first: np.ndarray         # (N,)*d lowest index of a cell's points, K if none
 
     @property
     def k(self) -> int:
@@ -61,6 +61,14 @@ class CellDecomposition:
     @property
     def d(self) -> int:
         return self.z.dim
+
+    @property
+    def point_cells(self) -> np.ndarray:
+        """(K, d) 0-based slab index per point per axis, from a fresh sort."""
+        cells = np.empty((self.k, self.d), dtype=np.int64)
+        for s, order in enumerate(_grid(self.z.points)[2]):
+            cells[order, s] = _slab_of_rank(self.k, self.n_target)
+        return cells
 
     def prefix_count(self, prefix) -> int:
         """#G(J) = number of z points in the union of cells <= J (1-based)."""
@@ -76,11 +84,18 @@ class CellDecomposition:
         return int(cum[idx])
 
 
+def _slab_of_rank(k: int, n: int) -> np.ndarray:
+    """Slab of every rank r = 1..K: boundaries[i] < r <= boundaries[i+1] for
+    i = ceil(r*N/K) - 1 = (r*N - 1)//K, with boundaries[i] = floor(i*K/N)."""
+    slab = np.arange(n - 1, k * n, n, dtype=np.int64)
+    return np.floor_divide(slab, k, out=slab)
+
+
 def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
     """Rank-slab cell decomposition of z for a target size N <= sqrt(K).
 
-    `_orders` is `discrepancy._stable_orders(z.points)` when the caller
-    already has it."""
+    `_orders` is `discrepancy._grid(z.points)[2]` when the caller already
+    has it."""
     k, d = z.n, z.dim
     if n_target < 1:
         raise ValueError("N must be >= 1")
@@ -88,33 +103,34 @@ def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
         raise ValueError(
             f"N={n_target} violates the selection hypothesis N <= sqrt(K) (K={k})"
         )
-    boundaries = np.array(
-        [[(i * k) // n_target for i in range(n_target + 1)] for _ in range(d)],
-        dtype=np.int64,
-    )
+    boundaries = np.tile(np.arange(n_target + 1, dtype=np.int64) * k // n_target, (d, 1))
     slab_sizes = np.diff(boundaries[0])
     assert np.all(np.abs(slab_sizes - k / n_target) < 1.0)
 
-    # rank r (1-based) lies in slab i iff boundaries[i] < r <= boundaries[i+1],
-    # i.e. i = ceil(r*N/K) - 1 for boundaries[i] = floor(i*K/N)
-    slab_of_rank = (np.arange(1, k + 1, dtype=np.int64) * n_target + k - 1) // k - 1
     if _orders is None:
-        _orders = _stable_orders(z.points)
-    point_cells = np.empty((k, d), dtype=np.int64)
-    for s in range(d):
-        point_cells[_orders[s], s] = slab_of_rank  # ties keep index order
+        _orders = _grid(z.points)[2]
+    # axis-0 position p has axis-0 rank p + 1; on axis s a sorted position's
+    # slab goes to its point (scatter), then to its axis-0 position (gather)
+    slab = _slab_of_rank(k, n_target)
+    cell = slab.copy() if d > 1 else slab
+    for order in _orders[1:]:
+        scattered = np.empty_like(slab)
+        scattered[order] = slab
+        cell *= n_target
+        cell += scattered[_orders[0]]
 
     shape = (n_target,) * d
-    flat = np.ravel_multi_index(tuple(point_cells[:, s] for s in range(d)), shape)
-    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
     assert counts.sum() == k
+    first = np.full(counts.size, k, dtype=np.int64)
+    np.minimum.at(first, cell, _orders[0])
 
     beta = counts * (n_target / (k + n_target))
     if beta.max() > 1.0:
         raise ValueError(
             "cell occupancy exceeds (K+N)/N; rank slabs cannot absorb the input"
         )
-    return CellDecomposition(z, n_target, boundaries, point_cells, counts, beta)
+    return CellDecomposition(z, n_target, boundaries, counts, beta, first.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -132,26 +148,18 @@ class SelectionResult:
         }
 
 
-def select_subset(z: PointSet, n_target: int, *, _orders=None) -> SelectionResult:
+def select_subset(z: PointSet, n_target: int, *, _decomp=None) -> SelectionResult:
     """Select exactly N points of z tracking its anchored-box counts.
 
     Deterministic given (z order, N); the certificate is derived from the
-    rounding that actually ran.  `_orders` is passed on to
-    `decompose`."""
-    decomp = decompose(z, n_target, _orders=_orders)
+    rounding that actually ran.  `_decomp` is `decompose(z, n_target)` when
+    the caller already has it."""
+    decomp = decompose(z, n_target) if _decomp is None else _decomp
     k, d = decomp.k, decomp.d
-    beta = decomp.beta
 
+    b, round_cert = round_array(decomp.beta)
     # representative = lowest original index among each 1-cell's members
-    flat_cells = np.ravel_multi_index(
-        tuple(decomp.point_cells[:, s] for s in range(d)), decomp.counts.shape
-    )
-    first_member = np.full(decomp.counts.size, k, dtype=np.int64)
-    np.minimum.at(first_member, flat_cells, np.arange(k, dtype=np.int64))
-    del decomp, flat_cells  # the rounding reads only beta; (K, d) slab indices go first
-    b, round_cert = round_array(beta)
-    chosen_cells = np.flatnonzero(b.ravel() == 1)
-    reps = first_member[chosen_cells]
+    reps = decomp.first[b == 1]
     assert np.all(reps < k), "a selected cell has no members (zero preservation broke)"
     reps = np.sort(reps)
     raw_count = reps.size

@@ -13,7 +13,6 @@ from nuqmc.discrepancy import (
     _flat_ranks,
     _grid,
     _merge_axes,
-    _stable_orders,
     discrete_discrepancy,
     estimate_star_discrepancy,
     exact_star_discrepancy,
@@ -436,26 +435,27 @@ def _tie_heavy_clouds():
 def test_shared_sort_matches_stable_argsort_and_unique(cloud):
     # one default argsort per axis with the tie order restored is the stable
     # argsort, and the grid read off it is np.unique's axis and inverse
-    orders = _stable_orders(cloud)
-    axes, ranks = _grid(cloud, orders)
+    axes, ranks, orders = _grid(cloud)
     assert len(axes) == len(ranks) == len(orders) == cloud.shape[1]
     for s in range(cloud.shape[1]):
         col = cloud[:, s]
         ax, inv = np.unique(np.concatenate([col, [1.0]]), return_inverse=True)
         assert np.array_equal(orders[s], np.argsort(col, kind="stable"))
         assert np.array_equal(axes[s], ax)
-        assert np.array_equal(ranks[s], inv[: col.size])
+        # ranks are listed in axis-0 order
+        assert np.array_equal(ranks[s], inv[: col.size][orders[0]])
 
 
 def test_merge_axes_adds_atoms_and_moves_ranks():
     rng = np.random.default_rng(22)
     cloud = rng.integers(0, 5, size=(300, 2)) / 4.0
     extra = [np.array([0.1, 0.25, 0.6]), np.zeros(0)]
-    axes, ranks = _merge_axes(*_grid(cloud), extra)
+    axes, ranks, orders = _grid(cloud)
+    axes, ranks = _merge_axes(axes, ranks, extra)
     for s in range(2):
         ax, inv = np.unique(np.concatenate([cloud[:, s], [1.0], extra[s]]), return_inverse=True)
         assert np.array_equal(axes[s], ax)
-        assert np.array_equal(ranks[s], inv[: len(cloud)])
+        assert np.array_equal(ranks[s], inv[: len(cloud)][orders[0]])
 
 
 @pytest.mark.parametrize("block_cells", [1, 7])
@@ -499,8 +499,9 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
         closed = np.cumsum(closed, axis=axis)
     strict = np.zeros_like(closed)
     strict[(slice(1, None),) * len(shape)] = closed[(slice(None, -1),) * len(shape)]
-    for order in (None, np.argsort(ranks[0], kind="stable")):
-        blocks = list(_count_blocks(_flat_ranks(ranks, order, shape), shape, rows))
+    # any listing in axis-0 order: ties on axis 0 in index or in random order
+    for order in (np.argsort(ranks[0], kind="stable"), np.lexsort((rng.random(500), ranks[0]))):
+        blocks = list(_count_blocks(_flat_ranks([r[order] for r in ranks], shape), shape, rows))
         assert np.array_equal(np.concatenate([c for c, _ in blocks]), closed)
         assert np.array_equal(np.concatenate([s for _, s in blocks]), strict)
 

@@ -76,6 +76,18 @@ def test_construct_d2_engine_trace():
     assert trace["pairing_frozen"] + trace["lp_frozen"] + trace["final_snapped"] == 64 * 64
 
 
+def test_construct_d1_pinned():
+    # the scan-d1 bench case: power(2) at N=256, K = 1.05M; points and
+    # certificate terms of the build that scattered ranks to input order
+    mu = ProductMeasure([PowerCdf(2.0)])
+    pts, cert = construct_point_set(mu, 256, ConstructionConfig(seed=0))
+    digest = "f872656e858aeb977fc1a672de27ef433aa67a458b23f391af2965fc6a92b3c0"
+    assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest
+    assert cert["sampling_term"] == 0.0011740828263950842
+    assert cert["selection_dd"] == 0.999755859375
+    assert cert["bound"] == 0.04170106903581661
+
+
 def test_construct_refuses_lattice_before_sampling():
     # N=16384 at d=2 would sample K = 2^32 points (about 69 GB) before the
     # 2^28-point lattice is refused; the paper policy at d=1 N=4 would sample
@@ -106,7 +118,7 @@ def test_construct_from_discrete_measure():
 
 @pytest.mark.parametrize(
     "case",
-    ["power2-d1", "power2-d2", "discrete-d2", "extension-block"],
+    ["power2-d1", "power2-d2", "discrete-d1", "discrete-d2", "extension-block"],
 )
 def test_construct_scans_equal_standalone_scans(case):
     # the shared sort of the K-point cloud gives the certificate the exact
@@ -118,6 +130,7 @@ def test_construct_scans_equal_standalone_scans(case):
     mu, n = {
         "power2-d1": (ProductMeasure([PowerCdf(2.0)]), 64),
         "power2-d2": (ProductMeasure([PowerCdf(2.0), PowerCdf(2.0)]), 16),
+        "discrete-d1": (DiscreteMeasure(atoms_1d), 16),
         "discrete-d2": (DiscreteMeasure(atoms_2d), 8),
         "extension-block": (ProductExtensionMeasure(DiscreteMeasure(atoms_1d)), 4),
     }[case]

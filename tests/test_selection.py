@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nuqmc.discrepancy import _stable_orders, discrete_discrepancy
+from nuqmc.discrepancy import _grid, discrete_discrepancy
 from nuqmc.measures import PointSet, PowerCdf, ProductMeasure, uniform_measure
 from nuqmc.selection import decompose, select_subset
 
@@ -62,13 +62,28 @@ def test_decompose_byte_equal_to_stable_argsort():
             cells[np.argsort(pts[:, s], kind="stable"), s] = (
                 np.arange(1, k + 1) * n + k - 1
             ) // k - 1
-        for dc in (decompose(z, n), decompose(z, n, _orders=_stable_orders(pts))):
+        for dc in (decompose(z, n), decompose(z, n, _orders=_grid(pts)[2])):
             assert dc.point_cells.tobytes() == cells.tobytes()
             counts = np.bincount(
                 np.ravel_multi_index(tuple(cells.T), (n,) * d), minlength=n**d
             ).reshape((n,) * d)
             assert dc.counts.tobytes() == counts.tobytes()
             assert dc.beta.tobytes() == (counts * (n / (k + n))).tobytes()
+
+
+def test_decompose_first_is_lowest_index_per_cell():
+    # the representatives, found in axis-0 order, are every cell's lowest
+    # input index (K for an empty cell), also among ties
+    rng = np.random.default_rng(9)
+    for pts, n in [
+        (rng.integers(0, 9, size=(2000, 2)) / 8.0, 12),
+        (rng.random((1500, 3)), 6),
+        (rng.integers(0, 5, size=(900, 1)) / 4.0, 30),
+    ]:
+        dc = decompose(PointSet(pts), n)
+        first = np.full((n,) * pts.shape[1], len(pts), dtype=np.int64)
+        np.minimum.at(first, tuple(dc.point_cells.T), np.arange(len(pts)))
+        assert np.array_equal(dc.first, first)
 
 
 def test_decompose_single_target():
