@@ -13,12 +13,8 @@ variables freeze at {0,1}.  Once an edge has at most Delta floating
 variables each can still move by less than one unit, so every edge ends
 with error < Delta <= 2*Delta - 1.  The hard guarantee is 2*Delta - 1.
 
-The implementation takes null-space steps in three ways, cheapest first:
-(a) "signature pairs": two floating variables lying in exactly the same
-    active edges can be moved oppositely, which is a null direction
-    computable by hashing (for hierarchical edge systems this realizes a
-    full pairing cascade and finishes in near-linear time);
-(b) a batched jump to a vertex of {x : A_active x = A_active x_cur,
+The walk takes null-space steps in two ways:
+(a) a batched jump to a vertex of {x : A_active x = A_active x_cur,
     0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
     null-space moves, and at a vertex the floating count is at most the
     number of active edges, so the floating set shrinks geometrically.
@@ -26,26 +22,25 @@ The implementation takes null-space steps in three ways, cheapest first:
     is their disjoint union, so its row is the sum of theirs: the LP
     holds only the active rows not implied by their halves, which
     leaves the polytope unchanged, and HiGHS runs without presolve;
-(c) a single explicit null-space step as a progress guard: a probe vector
-    minus its least-squares projection onto the active rows' span (sparse
-    lsqr), so no dense matrix of the active system is ever formed.
+(b) a single explicit null-space step as a progress guard, when a jump
+    freezes nothing: a probe vector minus its least-squares projection
+    onto the active rows' span (sparse lsqr), so no dense matrix of the
+    active system is ever formed.
 
 The engine preserves zeros (beta_i = 0 implies b_i = 0), rounds integral
 vectors to themselves, and is a pure function of its input.
 
 A Hypergraph is stored in CSR form, (ptr, members), and that is the only
-form the engine reads: per-edge sums are segmented reductions,
-the active system's nonzeros come from one gather over the members, and
-the signature hash is one weighted bincount, so no step loops over edges
-in Python.  Validation is vectorised the same way, whether the input is an
-edge list or CSR arrays.  beck_fiala_round counts its steps and the
-variables each froze in RoundingResult.details.
+form the engine reads: per-edge sums are segmented reductions and the
+active system's nonzeros come from one gather over the members, so no step
+loops over edges in Python.  Validation is vectorised the same way, whether
+the input is an edge list or CSR arrays.  beck_fiala_round counts its steps
+and the variables each froze in RoundingResult.details.
 
-scipy is imported by the two steps that use it, (b) and (c), not by this
-module, so `import nuqmc` loads numpy only and a construction that never
-leaves the pairing pass (every d=1 build: the dyadic edges are nested)
-never loads scipy.  The cost is moved, not saved: a process that reaches
-an LP jump or a null step pays scipy's import, about 0.6 s, once, there.
+scipy is imported by the two steps, (a) and (b), not by this module, so
+`import nuqmc` loads numpy only, and so do the measures, the scans and the
+integration layer.  Every rounding with an active edge, d=1 constructions
+included, reaches an LP jump and pays scipy's import, about 0.6 s, once.
 """
 
 from __future__ import annotations
@@ -58,16 +53,13 @@ import numpy as np
 __all__ = ["Hypergraph", "RoundingResult", "beck_fiala_round", "edge_error"]
 
 _BOUND_SNAP = 1e-9
-_HASH_RNG_SEED = 0x5EED_BA1A  # fixed: signature hashing must be seed-free deterministic
 # Beck-Fiala step counters: how often each step ran and how many variables
 # it froze.  "lp_rows" sums the rows passed to the LP solver over the jumps, and
 # "lp_implied_rows" the active rows left out as sums of two kept ones.
 # "final_snapped" counts the variables of the unconstrained last step, so
-# the four frozen counts add up to the variables left floating by the
+# the three frozen counts add up to the variables left floating by the
 # initial snap.
 TRACE_KEYS = (
-    "pairing_passes",
-    "pairing_frozen",
     "lp_jumps",
     "lp_frozen",
     "lp_rows",
@@ -245,12 +237,6 @@ class _EngineState:
         _snap(self.x, self.floating)
         self.ptr, self.members = h.ptr, h.members
         self.edge_of = np.repeat(np.arange(h.m), np.diff(self.ptr))
-        rng = np.random.default_rng(_HASH_RNG_SEED)
-        self.edge_hash = rng.random(max(h.m, 1))
-        # vertex -> edge ids (CSR) for exact pair verification
-        order = np.argsort(self.members, kind="stable")
-        self.v_edges = self.edge_of[order]
-        self.v_ptr = np.searchsorted(self.members[order], np.arange(h.n + 1))
         self.trace = dict.fromkeys(TRACE_KEYS, 0)
 
     def active_mask(self):
@@ -265,64 +251,6 @@ class _EngineState:
         rows = (np.cumsum(active) - 1)[self.edge_of[keep]]
         cols = (np.cumsum(self.floating) - 1)[self.members[keep]]
         return rows, cols
-
-
-def _pairing_pass(st: _EngineState, active) -> int:
-    """Freeze variables by walking i->up / j->down for pairs (i, j) of
-    floating variables with identical active-edge membership.  Returns the
-    number of variables frozen.
-
-    The floating variables are sorted by a hash of their active-edge sets;
-    a neighbour in that order is a partner when the hashes and the exact
-    edge lists agree (hashing alone never certifies a pair).  Inside every
-    run of such neighbours, positions s, s+2, s+4, ... from its start s are
-    paired with the next one, as a greedy left-to-right walk pairs them.
-    The pairs are disjoint, so all of them move at once."""
-    st.trace["pairing_passes"] += 1
-    float_idx = np.flatnonzero(st.floating)
-    if float_idx.size < 2:
-        return 0
-    # hash of the active-edge set per variable, accumulated in one pass
-    in_active = active[st.edge_of]
-    sig_full = np.bincount(
-        st.members[in_active], weights=st.edge_hash[st.edge_of[in_active]], minlength=st.h.n
-    )
-    sig = sig_full[float_idx]
-    order = np.argsort(sig, kind="stable")
-    var = float_idx[order]
-    sig = sig[order]
-    # every vertex's active edges, ascending, as a stretch of `act_edges`
-    act = active[st.v_edges]
-    act_edges = st.v_edges[act]
-    act_ptr = np.concatenate([[0], np.cumsum(act)])[st.v_ptr]
-    start = act_ptr[var]
-    count = act_ptr[var + 1] - start
-    eq = (sig[1:] == sig[:-1]) & (count[1:] == count[:-1])
-    cand = np.flatnonzero(eq)
-    lens = count[cand]
-    seg = np.repeat(np.arange(cand.size), lens)
-    within = np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    differ = act_edges[start[cand][seg] + within] != act_edges[start[cand + 1][seg] + within]
-    eq[cand[np.bincount(seg[differ], minlength=cand.size) > 0]] = False
-    pos = np.arange(eq.size)
-    run_start = np.maximum.accumulate(np.where(eq & ~np.r_[False, eq[:-1]], pos, 0))
-    pairs = np.flatnonzero(eq & ((pos - run_start) % 2 == 0))
-    if not pairs.size:
-        return 0
-    a, b = var[pairs], var[pairs + 1]
-    xa, xb = st.x[a], st.x[b]
-    # the larger value walks up (the lower index on a tie), the other down
-    up = np.where(xa == xb, np.minimum(a, b), np.where(xa < xb, b, a))
-    down = np.where(up == a, b, a)
-    t = np.minimum(1.0 - st.x[up], st.x[down])
-    st.x[up] += t
-    st.x[down] -= t
-    # every other floating variable lies strictly inside the snap band
-    before = int(st.floating.sum())
-    _snap(st.x, st.floating)
-    frozen = before - int(st.floating.sum())
-    st.trace["pairing_frozen"] += frozen
-    return frozen
 
 
 def _lp_round(st: _EngineState, active) -> bool:
@@ -426,8 +354,6 @@ def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
             st.floating[idx] = False
             st.trace["final_snapped"] = int(idx.size)
             break
-        if _pairing_pass(st, active):
-            continue
         if _lp_round(st, active):
             continue
         _null_step(st, active)

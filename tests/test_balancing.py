@@ -174,10 +174,7 @@ def test_beck_fiala_trace_accounts_for_every_variable():
         beta[rng.random(h.n) < 0.25] = 0.0
         trace = beck_fiala_round(h, beta).details
         assert tuple(trace) == TRACE_KEYS
-        frozen = (
-            trace["pairing_frozen"] + trace["lp_frozen"] + trace["null_frozen"]
-            + trace["final_snapped"]
-        )
+        frozen = trace["lp_frozen"] + trace["null_frozen"] + trace["final_snapped"]
         assert frozen == np.count_nonzero((beta > 1e-9) & (beta < 1.0 - 1e-9))
 
 
@@ -262,84 +259,7 @@ def test_empty_edges_degenerate():
     assert set(np.unique(res.b)) <= {0.0, 1.0}
 
 
-# --- pairing pass and LP rows -------------------------------------------------
-
-
-def pairing_pass_loop(st, active):
-    """Reference: the greedy walk over neighbours in signature order, one
-    exact edge-list comparison per equal-hash neighbour."""
-    float_idx = np.flatnonzero(st.floating)
-    if float_idx.size < 2:
-        return 0
-    in_active = active[st.edge_of]
-    sig = np.bincount(
-        st.members[in_active], weights=st.edge_hash[st.edge_of[in_active]], minlength=st.h.n
-    )[float_idx]
-    order = np.argsort(sig, kind="stable")
-    sig_sorted = sig[order]
-
-    def edges_of(v):
-        es = st.v_edges[st.v_ptr[v]:st.v_ptr[v + 1]]
-        return np.sort(es[active[es]])
-
-    frozen = 0
-    i = 0
-    while i + 1 < len(order):
-        a, b = int(float_idx[order[i]]), int(float_idx[order[i + 1]])
-        if sig_sorted[i] == sig_sorted[i + 1] and np.array_equal(edges_of(a), edges_of(b)):
-            lo, hi = (a, b) if st.x[a] < st.x[b] else (b, a)
-            if st.x[a] == st.x[b]:
-                hi, lo = min(a, b), max(a, b)
-            t = min(1.0 - st.x[hi], st.x[lo])
-            st.x[hi] += t
-            st.x[lo] -= t
-            for v in (a, b):
-                if st.x[v] <= 1e-9:
-                    st.x[v], st.floating[v] = 0.0, False
-                    frozen += 1
-                elif st.x[v] >= 1.0 - 1e-9:
-                    st.x[v], st.floating[v] = 1.0, False
-                    frozen += 1
-            i += 2
-            continue
-        i += 1
-    return frozen
-
-
-@pytest.mark.parametrize("collide", [False, True])
-def test_pairing_pass_matches_greedy_loop(collide):
-    # with collide, every edge hashes to 1.0, so a signature is only the
-    # number of active edges and different edge sets share it
-    from nuqmc.balancing import _EngineState, _pairing_pass
-
-    rng = np.random.default_rng(8)
-    collisions = paired = 0
-    for _ in range(60):
-        h = random_hypergraph(rng, n_max=60, m_max=90, delta_max=4)
-        beta = rng.random(h.n)
-        beta[rng.random(h.n) < 0.2] = 0.0
-        beta[rng.random(h.n) < 0.3] = 0.5  # ties in x
-        frozen = rng.random(h.n) < 0.2
-        active = rng.random(h.m) < 0.6
-        states = [_EngineState(h, beta), _EngineState(h, beta)]
-        for st in states:
-            st.floating[frozen] = False
-            if collide:
-                st.edge_hash = np.ones_like(st.edge_hash)
-        # distinct active-edge sets of the floating variables, per signature
-        sets = {}
-        for v in np.flatnonzero(states[0].floating):
-            es = states[0].v_edges[states[0].v_ptr[v]:states[0].v_ptr[v + 1]]
-            sig = float(states[0].edge_hash[es[active[es]]].sum())
-            sets.setdefault(sig, set()).add(tuple(es[active[es]]))
-        collisions += sum(len(s) > 1 for s in sets.values())
-        got = _pairing_pass(states[0], active)
-        want = pairing_pass_loop(states[1], active)
-        assert got == want
-        assert np.array_equal(states[0].x, states[1].x)
-        assert np.array_equal(states[0].floating, states[1].floating)
-        paired += got
-    assert paired > 0 and (collisions > 0) == collide
+# --- LP rows ------------------------------------------------------------------
 
 
 def test_lp_jump_keeps_every_active_sum():

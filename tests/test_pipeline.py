@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import pin_message
 from nuqmc.discrepancy import discrete_discrepancy, exact_star_discrepancy
 from nuqmc.measures import (
     DiscreteMeasure,
@@ -63,17 +64,27 @@ def test_construct_certificate_stacks():
 
 
 def test_construct_d2_engine_trace():
-    # power(2)^2 at N=64: one LP jump freezes all but 256 of the 4096 cells
+    # power(2)^2 at N=64: two LP jumps freeze all but 7 of the 4096 cells
     mu = ProductMeasure([PowerCdf(2.0), PowerCdf(2.0)])
     pts, cert = construct_point_set(mu, 64, ConstructionConfig(seed=0))
-    # the points of the per-edge-list implementation
-    digest = "6f7f1e1635a8eaaf3dacd79d8683c805c66a4a8e5638990cf0b11a34920d58f8"
-    assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest
+    # the points of the LP-jump walk
+    digest = "b74d60ed9fdecd33f8f3c9a29d767ce50090d9fc719e0033e83e703b6cf09d8a"
+    assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest, pin_message("points")
     trace = cert["selection"]["rounding"]["engine_trace"]
-    assert (trace["lp_jumps"], trace["lp_frozen"], trace["null_steps"]) == (1, 3840, 0)
-    # 769 active rows, 321 of them the sum of their two halves' rows
-    assert (trace["lp_rows"], trace["lp_implied_rows"]) == (448, 321)
-    assert trace["pairing_frozen"] + trace["lp_frozen"] + trace["final_snapped"] == 64 * 64
+    assert (trace["lp_jumps"], trace["lp_frozen"], trace["null_steps"]) == (2, 4089, 0)
+    # 769 active rows at the first jump and 17 at the second, 321 + 5 of
+    # them the sum of their two halves' rows
+    assert (trace["lp_rows"], trace["lp_implied_rows"]) == (460, 326)
+    assert trace["lp_frozen"] + trace["null_frozen"] + trace["final_snapped"] == 64 * 64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_construct_l_region_prefix_error(seed):
+    # the L region at N=32, where the prefix error piled up to 14-15 in the
+    # small inactive edges while every active edge kept its sum
+    mu = RestrictionMeasure(OmegaRegion([([0.0, 0.0], [0.5, 1.0]), ([0.5, 0.0], [1.0, 0.5])]))
+    _, cert = construct_point_set(mu, 32, ConstructionConfig(seed=seed))
+    assert cert["selection"]["rounding"]["measured_prefix_error"] <= 4
 
 
 def test_construct_d1_pinned():
@@ -82,7 +93,7 @@ def test_construct_d1_pinned():
     mu = ProductMeasure([PowerCdf(2.0)])
     pts, cert = construct_point_set(mu, 256, ConstructionConfig(seed=0))
     digest = "f872656e858aeb977fc1a672de27ef433aa67a458b23f391af2965fc6a92b3c0"
-    assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest, pin_message("points")
     assert cert["sampling_term"] == 0.0011740828263950842
     assert cert["selection_dd"] == 0.999755859375
     assert cert["bound"] == 0.04170106903581661
