@@ -20,8 +20,8 @@ from .measures import (
 from .discrepancy import (
     BudgetExceededError,
     DiscrepancyReport,
+    bracket_star_discrepancy,
     discrete_discrepancy,
-    estimate_star_discrepancy,
     exact_star_discrepancy,
     local_star_discrepancy,
 )

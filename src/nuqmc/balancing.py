@@ -236,7 +236,6 @@ class _EngineState:
         self.floating = np.ones(h.n, dtype=bool)
         _snap(self.x, self.floating)
         self.ptr, self.members = h.ptr, h.members
-        self.edge_of = np.repeat(np.arange(h.m), np.diff(self.ptr))
         self.trace = dict.fromkeys(TRACE_KEYS, 0)
 
     def active_mask(self):
@@ -246,11 +245,16 @@ class _EngineState:
     def active_floating(self, active):
         """(row, column) of every floating member of every active edge, in
         edge order: row r is the r-th active edge and column c the c-th
-        floating variable, i.e. the nonzeros of the active system."""
-        keep = active[self.edge_of] & self.floating[self.members]
-        rows = (np.cumsum(active) - 1)[self.edge_of[keep]]
-        cols = (np.cumsum(self.floating) - 1)[self.members[keep]]
-        return rows, cols
+        floating variable, i.e. the nonzeros of the active system.  Only the
+        active edges' member ranges are expanded."""
+        edges = np.flatnonzero(active)
+        sizes = np.diff(self.ptr)[edges]
+        rows = np.repeat(np.arange(edges.size), sizes)
+        # a member's position: its edge's start plus its place in the edge
+        pos = np.arange(rows.size) + (self.ptr[edges] - np.cumsum(sizes) + sizes)[rows]
+        members = self.members[pos]
+        keep = self.floating[members]
+        return rows[keep], (np.cumsum(self.floating) - 1)[members[keep]]
 
 
 def _lp_round(st: _EngineState, active) -> bool:

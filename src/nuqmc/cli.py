@@ -11,7 +11,8 @@ on the HiGHS build that scipy ships).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation (e.g. the
 selection hypothesis N <= sqrt(K)), 3 step/lattice budget exceeded.  The
-environment variable NUQMC_BUDGET overrides the exact-scan step budget.
+environment variable NUQMC_BUDGET overrides the scan step budget; past it,
+disc prints a deterministic bracket "lower upper" in place of the exact value.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from . import balancing, dyadic, integration, measures, pipeline, selection
 from .discrepancy import (
     BudgetExceededError,
-    estimate_star_discrepancy,
+    _grid,
+    bracket_star_discrepancy,
     exact_star_discrepancy,
 )
 
@@ -138,11 +140,12 @@ def _cmd_seq(args):
 def _cmd_disc(args):
     ps = measures.PointSet.from_csv(args.points, header=args.header)
     mu = _load_measure(args.measure, args.d if args.d else ps.dim)
-    if args.estimate:
-        rep = estimate_star_discrepancy(ps, mu, trials=args.trials, seed=args.seed)
-    else:
-        rep = exact_star_discrepancy(ps, mu, budget=args.budget)
-    print(f"{rep.value:.17g}")
+    grid = _grid(ps.points)  # one sort serves the exact scan and the bracket
+    try:
+        rep = exact_star_discrepancy(ps, mu, budget=args.budget, _sorted=grid)
+    except BudgetExceededError:
+        rep = bracket_star_discrepancy(ps, mu, budget=args.budget, _sorted=grid)
+    print(f"{rep.value:.17g}" + (f" {rep.upper:.17g}" if rep.mode == "bracket" else ""))
     if args.report:
         Path(args.report).write_text(json.dumps(rep.to_dict(), indent=2) + "\n")
         _write_manifest(args, [args.points], [args.report], time.time())
@@ -359,11 +362,7 @@ def _build_parser():
     q.add_argument("--header", action="store_true", help="points CSV has a header row")
     q.add_argument("--measure", required=True)
     q.add_argument("--d", type=int)
-    q.add_argument("--estimate", action="store_true",
-                   help="randomized lower-bound estimate instead of the exact scan")
-    q.add_argument("--trials", type=int, default=10000)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--budget", type=int, help="exact-scan step budget override")
+    q.add_argument("--budget", type=int, help="scan step budget; past it, print 'lower upper'")
     q.add_argument("--report", help="write the full report JSON here")
     q.set_defaults(func=_cmd_disc)
 

@@ -36,7 +36,8 @@ The scan refuses to run when grid_cells * d exceeds a configurable step
 budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
 The budget is checked on the grid's size once the atoms are merged in,
 before any block is counted; without atoms, a refused scan on a shared sort
-sorts nothing.
+sorts nothing.  Past the budget, `bracket_star_discrepancy` bounds the
+discrepancy from both sides on G of every axis's corners, as many as fit.
 
 The discrete discrepancy of a subset against the set it was drawn from
 (`discrete_discrepancy`) counts both on the subset's own grid instead: at
@@ -60,7 +61,7 @@ __all__ = [
     "DiscrepancyReport",
     "BudgetExceededError",
     "exact_star_discrepancy",
-    "estimate_star_discrepancy",
+    "bracket_star_discrepancy",
     "discrete_discrepancy",
     "local_star_discrepancy",
     "DEFAULT_BUDGET",
@@ -71,8 +72,8 @@ _BLOCK_CELLS = 1 << 16  # grid cells per row block of the streamed scans
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact scan would exceed the step budget; use estimate_star_discrepancy
-    or raise the budget."""
+    """A scan's grid would exceed the step budget; past the exact scan's,
+    bracket_star_discrepancy fits a coarser grid to it."""
 
 
 def _resolve_budget(budget):
@@ -83,18 +84,22 @@ def _resolve_budget(budget):
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    value: float
+    value: float  # the discrepancy, or the bracket's lower end, at `witness`
     witness: AnchoredBox
-    mode: str  # "exact" | "estimate"
+    mode: str  # "exact" | "bracket"
     boxes_scanned: int
+    upper: float  # the bracket's upper end; `value` when exact
+    grid: tuple | None = None  # the bracket's corners per axis
 
     def to_dict(self):
         return {
             "value": self.value,
+            "upper": self.upper,
             "witness_corner": self.witness.corner.tolist(),
             "witness_closed": self.witness.closed,
             "mode": self.mode,
             "boxes_scanned": self.boxes_scanned,
+            "grid": self.grid,
         }
 
 
@@ -196,13 +201,11 @@ def _count_blocks(flat, shape, rows):
     starts from the last cumulative row of the block before.  A strict count
     is the closed count one corner lower on every axis (zero where there is
     none), so the strict block is the closed one, with that carried row on
-    top, shifted by one."""
+    top, shifted by one (`_one_corner_lower`)."""
     d = len(shape)
     stride = math.prod(shape[1:])
     # flat rises with the row, so a search at a row start splits it exactly
     carry = np.zeros(shape[1:], dtype=np.intp)
-    up = (slice(None),) + (slice(1, None),) * (d - 1)
-    down = (slice(None),) + (slice(None, -1),) * (d - 1)
     for lo in range(0, shape[0], rows):
         hi = min(lo + rows, shape[0])
         a, b = np.searchsorted(flat, (lo * stride, hi * stride))
@@ -218,18 +221,28 @@ def _count_blocks(flat, shape, rows):
                 np.add(block[i], block[i - 1], out=block[i])
         else:
             np.cumsum(block, axis=0, out=block)
-        strict = np.zeros_like(block)
-        strict[up] = np.concatenate([carry[None], block[:-1]])[down]
+        strict = _one_corner_lower(block, carry)
         carry = block[-1]
         yield block, strict
 
 
+def _one_corner_lower(block, carry):
+    """`block` one corner lower on every axis, 0 where there is none; `carry`
+    is the row before it (zeros before the first row)."""
+    out = np.zeros_like(block)
+    up = (slice(None),) + (slice(1, None),) * (block.ndim - 1)
+    down = (slice(None),) + (slice(None, -1),) * (block.ndim - 1)
+    out[up] = np.concatenate([carry[None], block[:-1]])[down]
+    return out
+
+
 def _check_budget(shape, budget):
     cells = math.prod(shape)
-    if cells * len(shape) > _resolve_budget(budget):
+    budget = _resolve_budget(budget)
+    if cells * len(shape) > budget:
         raise BudgetExceededError(
-            f"critical grid needs {cells * len(shape)} steps > budget; "
-            "use estimate_star_discrepancy or raise the budget"
+            f"scan grid needs {cells * len(shape)} steps > budget {budget}; "
+            "bracket_star_discrepancy fits a coarser grid, or raise the budget"
         )
     return cells
 
@@ -319,73 +332,57 @@ def exact_star_discrepancy(
     val, witness, scanned = _scan_grid(
         axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates()
     )
-    return DiscrepancyReport(val, witness, "exact", scanned)
+    return DiscrepancyReport(val, witness, "exact", scanned, val)
 
 
-def _counts_at(points, corners, closed: bool) -> np.ndarray:
-    """Points inside [0, c] ([0, c) when not closed) for every corner c.
-    The corners are taken a slice at a time, and the axes one at a time, so
-    the (corners, points) comparison holds about `_BLOCK_CELLS` entries or
-    one row of points, whichever is larger."""
-    below = np.less_equal if closed else np.less
-    step = max(1, _BLOCK_CELLS // max(1, len(points)))
-    out = np.empty(len(corners), dtype=np.intp)
-    for lo in range(0, len(corners), step):
-        part = corners[lo:lo + step]
-        inside = below(points[None, :, 0], part[:, None, 0])
-        for s in range(1, points.shape[1]):
-            inside &= below(points[None, :, s], part[:, None, s])
-        out[lo:lo + step] = inside.sum(axis=1)
-    return out
-
-
-def estimate_star_discrepancy(
-    ps: PointSet, mu: BoxMeasure, trials: int, seed: int, batch: int = 256
+def bracket_star_discrepancy(
+    ps: PointSet, mu: BoxMeasure, g: int | None = None, budget: int | None = None, *, _sorted=None
 ) -> DiscrepancyReport:
-    """Randomized lower bound: max local discrepancy over `trials` corners,
-    mixing uniform corners with corners snapped to point coordinates.
+    """Deterministic bracket lower <= D*(ps; mu) <= upper on a coarse grid
+    (Thiemard, J. Complexity 17, 2001; Gnewuch, J. Complexity 24, 2008).
 
-    When the full critical grid fits in the trial budget it is enumerated
-    instead, so the estimate coincides with the exact value.  The estimate
-    never exceeds the exact discrepancy, and with nested trial counts (same
-    seed) it is monotone nondecreasing.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    Every axis keeps G evenly spaced corners of its critical grid, ending in
+    1.0, with G the largest value that fits the budget, at most `g` and the
+    axis's length.  A box, closed or open, with c_{j-1} < corner <= c_j on
+    every axis lies between the closed boxes at c_{j-1} (empty where j is 0)
+    and c_j, so for any measure its count and mass lie between theirs,
+    C- <= C+ and M- <= M+.  `upper` is the largest max(C+/K - M-, M+ - C-/K)
+    and `value` the largest |C+/K - M+|, at the closed box `witness`.  C+ and
+    C- are `_count_blocks`' closed and strict blocks on the points' coarse
+    corners, and M- is M+ one corner lower: mu is never evaluated at
+    coordinate 0, where an atom would count.  The budget is checked before
+    anything is counted.  `_sorted` starts with `_grid(ps.points)`'s axes
+    and ranks."""
     if ps.dim != mu.dim:
-        raise DimensionMismatchError("dimension mismatch")
-    grid = _grid(ps.points)
-    axes = _merge_axes(*grid[:2], mu.jump_coordinates())[0]
-    cells = math.prod(len(a) for a in axes)
-    if cells <= trials:
-        exact = exact_star_discrepancy(ps, mu, _sorted=grid)
-        return DiscrepancyReport(exact.value, exact.witness, "estimate", exact.boxes_scanned)
-    del grid  # the corners below read only the axes, not the K ranks and orders
+        raise DimensionMismatchError(f"point set dimension {ps.dim} != measure dimension {mu.dim}")
+    axes, ranks = (_grid(ps.points) if _sorted is None else _sorted)[:2]
+    d, budget = ps.dim, _resolve_budget(budget)
+    side = max(1, int((max(budget, 0) / d) ** (1 / d)))
+    side += (side + 1) ** d * d <= budget  # the float root may be one low
+    side -= side > 1 and side**d * d > budget  # or one high
+    shape = tuple(min(side, g or side, ax.size) for ax in axes)
+    cells = _check_budget(shape, budget)
 
-    rng = np.random.default_rng(seed)
-    d = ps.dim
-    best_val = -1.0
-    best_corner, best_closed = np.ones(d), True
-    done = 0
-    while done < trials:
-        t = min(batch, trials - done)
-        corners = rng.random((t, d))
-        snap = rng.random(t) < 0.5
-        for s in range(d):
-            pick = axes[s][rng.integers(0, len(axes[s]), size=t)]
-            corners[:, s] = np.where(snap, pick, corners[:, s])
-        for closed in (True, False):
-            cnt = _counts_at(ps.points, corners, closed)
-            masses = np.array(
-                [mu.mass(AnchoredBox(c, closed=closed)) for c in corners]
-            )
-            vals = np.abs(cnt / ps.n - masses)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                best_corner, best_closed = corners[j].copy(), closed
-        done += t
-    return DiscrepancyReport(best_val, AnchoredBox(best_corner, closed=best_closed), "estimate", 2 * trials)
+    picks = [(np.arange(1, size + 1) * ax.size) // size - 1 for ax, size in zip(axes, shape)]
+    corners = [ax[pick] for ax, pick in zip(axes, picks)]
+    # a point's coarse corner: corner i takes the ranks above corner i-1 up to its own
+    coarse = (np.repeat(np.arange(p.size), np.diff(p, prepend=-1))[r] for p, r in zip(picks, ranks))
+    flat = _flat_ranks(list(coarse), shape)
+
+    rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    upper, lower, at = 0.0, -1.0, 0
+    carry = np.zeros(shape[1:])  # M+ of the row before the block
+    for lo, (c_hi, c_lo) in zip(range(0, shape[0], rows), _count_blocks(flat, shape, rows)):
+        m_hi = mu.mass_on_grid([corners[0][lo:lo + rows], *corners[1:]], True)
+        m_lo, carry = _one_corner_lower(m_hi, carry), m_hi[-1]
+        c_hi, c_lo = c_hi / float(ps.n), c_lo / float(ps.n)
+        upper = max(upper, float((c_hi - m_lo).max()), float((m_hi - c_lo).max()))
+        dev = np.abs(c_hi - m_hi).ravel()
+        j = int(np.argmax(dev))
+        if dev[j] > lower:
+            lower, at = float(dev[j]), lo * (cells // shape[0]) + j
+    witness = np.array([c[i] for c, i in zip(corners, np.unravel_index(at, shape))])
+    return DiscrepancyReport(lower, AnchoredBox(witness, closed=True), "bracket", cells, upper, shape)
 
 
 def discrete_discrepancy(

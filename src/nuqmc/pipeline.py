@@ -8,19 +8,16 @@ runs the subset selection, and attaches a certificate that stacks
     (box-count bound of the selection) / N  +  (sampling error of the K set)
 
 where the sampling term is the exactly measured discrepancy of the K-point
-empirical measure against mu whenever the exact scan is affordable, and the
-nominal 1/N otherwise (tagged sampling_mode "nominal" in the certificate,
-never silently).  Only a measured sampling term makes `bound` a proven
-bound.  The nominal 1/N is the rate of the paper's K = 2^26 d N^2 policy,
-which the sample budget refuses at every N >= 2; under the default
-"scaled" policy (K = 16 N^2) nothing proves it, so a "nominal" certificate's
-`bound` is the selection bound plus an unproven 1/N, not a bound.
+empirical measure against mu whenever the exact scan is affordable
+(sampling_mode "measured"), and otherwise the upper end of a deterministic
+bracket on G = 2dN corners per axis, fewer if the scan budget requires
+(sampling_mode "bracket", with the bracket's lower end and G recorded as
+`sampling_lower` and `sampling_grid`).  Either way `bound` is proven.
 
 Next to `bound` the certificate carries `achieved_bound`: `selection_dd`,
 the selection discrepancy measured exactly on the subset's own grid at every
 N, over N, plus the same sampling term (or `bound`, with `selection_dd`
-None, if even that grid is over the scan budget).  Like `bound`, it is
-unproven when the sampling term is nominal.
+None, if even that grid is over the scan budget).
 
 The infinite sequence interleaves blocks of sizes N_i = 2^(2^i - 2)
 (1, 4, 64, 16384, ...) built in dimension d+1 for nu = mu x lambda, ordered
@@ -49,6 +46,7 @@ import numpy as np
 from .discrepancy import (
     BudgetExceededError,
     _grid,
+    bracket_star_discrepancy,
     discrete_discrepancy,
     exact_star_discrepancy,
 )
@@ -107,8 +105,7 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     The certificate's `bound` field is box_bound/N + sampling term, and its
     `achieved_bound` the measured selection_dd/N + sampling term; its
     `sampling_mode` records whether the sampling term was measured exactly or
-    is the nominal 1/N, which no policy that runs proves (see the module
-    docstring)."""
+    is the upper end of a bracket (see the module docstring)."""
     cfg = cfg or ConstructionConfig()
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -126,10 +123,9 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     # rounding holds only the ranks and the axis-0 order the selection scan reads
     axes, ranks, orders = _grid(z.points)
     try:
-        sampling = exact_star_discrepancy(z, mu, _sorted=(axes, ranks, orders)).value
-        sampling_mode = "measured"
+        sampling = exact_star_discrepancy(z, mu, _sorted=(axes, ranks, orders))
     except BudgetExceededError:
-        sampling, sampling_mode = 1.0 / n, "nominal"
+        sampling = bracket_star_discrepancy(z, mu, 2 * d * n, _sorted=(axes, ranks))
     del axes
     decomp = selection.decompose(z, n, _orders=orders)  # bench/spans.py wraps it there
     del orders[1:]
@@ -139,8 +135,8 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     except BudgetExceededError:
         dd = None
     box_bound = sel.certificate["box_bound"]
-    bound = min(1.0, box_bound / n + sampling)
-    achieved = min(1.0, dd / n + sampling) if dd is not None else bound
+    bound = min(1.0, box_bound / n + sampling.upper)
+    achieved = min(1.0, dd / n + sampling.upper) if dd is not None else bound
     certificate = {
         "n": n,
         "d": d,
@@ -150,8 +146,10 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
         "seed": cfg.seed,
         "selection": sel.certificate,
         "selection_dd": dd,
-        "sampling_term": sampling,
-        "sampling_mode": sampling_mode,
+        "sampling_term": sampling.upper,
+        "sampling_mode": "measured" if sampling.mode == "exact" else "bracket",
+        "sampling_lower": sampling.value,
+        "sampling_grid": sampling.grid,
         "bound": bound,
         "achieved_bound": achieved,
         # non-constructive reference rate, recorded for comparison only

@@ -284,3 +284,26 @@ def test_lp_jump_keeps_every_active_sum():
     assert np.abs(after - sums)[active].max() <= 1e-9
     assert st.trace["lp_implied_rows"] == np.count_nonzero(split & active[h0] & active[h1]) > 0
     assert st.trace["lp_rows"] + st.trace["lp_implied_rows"] == np.count_nonzero(active)
+
+
+def test_active_floating_matches_loop_oracle():
+    # the nonzeros of the active system in edge order, then member order,
+    # whatever edges are active or empty and variables are floating
+    from nuqmc.balancing import _EngineState
+
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        h = random_hypergraph(rng, n_max=40, m_max=60)
+        h = Hypergraph(h.n, h.edges + (np.zeros(0, dtype=np.int64),))
+        st = _EngineState(h, rng.random(h.n))
+        st.floating &= rng.random(h.n) < 0.7
+        active = rng.random(h.m) < 0.5
+        col = np.cumsum(st.floating) - 1
+        pairs = [
+            (r, col[v])
+            for r, e in enumerate(np.flatnonzero(active))
+            for v in h.edges[e]
+            if st.floating[v]
+        ]
+        rows, cols = st.active_floating(active)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(int(r), int(c)) for r, c in pairs]

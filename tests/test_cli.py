@@ -31,16 +31,24 @@ def test_disc_single_midpoint(tmp_path, capsys):
     assert float(out.strip()) == 0.5
 
 
-def test_disc_estimate_mode(tmp_path, capsys):
+def test_disc_bracket_mode(tmp_path, capsys):
+    # over the budget the exact scan is refused, and disc prints the
+    # bracket "lower upper" on the largest grid the budget holds
     p = tmp_path / "p.csv"
     rng = np.random.default_rng(1)
     np.savetxt(p, rng.random((40, 2)), delimiter=",")
-    code, est_out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform",
-                           "--d", "2", "--estimate", "--trials", "500", "--seed", "4")
-    assert code == 0
     code, exact_out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform",
                              "--d", "2")
-    assert float(est_out.strip()) <= float(exact_out.strip()) + 1e-12
+    assert code == 0
+    report = tmp_path / "r.json"
+    code, out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform",
+                       "--d", "2", "--budget", "200", "--report", str(report))
+    assert code == 0
+    lower, upper = map(float, out.split())
+    assert lower <= float(exact_out.strip()) <= upper
+    rep = json.loads(report.read_text())
+    assert rep["mode"] == "bracket" and rep["grid"] == [10, 10]
+    assert (rep["value"], rep["upper"]) == (lower, upper)
 
 
 def test_inverse_size_paper(capsys):
@@ -213,10 +221,14 @@ def test_exit_code_precondition(tmp_path, capsys):
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):
     p = tmp_path / "p.csv"
     np.savetxt(p, np.random.default_rng(0).random((50, 2)), delimiter=",")
+    # below d steps not even a one-corner bracket fits; above, a bracket runs
     code, _, err = run(capsys, "disc", "--points", str(p), "--measure", "uniform",
-                       "--d", "2", "--budget", "10")
+                       "--d", "2", "--budget", "1")
     assert code == 3
     assert "budget" in err
+    code, out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform",
+                       "--d", "2", "--budget", "10")
+    assert code == 0 and len(out.split()) == 2
 
 
 def test_exit_code_lattice_budget_before_sampling(tmp_path, capsys, monkeypatch):
@@ -244,12 +256,15 @@ def test_exit_code_lattice_budget_before_sampling(tmp_path, capsys, monkeypatch)
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
     p = tmp_path / "p.csv"
     np.savetxt(p, np.random.default_rng(0).random((50, 2)), delimiter=",")
-    monkeypatch.setenv("NUQMC_BUDGET", "10")
+    monkeypatch.setenv("NUQMC_BUDGET", "1")
     code, _, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform", "--d", "2")
     assert code == 3
+    monkeypatch.setenv("NUQMC_BUDGET", "10")
+    code, out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform", "--d", "2")
+    assert code == 0 and len(out.split()) == 2
     monkeypatch.setenv("NUQMC_BUDGET", "100000000")
-    code, _, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform", "--d", "2")
-    assert code == 0
+    code, out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform", "--d", "2")
+    assert code == 0 and len(out.split()) == 1
 
 
 def test_help_documents_formats(capsys):
@@ -278,6 +293,8 @@ pts.to_csv(tmp / "p.csv")
 for argv in (
     ["disc", "--points", str(tmp / "p.csv"), "--measure", "uniform", "--d", "1",
      "--report", str(tmp / "r.json")],
+    ["disc", "--points", str(tmp / "p.csv"), "--measure", "uniform", "--d", "1",
+     "--budget", "32"],
     ["integrate", "--measure-omega", str(tmp / "omega.json"), "--g", "const",
      "--points", str(tmp / "q.csv")],
     ["inverse-size", "--d", "1", "--eps", "0.5", "--mode", "paper"],
@@ -293,8 +310,8 @@ assert cert["selection"]["rounding"]["engine_trace"]["lp_jumps"] >= 1
 
 
 def test_scipy_loads_at_the_first_lp_jump(tmp_path):
-    # import, exact scans, disc, integrate, inverse-size and verify --suite
-    # measures stay scipy-free; a construction loads scipy at its LP jump
+    # import, exact scans, disc (exact and bracketed), integrate, inverse-size
+    # and verify --suite measures stay scipy-free; a construction loads scipy at its LP jump
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(tmp_path)],

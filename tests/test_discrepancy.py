@@ -1,4 +1,4 @@
-"""Exact scan, randomized estimator, and discrete two-set discrepancy."""
+"""Exact scan, deterministic bracket, and discrete two-set discrepancy."""
 
 import itertools
 import tracemalloc
@@ -13,8 +13,8 @@ from nuqmc.discrepancy import (
     _flat_ranks,
     _grid,
     _merge_axes,
+    bracket_star_discrepancy,
     discrete_discrepancy,
-    estimate_star_discrepancy,
     exact_star_discrepancy,
     local_star_discrepancy,
 )
@@ -25,7 +25,9 @@ from nuqmc.measures import (
     PowerCdf,
     ProductMeasure,
     OmegaRegion,
+    ProductExtensionMeasure,
     RestrictionMeasure,
+    UniformCdf,
     uniform_measure,
 )
 
@@ -179,88 +181,83 @@ def test_permutation_invariance():
     assert a == b
 
 
-# --- estimator ------------------------------------------------------------
+# --- bracket ---------------------------------------------------------------
 
 
-def test_estimator_exhausts_small_grid():
-    ps = PointSet([[0.25], [0.75]])
-    mu = uniform_measure(1)
-    rep = estimate_star_discrepancy(ps, mu, trials=10**4, seed=0)
-    assert rep.mode == "estimate"
-    assert rep.value == exact_star_discrepancy(ps, mu).value
+def bracket_measure(family, d, rng):
+    """One measure of every family in dimension d; the atoms sit on a k/4
+    grid that includes coordinate 0."""
+    atoms = PointSet(np.concatenate([rng.integers(0, 5, size=(12, d)) / 4.0, np.zeros((2, d))]))
+    if family == "power":
+        return ProductMeasure([PowerCdf(float(rng.uniform(0.3, 3.0))) for _ in range(d)])
+    if family == "restriction":
+        lo, hi = np.zeros((2, d)), np.ones((2, d))
+        hi[0, 0] = hi[1, -1] = 0.5  # an L region when d >= 2
+        return RestrictionMeasure(OmegaRegion(list(zip(lo, hi))))
+    if family == "discrete":
+        return DiscreteMeasure(atoms)
+    return ProductExtensionMeasure(DiscreteMeasure(PointSet(atoms.points[:, 1:])))
 
 
-def test_estimator_reaches_most_of_exact():
-    rng = np.random.default_rng(8)
-    ps = PointSet(rng.random((40, 2)))
+@pytest.mark.parametrize(
+    "family, d",
+    [(f, d) for f in ("power", "restriction", "discrete", "extension") for d in (1, 2, 3)
+     if (f, d) != ("extension", 1)],
+)
+def test_bracket_contains_exact(family, d):
+    # lower <= exact <= upper on every grid size, G = 1 included, for clouds
+    # of the measure (ties and zeros for the atom sets) and uniform points;
+    # the lower end is the local discrepancy of its witness
+    rng = np.random.default_rng(10 * d + len(family))
+    mu = bracket_measure(family, d, rng)
+    for n in (1, 9, 60):
+        for ps in (mu.sample(n, n), PointSet(rng.random((n, d)))):
+            exact = exact_star_discrepancy(ps, mu).value
+            for g in (1, 2, 3, 8, 64):
+                rep = bracket_star_discrepancy(ps, mu, g)
+                assert rep.value <= exact <= rep.upper, (n, g)
+                assert local_star_discrepancy(ps, mu, rep.witness) == rep.value
+                assert rep.mode == "bracket" and rep.witness.closed
+
+
+def test_bracket_grid_follows_g_budget_and_axis_length():
+    ps = PointSet(np.random.default_rng(3).random((50, 2)))
     mu = uniform_measure(2)
-    exact = exact_star_discrepancy(ps, mu).value
-    est = estimate_star_discrepancy(ps, mu, trials=10**4, seed=1)
-    assert est.value <= exact + 1e-12
-    assert est.value >= 0.8 * exact
+    assert bracket_star_discrepancy(ps, mu, 16).grid == (16, 16)
+    # the largest G with G^2 * 2 <= budget
+    assert bracket_star_discrepancy(ps, mu, budget=199).grid == (9, 9)
+    assert bracket_star_discrepancy(ps, mu, budget=200).grid == (10, 10)
+    # at most the critical grid's corners: 50 distinct values and 1.0
+    assert bracket_star_discrepancy(ps, mu).grid == (51, 51)
+    tied = PointSet(np.array([[0.5, 0.25], [0.5, 0.75], [0.5, 1.0]]))
+    assert bracket_star_discrepancy(tied, mu).grid == (2, 3)
 
 
-def test_estimator_single_trial_below_exact():
-    rng = np.random.default_rng(2)
-    ps = PointSet(rng.random((25, 2)))
-    mu = uniform_measure(2)
-    exact = exact_star_discrepancy(ps, mu).value
-    est = estimate_star_discrepancy(ps, mu, trials=1, seed=3)
-    assert est.value <= exact + 1e-12
+def test_bracket_refused_before_any_mass():
+    class NoMass(ProductMeasure):
+        def mass_on_grid(self, axes, closed=True):
+            raise AssertionError("mass evaluated before the budget check")
+
+    ps = PointSet(np.random.default_rng(0).random((200, 3)))
+    with pytest.raises(BudgetExceededError):
+        bracket_star_discrepancy(ps, NoMass([UniformCdf()] * 3), budget=2)
 
 
-def test_estimator_witness_reproduces_value():
-    rng = np.random.default_rng(14)
-    ps = PointSet(rng.random((30, 2)))
-    mu = uniform_measure(2)
-    rep = estimate_star_discrepancy(ps, mu, trials=200, seed=5)
-    assert local_star_discrepancy(ps, mu, rep.witness) == rep.value
-
-
-def test_estimator_monotone_in_nested_trials():
-    rng = np.random.default_rng(4)
-    ps = PointSet(rng.random((50, 2)))
-    mu = uniform_measure(2)
-    vals = [
-        estimate_star_discrepancy(ps, mu, trials=t, seed=7).value
-        for t in (10, 100, 1000)
+def test_bracket_bit_identical_in_row_blocks(monkeypatch):
+    # one row per block: both ends and the witness are those of the whole grid
+    rng = np.random.default_rng(17)
+    cases = [
+        (PointSet(rng.random((3000, 2))), ProductMeasure([PowerCdf(2.0)] * 2), 64),
+        (PointSet(tied_points(rng, 40, 3)), bracket_measure("discrete", 3, rng), 5),
+        (PointSet(rng.random((500, 1))), uniform_measure(1), 100),
     ]
-    assert vals[0] <= vals[1] <= vals[2]
-    assert vals[2] <= exact_star_discrepancy(ps, mu).value + 1e-12
+    whole = [bracket_star_discrepancy(ps, mu, g) for ps, mu, g in cases]
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 1)
+    for (ps, mu, g), ref in zip(cases, whole):
+        rep = bracket_star_discrepancy(ps, mu, g)
+        assert (rep.value, rep.upper, rep.grid) == (ref.value, ref.upper, ref.grid)
+        assert rep.witness.corner.tolist() == ref.witness.corner.tolist()
 
-
-
-@pytest.mark.parametrize("block_cells", [1, None])
-def test_estimator_bit_identical_in_corner_slices(block_cells, monkeypatch):
-    # corners are counted a slice at a time; the draws are those of one
-    # (trials, points, d) broadcast per batch, so estimates are unchanged
-    # (values and witnesses pinned from that form)
-    if block_cells is not None:
-        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
-    ps = PointSet(np.random.default_rng(0).random((3000, 2)))
-    corners = np.concatenate([ps.points[:50], np.random.default_rng(1).random((50, 2))])
-    for closed, below in ((True, np.less_equal), (False, np.less)):
-        cnt = np.sum(np.all(below(ps.points[None], corners[:, None]), axis=2), axis=1)
-        assert np.array_equal(discrepancy._counts_at(ps.points, corners, closed), cnt)
-    rep = estimate_star_discrepancy(ps, ProductMeasure([PowerCdf(2.0)] * 2), trials=700, seed=0)
-    assert rep.value == 0.259343229900738
-    assert rep.witness.corner.tolist() == [0.8968012322637599, 0.5833200469234759]
-    assert rep.witness.closed and rep.boxes_scanned == 1400
-
-
-def test_estimator_batch_memory_bounded():
-    # one batch of 256 corners against 50k points: the broadcast form held a
-    # (256, 50000, 2) boolean, 25.6 MB
-    ps = PointSet(np.random.default_rng(3).random((50_000, 2)))
-    tracemalloc.start()
-    try:
-        rep = estimate_star_discrepancy(ps, ProductMeasure([PowerCdf(2.0)] * 2), trials=256, seed=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 50_000 * 2 / 4
-    assert rep.value == 0.2502991617950187
-    assert rep.witness.corner.tolist() == [0.8202433236799063, 0.5787059863929609]
 
 # --- discrete two-set discrepancy ------------------------------------------
 

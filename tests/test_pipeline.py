@@ -150,6 +150,7 @@ def test_construct_scans_equal_standalone_scans(case):
     z = mu.sample(cfg.seed, cfg.resolve_k(n, mu.dim))
     assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
     assert cert["sampling_term"] == exact_star_discrepancy(z, mu).value
+    assert cert["sampling_lower"] == cert["sampling_term"] and cert["sampling_grid"] is None
     assert cert["selection_dd"] == discrete_discrepancy(pts, z)
 
 
@@ -184,9 +185,30 @@ def test_selection_discrepancy_measured_past_the_cloud_grid_budget(case):
     cfg = ConstructionConfig(seed=0)
     pts, cert = construct_point_set(mu, n, cfg)
     z = mu.sample(cfg.seed, cfg.resolve_k(n, mu.dim))
-    assert cert["sampling_mode"] == "nominal" and cert["selection_dd"] is not None
+    # the exact scan is refused: a bracket on G = 2dN corners per axis
+    # proves a sampling term below the 1/N rate
+    assert cert["sampling_mode"] == "bracket" and cert["sampling_grid"] == (4 * n,) * 2
+    assert cert["sampling_lower"] <= cert["sampling_term"] < 1.0 / n
+    assert cert["selection_dd"] is not None
     assert cert["selection_dd"] == discrete_discrepancy(pts, z)
     assert cert["achieved_bound"] < cert["bound"]
+
+
+def test_bracketed_certificate_bounds_the_exact_values(monkeypatch):
+    # the same N=16 L-region build, once with the cloud's 4097^2 grid scanned
+    # exactly and once with the budget below it: same points, and the
+    # bracket's term and bound hold the exact values
+    mu = RestrictionMeasure(OmegaRegion([([0.0, 0.0], [0.5, 1.0]), ([0.5, 0.0], [1.0, 0.5])]))
+    cfg = ConstructionConfig(seed=4)
+    pts, measured = construct_point_set(mu, 16, cfg)
+    monkeypatch.setenv("NUQMC_BUDGET", str(10**6))
+    again, cert = construct_point_set(mu, 16, cfg)
+    assert np.array_equal(again.points, pts.points)
+    assert measured["sampling_mode"] == "measured" and cert["sampling_mode"] == "bracket"
+    assert cert["sampling_grid"] == (64, 64)
+    assert cert["sampling_lower"] <= measured["sampling_term"] <= cert["sampling_term"]
+    assert cert["bound"] >= exact_star_discrepancy(pts, mu, budget=10**8).value
+    assert cert["bound"] >= measured["bound"]
 
 
 def test_k_policies():
