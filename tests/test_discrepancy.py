@@ -243,8 +243,10 @@ def test_bracket_refused_before_any_mass():
         bracket_star_discrepancy(ps, NoMass([UniformCdf()] * 3), budget=2)
 
 
-def test_bracket_bit_identical_in_row_blocks(monkeypatch):
-    # one row per block: both ends and the witness are those of the whole grid
+@pytest.mark.parametrize("block_cells", [1, 200])
+def test_bracket_bit_identical_in_row_blocks(block_cells, monkeypatch):
+    # one row per block, or a few rows with a ragged last block: both ends
+    # and the witness are those of the whole grid
     rng = np.random.default_rng(17)
     cases = [
         (PointSet(rng.random((3000, 2))), ProductMeasure([PowerCdf(2.0)] * 2), 64),
@@ -252,7 +254,7 @@ def test_bracket_bit_identical_in_row_blocks(monkeypatch):
         (PointSet(rng.random((500, 1))), uniform_measure(1), 100),
     ]
     whole = [bracket_star_discrepancy(ps, mu, g) for ps, mu, g in cases]
-    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
     for (ps, mu, g), ref in zip(cases, whole):
         rep = bracket_star_discrepancy(ps, mu, g)
         assert (rep.value, rep.upper, rep.grid) == (ref.value, ref.upper, ref.grid)
