@@ -78,8 +78,7 @@ class Hypergraph:
     arrays themselves, Hypergraph(n, csr=(ptr, members)).  Both inputs go
     through one vectorised validation: members lie in [0, n), each edge is
     sorted (one segmented sort when it is not) and repeats no vertex, and
-    max_degree is recomputed by bincount and checked against the cached
-    value when one is given.  Serialization is the JSON object
+    max_degree is counted by bincount.  Serialization is the JSON object
     {"n": n, "edges": [[...], ...]}.
 
     `halves`, an (m, 2) int array, optionally names for every edge two other
@@ -91,7 +90,7 @@ class Hypergraph:
     LP when both halves are active.  Serialization does not carry them.
     """
 
-    def __init__(self, n: int, edges=(), max_degree: int = -1, *, csr=None, halves=None):
+    def __init__(self, n: int, edges=(), *, csr=None, halves=None):
         if n < 0:
             raise ValueError("n must be nonnegative")
         if csr is None:
@@ -120,9 +119,6 @@ class Hypergraph:
             members = members[np.lexsort((members, edge_of))]
             if np.any(inner & (np.diff(members) == 0)):
                 raise ValueError("edges may not repeat a vertex")
-        recomputed = int(np.bincount(members, minlength=n).max()) if n else 0
-        if max_degree >= 0 and max_degree != recomputed:
-            raise ValueError(f"cached max_degree {max_degree} != recomputed {recomputed}")
         m = len(ptr) - 1
         if halves is None:
             halves = np.full((m, 2), -1, dtype=np.int64)
@@ -143,7 +139,7 @@ class Hypergraph:
         self.n = n
         self.ptr = ptr
         self.members = members
-        self.max_degree = recomputed
+        self.max_degree = int(np.bincount(members, minlength=n).max()) if n else 0
         self.halves = halves
 
     @property

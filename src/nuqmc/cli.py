@@ -138,6 +138,7 @@ def _cmd_seq(args):
 
 
 def _cmd_disc(args):
+    t0 = time.time()
     ps = measures.PointSet.from_csv(args.points, header=args.header)
     mu = _load_measure(args.measure, args.d if args.d else ps.dim)
     grid = _grid(ps.points)  # one sort serves the exact scan and the bracket
@@ -148,7 +149,7 @@ def _cmd_disc(args):
     print(f"{rep.value:.17g}" + (f" {rep.upper:.17g}" if rep.mode == "bracket" else ""))
     if args.report:
         Path(args.report).write_text(json.dumps(rep.to_dict(), indent=2) + "\n")
-        _write_manifest(args, [args.points], [args.report], time.time())
+        _write_manifest(args, [args.points], [args.report], t0)
     return 0
 
 
@@ -285,7 +286,7 @@ def _verify_selection(seed):
     for d, k, n in ((1, 1024, 32), (2, 1024, 24)):
         z = measures.uniform_measure(d).sample(int(rng.integers(1 << 30)), k)
         res = selection.select_subset(z, n)
-        dd = discrete_discrepancy(res.selected, z)
+        dd = discrete_discrepancy(z, res.indices)
         ok &= dd <= res.certificate["box_bound"] + 1e-9
         rows.append((f"selection d={d} K={k} N={n}", 1, dd, res.certificate["box_bound"]))
     return ok, rows

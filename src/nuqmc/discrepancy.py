@@ -39,9 +39,11 @@ before any block is counted; without atoms, a refused scan on a shared sort
 sorts nothing.  Past the budget, `bracket_star_discrepancy` bounds the
 discrepancy from both sides on G of every axis's corners, as many as fit.
 
-The discrete discrepancy of a subset against the set it was drawn from
-(`discrete_discrepancy`) counts both on the subset's own grid instead: at
-most 2N+1 slots per axis, whatever the size of the full set.
+The discrete discrepancy of a selection against the set it was drawn from
+(`discrete_discrepancy`) takes the selection as distinct row indices of
+that set, so its ranks are the set's, read off one mark of the rows; both
+are counted on the selection's own grid: at most 2N+1 slots per axis,
+whatever the size of the full set.
 
 All operations are pure; scans may be partitioned arbitrarily and max-reduced
 without changing the result.
@@ -162,23 +164,6 @@ def _merge_axes(axes, ranks, extra=None):
     return merged_axes, merged_ranks
 
 
-def _contains(sub_ranks, full_ranks, shape) -> bool:
-    """Whether every subset row occurs among the full rows at least as often
-    (multisets), from the grid ranks of both on the same axes.  Rows are keyed
-    axis by axis by their index among the subset's distinct prefixes, so only
-    the subset is sorted; a full row whose prefix the subset lacks gets -1."""
-    sub_key = np.zeros(len(sub_ranks[0]), dtype=np.int64)
-    full_key = np.zeros(len(full_ranks[0]), dtype=np.int64)
-    for rs, rf, size in zip(sub_ranks, full_ranks, shape):
-        prefixes, sub_key = np.unique(sub_key * size + rs, return_inverse=True)
-        full_key = full_key * size + rf
-        pos = np.minimum(np.searchsorted(prefixes, full_key), len(prefixes) - 1)
-        full_key = np.where(prefixes[pos] == full_key, pos, -1)
-    need = np.bincount(sub_key)
-    have = np.bincount(full_key[full_key >= 0], minlength=len(need))
-    return bool(np.all(need <= have))
-
-
 def _flat_ranks(ranks, shape):
     """C-order flat index of every point's first corner (its rank on every
     axis), from ranks listed in axis-0 order, so it rises with the row."""
@@ -275,12 +260,12 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     d = len(axes)
     cells = _check_budget(shape, budget)
 
-    rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     stride = cells // shape[0]
-    counts = _count_blocks(_flat_ranks(ranks, shape), shape, rows)
+    counts = _count_blocks(_flat_ranks(ranks, shape), shape, block_rows)
     best = {}  # closed -> (value, flat index of the corner)
-    for lo in range(0, shape[0], rows):
-        block_axes = [axes[0][lo:lo + rows], *axes[1:]]
+    for lo in range(0, shape[0], block_rows):
+        block_axes = [axes[0][lo:lo + block_rows], *axes[1:]]
         for closed, c in zip((True, False), next(counts)):
             if closed or extra_axes is not None:
                 mass = mass_provider(block_axes, closed)
@@ -369,11 +354,12 @@ def bracket_star_discrepancy(
     coarse = (np.repeat(np.arange(p.size), np.diff(p, prepend=-1))[r] for p, r in zip(picks, ranks))
     flat = _flat_ranks(list(coarse), shape)
 
-    rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     upper, lower, at = 0.0, -1.0, 0
     carry = np.zeros(shape[1:])  # M+ of the row before the block
-    for lo, (c_hi, c_lo) in zip(range(0, shape[0], rows), _count_blocks(flat, shape, rows)):
-        m_hi = mu.mass_on_grid([corners[0][lo:lo + rows], *corners[1:]], True)
+    blocks = _count_blocks(flat, shape, block_rows)
+    for lo, (c_hi, c_lo) in zip(range(0, shape[0], block_rows), blocks):
+        m_hi = mu.mass_on_grid([corners[0][lo:lo + block_rows], *corners[1:]], True)
         m_lo, carry = _one_corner_lower(m_hi, carry), m_hi[-1]
         c_hi, c_lo = c_hi / float(ps.n), c_lo / float(ps.n)
         upper = max(upper, float((c_hi - m_lo).max()), float((m_hi - c_lo).max()))
@@ -385,57 +371,46 @@ def bracket_star_discrepancy(
     return DiscrepancyReport(lower, AnchoredBox(witness, closed=True), "bracket", cells, upper, shape)
 
 
-def discrete_discrepancy(
-    subset: PointSet,
-    full: PointSet,
-    budget: int | None = None,
-    *,
-    _sorted=None,
-    _rows=None,
-) -> float:
-    """max over anchored boxes of |#(subset in A) - (N/K) #(full in A)| on the
-    unnormalized count scale; subset must be a sub-multiset of full.
+def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _sorted=None) -> float:
+    """max over anchored boxes of |#(Q in A) - (N/K) #(full in A)| on the
+    unnormalized count scale, for Q the rows `rows` of full: N distinct
+    integer indices in [0, K).
 
-    The sup is attained on the subset's own coordinates.  A box can lower
-    each coordinate to the subset's largest one at or below it, which keeps
-    the subset's count and does not raise full's; or raise it to just below
-    the subset's next one (to 1.0, closed, past the last), which keeps the
-    subset's count and does not lower full's.  So each axis gets one slot
-    per distinct subset coordinate and one per gap around them, at most
-    (2N+1)^d cells whatever K is; full is binned onto the slots, both sets
-    are counted on them (`_count_blocks`), and every corner is a box.  The
-    budget is checked on this grid.
+    The sup is attained on Q's own coordinates.  A box can lower each
+    coordinate to Q's largest one at or below it, which keeps Q's count and
+    does not raise full's; or raise it to just below Q's next one (to 1.0,
+    closed, past the last), which keeps Q's count and does not lower full's.
+    So each axis gets one slot per distinct coordinate of Q and one per gap
+    around them, at most (2N+1)^d cells whatever K is; full is binned onto
+    the slots, both sets are counted on them (`_count_blocks`), and every
+    corner is a box.
 
-    `_sorted` is `_grid(full.points)[1:]`, the ranks and orders, and `_rows`
-    the distinct rows of full that make up subset; then nothing is sorted,
-    and a K-long mark of the rows, read in axis-0 order, picks the subset's
-    ranks.  Without them both sets are sorted together, and containment is
-    checked (a ValueError) before the budget."""
-    if subset.dim != full.dim:
-        raise DimensionMismatchError("subset and full point sets must share a dimension")
-    if _sorted is None:
-        both = np.concatenate([full.points, subset.points])
-        axes, ranks, orders = _grid(both)
-        in_full = orders[0] < full.n
-        full_ranks = [r[in_full] for r in ranks]
-        sub_ranks = [r[~in_full] for r in ranks]
-        if not _contains(sub_ranks, full_ranks, tuple(len(a) for a in axes)):
-            raise ValueError("subset is not contained in full (as multisets)")
-    else:
-        full_ranks, orders = _sorted
-        chosen = np.zeros(full.n, dtype=bool)
-        chosen[_rows] = True
-        chosen = chosen[orders[0]]
-        sub_ranks = [r[chosen] for r in full_ranks]
-        del chosen  # the counts below need the K-long arrays of full only
+    The rows are checked (a ValueError) before anything is sorted or
+    counted, and the budget on Q's grid.  Q's ranks are full's, picked by a
+    K-long mark of the rows read in axis-0 order.  `_sorted` is
+    `_grid(full.points)[1:]`, the ranks and orders, when the caller already
+    has it."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError("rows must be a non-empty vector of integer row indices")
+    if rows.min() < 0 or rows.max() >= full.n:
+        raise ValueError(f"rows must lie in [0, {full.n})")
+    chosen = np.zeros(full.n, dtype=bool)
+    chosen[rows] = True
+    if np.count_nonzero(chosen) != rows.size:
+        raise ValueError("rows may not repeat an index")
+    full_ranks, orders = _grid(full.points)[1:] if _sorted is None else _sorted
+    chosen = chosen[orders[0]]
+    sub_ranks = [r[chosen] for r in full_ranks]
+    del chosen  # the counts below need the K-long arrays of full only
 
-    # slot 2j + 1 of an axis holds the subset's j-th distinct rank, slot 2j
-    # the gap below it, and slot 2m the gap above the last
+    # slot 2j + 1 of an axis holds Q's j-th distinct rank, slot 2j the gap
+    # below it, and slot 2m the gap above the last
     distinct, sub_slots = zip(*(np.unique(r, return_inverse=True) for r in sub_ranks))
     shape = tuple(2 * q.size + 1 for q in distinct)
     cells = _check_budget(shape, budget)
     # in axis-0 order, the points of full in one axis-0 slot are one
-    # stretch, cut where the subset's ranks start and end
+    # stretch, cut where Q's ranks start and end
     cuts = np.searchsorted(full_ranks[0], np.stack([distinct[0], distinct[0] + 1], 1))
     lengths = np.diff(cuts.ravel(), prepend=0, append=full.n)
     flat = np.repeat(np.arange(shape[0]) * (cells // shape[0]), lengths)
@@ -447,11 +422,11 @@ def discrete_discrepancy(
     sub_flat = np.ravel_multi_index([2 * i + 1 for i in sub_slots], shape)
     sub_flat.sort()
 
-    rows = max(1, _BLOCK_CELLS * shape[0] // cells)
-    ratio = subset.n / full.n
+    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    ratio = rows.size / full.n
     best = 0.0
     for (c, _), (c_sub, _) in zip(
-        _count_blocks(flat, shape, rows), _count_blocks(sub_flat, shape, rows)
+        _count_blocks(flat, shape, block_rows), _count_blocks(sub_flat, shape, block_rows)
     ):
         vals = ratio * c
         vals -= c_sub

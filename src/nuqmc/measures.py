@@ -26,7 +26,6 @@ independent streams.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -366,12 +365,11 @@ class RestrictionMeasure(BoxMeasure):
     def __init__(self, omega: OmegaRegion | Sequence):
         self.omega = omega if isinstance(omega, OmegaRegion) else OmegaRegion(omega)
         self.dim = self.omega.dim
-        self.cached_volume = self.omega.volume
 
     def mass_on_grid(self, axes, closed=True):
         self._check_axes(axes)
         grid = self.omega.intersection_volume_grid(axes)
-        grid /= self.cached_volume
+        grid /= self.omega.volume
         return grid
 
     def sample(self, seed: int, count: int) -> PointSet:
@@ -528,11 +526,5 @@ def measure_from_config(cfg, base_dir: Path | None = None) -> BoxMeasure:
         pts_path = Path(cfg["points"])
         if base_dir is not None and not pts_path.is_absolute():
             pts_path = base_dir / pts_path
-        # decimal strings parsed exactly (field-by-field, no locale surprises)
-        rows = []
-        with open(pts_path, newline="") as f:
-            for row in csv.reader(f):
-                if row:
-                    rows.append([float(x) for x in row])
-        return DiscreteMeasure(PointSet(np.array(rows)))
+        return DiscreteMeasure(PointSet.from_csv(pts_path))
     raise ValueError(f"unknown measure type {kind!r}")

@@ -21,7 +21,7 @@ None, if even that grid is over the scan budget).
 
 The infinite sequence interleaves blocks of sizes N_i = 2^(2^i - 2)
 (1, 4, 64, 16384, ...) built in dimension d+1 for nu = mu x lambda, ordered
-by strictly increasing auxiliary coordinate and projected back to d
+by increasing auxiliary coordinate and projected back to d
 dimensions.  A prefix of length N = M_i + j splits over blocks, and its
 discrepancy is bounded by the certificate envelope
 
@@ -131,7 +131,7 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     del orders[1:]
     sel = select_subset(z, n, _decomp=decomp)
     try:
-        dd = discrete_discrepancy(sel.selected, z, _sorted=(ranks, orders), _rows=sel.indices)
+        dd = discrete_discrepancy(z, sel.indices, _sorted=(ranks, orders))
     except BudgetExceededError:
         dd = None
     box_bound = sel.certificate["box_bound"]
@@ -178,7 +178,6 @@ class SequenceState:
     block_index: int = 0                 # last built block (0 = none yet)
     pos: int = 0                         # next emission index within block
     block_points: np.ndarray | None = None       # projected d-dim points
-    block_full: np.ndarray | None = None         # (d+1)-dim points, sorted
     block_certificates: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -193,16 +192,11 @@ def _build_block(state: SequenceState, mu: BoxMeasure, cfg: ConstructionConfig):
     block_seed = int(np.random.default_rng((cfg.seed, i)).integers(0, 2**63 - 1))
     block_cfg = ConstructionConfig(cfg.k_policy, cfg.scale_c, block_seed)
     pts, cert = construct_point_set(nu, n_i, block_cfg)
-    full = pts.points[np.argsort(pts.points[:, -1], kind="stable")].copy()
-    # strictly increasing auxiliary coordinate: ties get the minimal
-    # representable increment (cannot exceed 1.0 for unit-interval values)
-    for row in range(1, full.shape[0]):
-        if full[row, -1] <= full[row - 1, -1]:
-            full[row, -1] = min(np.nextafter(full[row - 1, -1], 2.0), 1.0)
+    # ties in the auxiliary coordinate keep the construction's order
+    order = np.argsort(pts.points[:, -1], kind="stable")
     state.block_index = i
     state.pos = 0
-    state.block_full = full
-    state.block_points = full[:, :-1]
+    state.block_points = pts.points[order, :-1]
     state.block_certificates.append(min(1.0, cert["bound"]))
 
 

@@ -24,9 +24,10 @@ a bound on |#(selected in A) - (N/K) #(z in A)| over all anchored boxes A:
     slab boundaries:    #(G(J+1) \\ G(J))           <= 2dK/N
     anchored boxes:     |#(Q in A) - (N/K) #(z in A)| <= 6E + 4d + 6
 
-with Q the final selection.  The analogous constant with the
-non-constructive reference prefix error is recorded alongside for
-comparison.
+with Q the final selection: N distinct rows of z, whose indices
+`discrepancy.discrete_discrepancy(z, indices)` takes to measure the left
+side exactly.  The analogous constant with the non-constructive reference
+prefix error is recorded alongside for comparison.
 """
 
 from __future__ import annotations
@@ -45,43 +46,12 @@ __all__ = ["CellDecomposition", "SelectionResult", "decompose", "select_subset"]
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """Per-axis rank slabs and the scaled cell-occupancy array."""
+    """The scaled cell-occupancy array of the rank slabs, and every cell's
+    representative."""
 
-    z: PointSet
-    n_target: int
-    boundaries: np.ndarray    # (d, N+1) rank cut points floor(i*K/N)
     counts: np.ndarray        # (N,)*d cell occupancies
     beta: np.ndarray          # N/(K+N) * counts
     first: np.ndarray         # (N,)*d lowest index of a cell's points, K if none
-
-    @property
-    def k(self) -> int:
-        return self.z.n
-
-    @property
-    def d(self) -> int:
-        return self.z.dim
-
-    @property
-    def point_cells(self) -> np.ndarray:
-        """(K, d) 0-based slab index per point per axis, from a fresh sort."""
-        cells = np.empty((self.k, self.d), dtype=np.int64)
-        for s, order in enumerate(_grid(self.z.points)[2]):
-            cells[order, s] = _slab_of_rank(self.k, self.n_target)
-        return cells
-
-    def prefix_count(self, prefix) -> int:
-        """#G(J) = number of z points in the union of cells <= J (1-based)."""
-        prefix = tuple(int(j) for j in prefix)
-        if any(j < 0 for j in prefix):
-            return 0
-        cum = self.counts
-        for axis in range(self.d):
-            cum = np.cumsum(cum, axis=axis)
-        idx = tuple(min(j, self.n_target) - 1 for j in prefix)
-        if any(i < 0 for i in idx):
-            return 0
-        return int(cum[idx])
 
 
 def _slab_of_rank(k: int, n: int) -> np.ndarray:
@@ -103,10 +73,6 @@ def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
         raise ValueError(
             f"N={n_target} violates the selection hypothesis N <= sqrt(K) (K={k})"
         )
-    boundaries = np.tile(np.arange(n_target + 1, dtype=np.int64) * k // n_target, (d, 1))
-    slab_sizes = np.diff(boundaries[0])
-    assert np.all(np.abs(slab_sizes - k / n_target) < 1.0)
-
     if _orders is None:
         _orders = _grid(z.points)[2]
     # axis-0 position p has axis-0 rank p + 1; on axis s a sorted position's
@@ -130,7 +96,7 @@ def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
         raise ValueError(
             "cell occupancy exceeds (K+N)/N; rank slabs cannot absorb the input"
         )
-    return CellDecomposition(z, n_target, boundaries, counts, beta, first.reshape(shape))
+    return CellDecomposition(counts, beta, first.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -155,7 +121,7 @@ def select_subset(z: PointSet, n_target: int, *, _decomp=None) -> SelectionResul
     rounding that actually ran.  `_decomp` is `decompose(z, n_target)` when
     the caller already has it."""
     decomp = decompose(z, n_target) if _decomp is None else _decomp
-    k, d = decomp.k, decomp.d
+    k, d = z.n, z.dim
 
     b, round_cert = round_array(decomp.beta)
     # representative = lowest original index among each 1-cell's members

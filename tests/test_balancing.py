@@ -37,8 +37,6 @@ def test_hypergraph_degree_cached_and_checked():
     h = Hypergraph(3, ([0, 1], [1, 2], [1]))
     assert h.max_degree == 3
     with pytest.raises(ValueError):
-        Hypergraph(3, ([0, 1],), max_degree=5)
-    with pytest.raises(ValueError):
         Hypergraph(2, ([0, 3],))
     with pytest.raises(ValueError):
         Hypergraph(2, ([0, 0],))
@@ -64,8 +62,6 @@ def test_hypergraph_csr_validation():
         Hypergraph(5, ([1, 5],))
     with pytest.raises(ValueError, match="outside"):
         Hypergraph(5, ([], [2, -1]))
-    with pytest.raises(ValueError, match="max_degree"):
-        Hypergraph(5, ([0, 1], [1, 2]), max_degree=1)
     with pytest.raises(ValueError, match="csr"):
         Hypergraph(5, csr=([0, 3], [1, 2]))
 

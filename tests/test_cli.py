@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from conftest import pin_message
+from nuqmc import cli
 from nuqmc.balancing import TRACE_KEYS
 from nuqmc.cli import main
 
@@ -49,6 +50,27 @@ def test_disc_bracket_mode(tmp_path, capsys):
     rep = json.loads(report.read_text())
     assert rep["mode"] == "bracket" and rep["grid"] == [10, 10]
     assert (rep["value"], rep["upper"]) == (lower, upper)
+
+
+def test_disc_manifest_times_the_scan(tmp_path, capsys, monkeypatch):
+    # the manifest's wall time covers the scan: a fake clock moves 5 s while
+    # the scan runs
+    clock = [100.0]
+    monkeypatch.setattr(cli.time, "time", lambda: clock[0])
+    scan = cli.exact_star_discrepancy
+
+    def slow_scan(*args, **kwargs):
+        clock[0] += 5.0
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_star_discrepancy", slow_scan)
+    p = tmp_path / "p.csv"
+    p.write_text("0.5\n")
+    report = tmp_path / "r.json"
+    code, _, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform", "--d", "1",
+                     "--report", str(report))
+    assert code == 0
+    assert json.loads((tmp_path / "r.json.manifest.json").read_text())["wall_time_s"] == 5.0
 
 
 def test_inverse_size_paper(capsys):
@@ -202,6 +224,14 @@ def test_verify_balancing_suite(capsys):
     assert code == 0
     assert "PASS" in out
     assert "beck-fiala" in out
+
+
+def test_verify_selection_suite(capsys):
+    # the suite measures every selection's discrepancy from its row indices
+    code, out, _ = run(capsys, "verify", "--suite", "selection", "--seed", "1")
+    assert code == 0
+    assert "PASS" in out
+    assert "selection d=2" in out
 
 
 def test_exit_code_usage_error(capsys):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import naive_star_discrepancy
 from nuqmc import discrepancy
 from nuqmc.discrepancy import (
     BudgetExceededError,
@@ -19,7 +20,6 @@ from nuqmc.discrepancy import (
     local_star_discrepancy,
 )
 from nuqmc.measures import (
-    AnchoredBox,
     DiscreteMeasure,
     PointSet,
     PowerCdf,
@@ -30,30 +30,6 @@ from nuqmc.measures import (
     UniformCdf,
     uniform_measure,
 )
-
-
-def naive_star_discrepancy(ps, mu):
-    """Independent oracle: pure-python enumeration of the critical grid
-    (point coordinates, measure atoms, and 1.0) in both variants with direct
-    point counting and scalar mass calls."""
-    jumps = mu.jump_coordinates()
-    axes = []
-    for s in range(ps.dim):
-        vals = set(ps.points[:, s].tolist()) | {1.0}
-        if jumps is not None:
-            vals |= set(np.asarray(jumps[s]).tolist())
-        axes.append(sorted(vals))
-    best = 0.0
-    for corner in itertools.product(*axes):
-        c = np.array(corner)
-        for closed in (True, False):
-            if closed:
-                cnt = sum(1 for p in ps.points if np.all(p <= c))
-            else:
-                cnt = sum(1 for p in ps.points if np.all(p < c))
-            m = mu.mass(AnchoredBox(c, closed=closed))
-            best = max(best, abs(cnt / ps.n - m))
-    return best
 
 
 def test_single_midpoint():
@@ -162,7 +138,7 @@ def test_discrete_measure_atoms_off_point_grid():
     mu = DiscreteMeasure(full)
     rep = exact_star_discrepancy(sub, mu)
     assert rep.value == pytest.approx(1.0 / 3.0, abs=1e-15)  # |0 - 4/12| at (0,1)
-    assert discrete_discrepancy(sub, full) == pytest.approx(1.0, abs=1e-15)
+    assert discrete_discrepancy(full, [1, 11, 9]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_budget_refusal():
@@ -292,14 +268,13 @@ def naive_discrete_discrepancy(subset, full):
 def test_discrete_discrepancy_identity():
     rng = np.random.default_rng(6)
     z = PointSet(rng.random((16, 2)))
-    assert discrete_discrepancy(z, z) == 0.0
+    assert discrete_discrepancy(z, np.arange(16)) == 0.0
 
 
 def test_discrete_discrepancy_example():
     full = PointSet([[0.2], [0.4], [0.6], [0.8]])
-    sub = PointSet([[0.2], [0.6]])
-    assert discrete_discrepancy(sub, full) == pytest.approx(0.5, abs=1e-15)
-    assert naive_discrete_discrepancy(sub, full) == pytest.approx(0.5, abs=1e-15)
+    assert discrete_discrepancy(full, [0, 2]) == pytest.approx(0.5, abs=1e-15)
+    assert naive_discrete_discrepancy(PointSet([[0.2], [0.6]]), full) == pytest.approx(0.5, abs=1e-15)
 
 
 def check_discrete_discrepancy_matches_naive():
@@ -309,9 +284,9 @@ def check_discrete_discrepancy_matches_naive():
         k = int(rng.integers(4, 20))
         z = PointSet(rng.random((k, d)))
         n = int(rng.integers(1, k + 1))
-        sub = PointSet(z.points[rng.choice(k, size=n, replace=False)])
-        assert discrete_discrepancy(sub, z) == pytest.approx(
-            naive_discrete_discrepancy(sub, z), abs=1e-12
+        rows = rng.choice(k, size=n, replace=False)
+        assert discrete_discrepancy(z, rows) == pytest.approx(
+            naive_discrete_discrepancy(PointSet(z.points[rows]), z), abs=1e-12
         )
 
 
@@ -328,15 +303,17 @@ def check_discrete_discrepancy_matches_naive_with_ties():
             z = tied_points(rng, base_n, d)  # row base_n repeats row 0
             extra = rng.choice(len(z), size=int(rng.integers(0, len(z) - 1)), replace=False)
             picks = np.union1d([0, base_n], extra)
-            sub = PointSet(z[picks][rng.permutation(len(picks))])
-            z = PointSet(z[rng.permutation(len(z))])
-            assert discrete_discrepancy(sub, z) == pytest.approx(
-                naive_discrete_discrepancy(sub, z), abs=1e-12
+            picks = picks[rng.permutation(len(picks))]
+            perm = rng.permutation(len(z))
+            rows = np.argsort(perm)[picks]  # the picked rows, in z[perm]
+            z = PointSet(z[perm])
+            assert discrete_discrepancy(z, rows) == pytest.approx(
+                naive_discrete_discrepancy(PointSet(z.points[rows]), z), abs=1e-12
             )
-            both = PointSet(np.concatenate([sub.points, sub.points]))
             dup = PointSet(np.concatenate([z.points, z.points]))
-            assert discrete_discrepancy(both, dup) == pytest.approx(
-                naive_discrete_discrepancy(both, dup), abs=1e-12
+            both = np.concatenate([rows, rows + z.n])
+            assert discrete_discrepancy(dup, both) == pytest.approx(
+                naive_discrete_discrepancy(PointSet(dup.points[both]), dup), abs=1e-12
             )
     # points of full at 0.0 and at 1.0 on an axis where the subset has none,
     # and low on the others: the sup may need the gap below the subset's
@@ -348,10 +325,11 @@ def check_discrete_discrepancy_matches_naive_with_ties():
             axis = int(rng.integers(d))
             ends[:, axis] = np.arange(len(ends)) % 2  # 0.0, 1.0, 0.0, ...
             picks = rng.choice(len(inner), size=int(rng.integers(1, len(inner) + 1)), replace=False)
-            sub = PointSet(inner[picks])
-            z = PointSet(rng.permutation(np.concatenate([inner, ends])))
-            assert discrete_discrepancy(sub, z) == pytest.approx(
-                naive_discrete_discrepancy(sub, z), abs=1e-12
+            perm = rng.permutation(len(inner) + len(ends))
+            rows = np.argsort(perm)[picks]  # the picked rows, in the shuffled cloud
+            z = PointSet(np.concatenate([inner, ends])[perm])
+            assert discrete_discrepancy(z, rows) == pytest.approx(
+                naive_discrete_discrepancy(PointSet(inner[picks]), z), abs=1e-12
             )
 
 
@@ -359,32 +337,40 @@ def test_discrete_discrepancy_matches_naive_with_ties():
     check_discrete_discrepancy_matches_naive_with_ties()
 
 
-def test_discrete_discrepancy_containment_enforced():
+def test_discrete_discrepancy_rows_enforced():
+    # rows must be a non-empty integer vector of indices in [0, K)
     z = PointSet([[0.2], [0.4]])
-    outsider = PointSet([[0.3]])
-    with pytest.raises(ValueError):
-        discrete_discrepancy(outsider, z)
+    for rows in ([], np.zeros(0, dtype=np.intp), [0.0, 1.0], [True, False], [[0, 1]], [2], [-1]):
+        with pytest.raises(ValueError, match="rows"):
+            discrete_discrepancy(z, rows)
 
 
-def test_discrete_discrepancy_containment_counts_rows():
-    # every coordinate occurs in full, but not as a row / not often enough
+def test_discrete_discrepancy_rows_distinct():
+    # an index may not repeat; equal points of full are distinct rows, so a
+    # selection may hold as many copies of a point as full does
     z = PointSet([[0.2, 0.4], [0.4, 0.2], [0.4, 0.2]])
-    with pytest.raises(ValueError):
-        discrete_discrepancy(PointSet([[0.2, 0.2]]), z)
-    with pytest.raises(ValueError):
-        discrete_discrepancy(PointSet([[0.2, 0.4], [0.2, 0.4]]), z)
-    discrete_discrepancy(PointSet([[0.4, 0.2], [0.4, 0.2], [0.2, 0.4]]), z)
+    with pytest.raises(ValueError, match="repeat"):
+        discrete_discrepancy(z, [1, 1])
+    with pytest.raises(ValueError, match="repeat"):
+        discrete_discrepancy(z, [0, 2, 0])
+    assert discrete_discrepancy(z, [1, 2, 0]) == 0.0
 
 
-def test_discrete_discrepancy_containment_before_budget():
-    # containment is checked first: a non-contained subset is a ValueError
-    # even when the grid is far over budget
+def test_discrete_discrepancy_rows_before_budget(monkeypatch):
+    # the rows are checked first: bad rows are a ValueError even when the
+    # grid is far over budget, and nothing is sorted for them
     rng = np.random.default_rng(12)
     z = PointSet(rng.random((50, 2)))
-    with pytest.raises(ValueError):
-        discrete_discrepancy(PointSet([[0.5, 0.5]]), z, budget=1)
     with pytest.raises(BudgetExceededError):
-        discrete_discrepancy(PointSet(z.points[:3]), z, budget=1)
+        discrete_discrepancy(z, [0, 1, 2], budget=1)
+
+    def no_sort(points):
+        raise AssertionError("sorted before the rows were checked")
+
+    monkeypatch.setattr(discrepancy, "_grid", no_sort)
+    for rows in ([3, 3], [50], [0.5]):
+        with pytest.raises(ValueError):
+            discrete_discrepancy(z, rows, budget=1)
 
 
 def test_restriction_measure_scan():

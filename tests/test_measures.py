@@ -188,6 +188,10 @@ def test_measure_from_config_roundtrip(tmp_path):
     atoms.write_text("0.25\n0.75\n")
     mu3 = measure_from_config({"type": "discrete", "points": str(atoms)})
     assert mu3.mass(AnchoredBox(np.array([0.25]))) == pytest.approx(0.5)
+    # blank lines are skipped, and decimal strings parse to the nearest double
+    atoms.write_text("0.1,0.30000000000000004\n\n0.7,1e-300\n")
+    mu4 = measure_from_config({"type": "discrete", "points": str(atoms)})
+    assert mu4.atoms.points.tolist() == [[0.1, 0.30000000000000004], [0.7, 1e-300]]
 
     path = tmp_path / "m.json"
     path.write_text('{"type": "uniform", "d": 2}')

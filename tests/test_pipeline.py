@@ -32,6 +32,7 @@ from nuqmc.pipeline import (
     take_sequence,
     SequenceState,
 )
+from nuqmc.selection import select_subset
 
 
 def test_construct_single_point():
@@ -151,7 +152,9 @@ def test_construct_scans_equal_standalone_scans(case):
     assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
     assert cert["sampling_term"] == exact_star_discrepancy(z, mu).value
     assert cert["sampling_lower"] == cert["sampling_term"] and cert["sampling_grid"] is None
-    assert cert["selection_dd"] == discrete_discrepancy(pts, z)
+    rows = select_subset(z, n).indices
+    assert np.array_equal(z.points[rows], pts.points)
+    assert cert["selection_dd"] == discrete_discrepancy(z, rows)
 
 
 def test_construction_scans_stream_below_a_sixteenth_of_a_grid():
@@ -190,7 +193,9 @@ def test_selection_discrepancy_measured_past_the_cloud_grid_budget(case):
     assert cert["sampling_mode"] == "bracket" and cert["sampling_grid"] == (4 * n,) * 2
     assert cert["sampling_lower"] <= cert["sampling_term"] < 1.0 / n
     assert cert["selection_dd"] is not None
-    assert cert["selection_dd"] == discrete_discrepancy(pts, z)
+    rows = select_subset(z, n).indices
+    assert np.array_equal(z.points[rows], pts.points)
+    assert cert["selection_dd"] == discrete_discrepancy(z, rows)
     assert cert["achieved_bound"] < cert["bound"]
 
 
@@ -303,7 +308,16 @@ def test_sequence_auxiliary_coordinate_strictly_increasing():
     cfg = ConstructionConfig(seed=2)
     for _ in range(6):
         _, state = next_point(state, mu, cfg)
-    aux = state.block_full[:, -1]
+    # block 3 rebuilt: each emitted point is one of its points, projected;
+    # their auxiliary coordinates rise in the order of emission
+    i = state.block_index
+    block_seed = int(np.random.default_rng((cfg.seed, i)).integers(0, 2**63 - 1))
+    pts, _ = construct_point_set(
+        ProductExtensionMeasure(mu), block_size(i), ConstructionConfig(seed=block_seed)
+    )
+    match = np.all(state.block_points[:, None, :] == pts.points[None, :, :-1], axis=2)
+    assert np.all(match.sum(axis=1) == 1)
+    aux = pts.points[match.argmax(axis=1), -1]
     assert np.all(np.diff(aux) > 0)
 
 

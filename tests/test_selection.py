@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
+from conftest import prefix_count
 from nuqmc.discrepancy import _grid, discrete_discrepancy
 from nuqmc.measures import PointSet, PowerCdf, ProductMeasure, uniform_measure
-from nuqmc.selection import decompose, select_subset
+from nuqmc.selection import _slab_of_rank, decompose, select_subset
+
+
+def stable_cells(pts, n):
+    """(K, d) 0-based slab of every point on every axis, from a stable
+    argsort per axis: rank r falls in slab ceil(r*N/K) - 1."""
+    k, d = pts.shape
+    cells = np.empty((k, d), dtype=np.int64)
+    for s in range(d):
+        cells[np.argsort(pts[:, s], kind="stable"), s] = (np.arange(1, k + 1) * n + k - 1) // k - 1
+    return cells
 
 
 def test_decompose_two_slabs_d1():
     z = PointSet([[0.1], [0.3], [0.6], [0.9]])
     dc = decompose(z, 2)
-    assert np.array_equal(dc.boundaries[0], [0, 2, 4])
+    assert np.array_equal(np.cumsum(dc.counts), [2, 4])  # slabs cut at 0, 2, 4
     assert np.allclose(dc.beta, [2 / 3, 2 / 3])
     assert dc.counts.sum() == 4
 
@@ -32,14 +43,18 @@ def test_decompose_slabs_match_boundary_search():
     for k, n, d in [(4, 2, 1), (10, 3, 1), (17, 4, 2), (50, 7, 2), (1000, 31, 1), (343, 6, 3)]:
         z = PointSet(rng.integers(0, 5, size=(k, d)) / 4.0)  # many ties
         dc = decompose(z, n)
+        boundaries = np.arange(n + 1) * k // n
         cells = np.empty((k, d), dtype=np.int64)
+        closed_form = np.empty((k, d), dtype=np.int64)
         for s in range(d):
+            order = np.argsort(z.points[:, s], kind="stable")
             ranks = np.empty(k, dtype=np.int64)
-            ranks[np.argsort(z.points[:, s], kind="stable")] = np.arange(1, k + 1)
-            cells[:, s] = np.searchsorted(dc.boundaries[s, 1:], ranks, side="left")
+            ranks[order] = np.arange(1, k + 1)
+            cells[:, s] = np.searchsorted(boundaries[1:], ranks, side="left")
+            closed_form[order, s] = _slab_of_rank(k, n)
         counts = np.zeros((n,) * d, dtype=np.int64)
         np.add.at(counts, tuple(cells.T), 1)
-        assert np.array_equal(dc.point_cells, cells)
+        assert np.array_equal(closed_form, cells)
         assert np.array_equal(dc.counts, counts)
         assert np.array_equal(dc.beta, counts * (n / (k + n)))
 
@@ -47,7 +62,8 @@ def test_decompose_slabs_match_boundary_search():
 def test_decompose_byte_equal_to_stable_argsort():
     # slabs from the shared sort equal slabs from kind="stable" on tie-heavy
     # clouds (a k/8 grid with 0.0 and 1.0, duplicate rows), whether the
-    # orders are passed in or computed by decompose itself
+    # orders are passed in or computed by decompose itself: every point lands
+    # in its stable-argsort cell, which fixes the counts and representatives
     rng = np.random.default_rng(8)
     rows = rng.random((30, 2))
     for pts, n in [
@@ -57,13 +73,11 @@ def test_decompose_byte_equal_to_stable_argsort():
     ]:
         z = PointSet(pts)
         k, d = pts.shape
-        cells = np.empty((k, d), dtype=np.int64)
-        for s in range(d):
-            cells[np.argsort(pts[:, s], kind="stable"), s] = (
-                np.arange(1, k + 1) * n + k - 1
-            ) // k - 1
+        cells = stable_cells(pts, n)
+        first = np.full((n,) * d, k, dtype=np.int64)
+        np.minimum.at(first, tuple(cells.T), np.arange(k))
         for dc in (decompose(z, n), decompose(z, n, _orders=_grid(pts)[2])):
-            assert dc.point_cells.tobytes() == cells.tobytes()
+            assert dc.first.tobytes() == first.tobytes()
             counts = np.bincount(
                 np.ravel_multi_index(tuple(cells.T), (n,) * d), minlength=n**d
             ).reshape((n,) * d)
@@ -82,7 +96,7 @@ def test_decompose_first_is_lowest_index_per_cell():
     ]:
         dc = decompose(PointSet(pts), n)
         first = np.full((n,) * pts.shape[1], len(pts), dtype=np.int64)
-        np.minimum.at(first, tuple(dc.point_cells.T), np.arange(len(pts)))
+        np.minimum.at(first, tuple(stable_cells(pts, n).T), np.arange(len(pts)))
         assert np.array_equal(dc.first, first)
 
 
@@ -109,8 +123,9 @@ def test_scaled_occupancy_in_unit_interval():
         z = PointSet(rng.random((k, d)))
         dc = decompose(z, n)
         assert 0.0 <= dc.beta.min() and dc.beta.max() <= 1.0
-        sizes = np.diff(dc.boundaries, axis=1)
-        assert np.all(np.abs(sizes - k / n) < 1.0)
+        for axis in range(d):  # slab sizes: the counts summed over the other axes
+            sizes = dc.counts.sum(axis=tuple(a for a in range(d) if a != axis))
+            assert np.all(np.abs(sizes - k / n) < 1.0)
 
 
 def test_select_single_point_identity():
@@ -118,14 +133,14 @@ def test_select_single_point_identity():
     res = select_subset(z, 1)
     assert res.selected.n == 1
     assert np.array_equal(res.selected.points, z.points)
-    assert discrete_discrepancy(res.selected, z) == 0.0
+    assert discrete_discrepancy(z, res.indices) == 0.0
 
 
 def test_select_equispaced_64_to_8():
     z = PointSet(((np.arange(64) + 0.5) / 64).reshape(-1, 1))
     res = select_subset(z, 8)
     assert res.selected.n == 8
-    dd = discrete_discrepancy(res.selected, z)
+    dd = discrete_discrepancy(z, res.indices)
     assert dd <= res.certificate["box_bound"] + 1e-9
 
 
@@ -134,7 +149,7 @@ def test_select_d2_certificate_and_cardinality():
     res = select_subset(z, 32)
     assert res.selected.n == 32
     assert abs(res.raw_selected_count - 32) <= res.certificate["g_bound"] + 1e-9
-    dd = discrete_discrepancy(res.selected, z)
+    dd = discrete_discrepancy(z, res.indices)
     assert dd <= res.certificate["box_bound"] + 1e-9
 
 
@@ -146,7 +161,7 @@ def test_selected_is_submultiset():
     assert res.selected.n == 8
     # indices are distinct positions into z
     assert len(np.unique(res.indices)) == 8
-    dd = discrete_discrepancy(res.selected, z)  # also checks containment
+    dd = discrete_discrepancy(z, res.indices)  # also checks the rows are distinct
     assert dd <= res.certificate["box_bound"] + 1e-9
 
 
@@ -156,10 +171,10 @@ def test_slab_boundary_bound():
     z = mu.sample(7, 900)
     n = 30
     dc = decompose(z, n)
-    bound = 2 * dc.d * dc.k / n
+    bound = 2 * z.dim * z.n / n
     for _ in range(50):
-        j = rng.integers(1, n, size=dc.d)
-        grow = dc.prefix_count(tuple(j + 1)) - dc.prefix_count(tuple(j))
+        j = rng.integers(1, n, size=z.dim)
+        grow = prefix_count(dc.counts, j + 1) - prefix_count(dc.counts, j)
         assert grow <= bound + 1e-9
 
 
