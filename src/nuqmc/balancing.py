@@ -18,10 +18,10 @@ The walk takes null-space steps in two ways:
     0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
     null-space moves, and at a vertex the floating count is at most the
     number of active edges, so the floating set shrinks geometrically.
-    An active edge whose two halves (Hypergraph.halves) are both active
-    is their disjoint union, so its row is the sum of theirs: the LP
-    holds only the active rows not implied by their halves, which
-    leaves the polytope unchanged, and HiGHS runs without presolve;
+    An active edge that the hypergraph names as the disjoint union of two
+    other active edges (`implied`) has the sum of their rows as its row:
+    the LP holds only the active rows not so implied, which leaves the
+    polytope unchanged, and HiGHS runs without presolve;
 (b) a single explicit null-space step as a progress guard, when a jump
     freezes nothing: a probe vector minus its least-squares projection
     onto the active rows' span (sparse lsqr), so no dense matrix of the
@@ -30,12 +30,17 @@ The walk takes null-space steps in two ways:
 The engine preserves zeros (beta_i = 0 implies b_i = 0), rounds integral
 vectors to themselves, and is a pure function of its input.
 
-A Hypergraph is stored in CSR form, (ptr, members), and that is the only
-form the engine reads: per-edge sums are segmented reductions and the
-active system's nonzeros come from one gather over the members, so no step
-loops over edges in Python.  Validation is vectorised the same way, whether
-the input is an edge list or CSR arrays.  beck_fiala_round counts its steps
-and the variables each froze in RoundingResult.details.
+The engine reads a hypergraph through `n`, `max_degree` and three methods,
+none of which loops over edges in Python: `edge_sums` (per-edge sums of a
+vertex vector, for the active mask and the error), `members_of` (the
+members of a set of edges, for the nonzeros of the active system) and
+`implied` (the active rows left out of the LP).  Hypergraph below serves
+them from CSR arrays, (ptr, members), as segmented reductions and one
+gather over the selected edges; its validation is vectorised the same way,
+whether the input is an edge list or CSR arrays.  dyadic.DyadicHypergraph
+serves them from the lattice without storing any member.
+beck_fiala_round counts its steps and the variables each froze in
+RoundingResult.details.
 
 scipy is imported by the two steps, (a) and (b), not by this module, so
 `import nuqmc` loads numpy only, and so do the measures, the scans and the
@@ -76,31 +81,27 @@ class Hypergraph:
 
     Build it from a sequence of edges, Hypergraph(n, edges), or from the CSR
     arrays themselves, Hypergraph(n, csr=(ptr, members)).  Both inputs go
-    through one vectorised validation: members lie in [0, n), each edge is
-    sorted (one segmented sort when it is not) and repeats no vertex, and
-    max_degree is counted by bincount.  Serialization is the JSON object
-    {"n": n, "edges": [[...], ...]}.
-
-    `halves`, an (m, 2) int array, optionally names for every edge two other
-    edges that partition it (-1, -1 where there are none); the dyadic
-    scheme gives each cell its two children.  The same pass checks that
-    they lie in [0, m), differ from their edge, and that their sizes add up
-    to its size; that they partition it is the caller's promise.  Without
-    them every row is (-1, -1).  Beck-Fiala leaves an edge's row out of its
-    LP when both halves are active.  Serialization does not carry them.
+    through one vectorised validation: vertex ids are integers (a float id
+    is refused, not truncated) in [0, n), each edge is sorted (one segmented
+    sort when it is not) and repeats no vertex, and max_degree is counted by
+    bincount.  Serialization is the JSON object {"n": n, "edges": [[...], ...]}.
     """
 
-    def __init__(self, n: int, edges=(), *, csr=None, halves=None):
+    def __init__(self, n: int, edges=(), *, csr=None):
         if n < 0:
             raise ValueError("n must be nonnegative")
         if csr is None:
-            sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-            ptr = np.concatenate([[0], np.cumsum(sizes)])
+            edges = [np.asarray(e) for e in edges]
+            _check_integral(*edges)
+            ptr = np.concatenate([[0], np.cumsum([e.size for e in edges], dtype=np.int64)])
+            # only empty edges can still be float here, so no id is truncated
             members = np.concatenate(
                 [np.zeros(0, dtype=np.int64), *edges], dtype=np.int64, casting="unsafe"
             )
         else:
-            ptr, members = (np.asarray(a, dtype=np.int64) for a in csr)
+            ptr, members = (np.asarray(a) for a in csr)
+            _check_integral(ptr, members)
+            ptr, members = ptr.astype(np.int64), members.astype(np.int64)
             if (
                 ptr.ndim != 1 or members.ndim != 1 or ptr.size == 0 or ptr[0] != 0
                 or ptr[-1] != members.size or np.any(np.diff(ptr) < 0)
@@ -119,28 +120,10 @@ class Hypergraph:
             members = members[np.lexsort((members, edge_of))]
             if np.any(inner & (np.diff(members) == 0)):
                 raise ValueError("edges may not repeat a vertex")
-        m = len(ptr) - 1
-        if halves is None:
-            halves = np.full((m, 2), -1, dtype=np.int64)
-        else:
-            halves = np.asarray(halves, dtype=np.int64)
-            if halves.shape != (m, 2):
-                raise ValueError(f"halves must have shape ({m}, 2)")
-            h0, h1 = halves[:, 0], halves[:, 1]
-            split = (np.minimum(h0, h1) >= 0) & (np.maximum(h0, h1) < m)
-            if np.any(~split & ((h0 != -1) | (h1 != -1))):
-                raise ValueError(f"halves must be edge ids in [0, {m}), or -1, -1")
-            own = np.arange(m)
-            if np.any((h0 == own) | (h1 == own)):
-                raise ValueError("an edge may not be its own half")
-            sizes = np.diff(ptr)
-            if np.any(split & (sizes[h0] + sizes[h1] != sizes)):
-                raise ValueError("the sizes of an edge's halves must add up to its size")
         self.n = n
         self.ptr = ptr
         self.members = members
         self.max_degree = int(np.bincount(members, minlength=n).max()) if n else 0
-        self.halves = halves
 
     @property
     def m(self) -> int:
@@ -152,12 +135,46 @@ class Hypergraph:
         serialization; the engine works on the CSR arrays."""
         return tuple(np.split(self.members, self.ptr[1:-1])) if self.m else ()
 
+    def edge_sums(self, vals) -> np.ndarray:
+        """Per-edge sums of the vertex vector `vals`, in its dtype; an empty
+        edge sums to 0."""
+        vals = np.asarray(vals)[self.members]
+        sums = np.zeros(self.m, dtype=vals.dtype)
+        nonempty = self.ptr[1:] > self.ptr[:-1]
+        if nonempty.any():
+            sums[nonempty] = np.add.reduceat(vals, self.ptr[:-1][nonempty])
+        return sums
+
+    def members_of(self, edges):
+        """(row, vertex) of every member of the edges marked in the bool
+        mask `edges`, edge after edge and each edge's members ascending:
+        row r is the r-th marked edge.  Only their member ranges are
+        expanded."""
+        picked = np.flatnonzero(edges)
+        sizes = np.diff(self.ptr)[picked]
+        rows = np.repeat(np.arange(picked.size), sizes)
+        # a member's position: its edge's start plus its place in the edge
+        pos = np.arange(rows.size) + (self.ptr[picked] - np.cumsum(sizes) + sizes)[rows]
+        return rows, self.members[pos]
+
+    def implied(self, active) -> np.ndarray:
+        """The active edges that are the disjoint union of two other active
+        edges; the CSR form names no such pair, so none."""
+        return np.zeros_like(active)
+
     def to_dict(self):
         return {"n": self.n, "edges": [e.tolist() for e in self.edges]}
 
     @classmethod
     def from_dict(cls, d):
         return cls(int(d["n"]), tuple(d["edges"]))
+
+
+def _check_integral(*arrays):
+    """Refuse vertex ids or offsets that are not integers; an empty array
+    (numpy reads `[]` as float) passes."""
+    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+        raise ValueError("vertex ids and csr offsets must be integers")
 
 
 @dataclass(frozen=True)
@@ -190,8 +207,7 @@ def edge_error(h: Hypergraph, beta: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if beta.shape != (h.n,) or b.shape != (h.n,):
         raise ValueError("beta and b must be vectors of length n")
-    sums = _edge_sums(h.ptr, (beta - b)[h.members])
-    return float(np.abs(sums).max(initial=0.0))
+    return float(np.abs(h.edge_sums(beta - b)).max(initial=0.0))
 
 
 def _check_beta(h: Hypergraph, beta) -> np.ndarray:
@@ -212,16 +228,6 @@ def _snap(x, floating):
     floating &= ~(lo | hi)
 
 
-def _edge_sums(ptr, vals):
-    """Per-edge sums of `vals`, laid out like the members of the CSR `ptr`;
-    an empty edge sums to 0."""
-    sums = np.zeros(len(ptr) - 1, dtype=vals.dtype)
-    nonempty = ptr[1:] > ptr[:-1]
-    if nonempty.any():
-        sums[nonempty] = np.add.reduceat(vals, ptr[:-1][nonempty])
-    return sums
-
-
 class _EngineState:
     """Shared bookkeeping for the floating-colors walk, plus the counters of
     the steps it took (`trace`, reported as RoundingResult.details)."""
@@ -231,24 +237,16 @@ class _EngineState:
         self.x = beta.astype(float).copy()
         self.floating = np.ones(h.n, dtype=bool)
         _snap(self.x, self.floating)
-        self.ptr, self.members = h.ptr, h.members
         self.trace = dict.fromkeys(TRACE_KEYS, 0)
 
     def active_mask(self):
-        counts = _edge_sums(self.ptr, self.floating[self.members].astype(np.int64))
-        return counts > self.h.max_degree
+        return self.h.edge_sums(self.floating.astype(np.int64)) > self.h.max_degree
 
     def active_floating(self, active):
         """(row, column) of every floating member of every active edge, in
         edge order: row r is the r-th active edge and column c the c-th
-        floating variable, i.e. the nonzeros of the active system.  Only the
-        active edges' member ranges are expanded."""
-        edges = np.flatnonzero(active)
-        sizes = np.diff(self.ptr)[edges]
-        rows = np.repeat(np.arange(edges.size), sizes)
-        # a member's position: its edge's start plus its place in the edge
-        pos = np.arange(rows.size) + (self.ptr[edges] - np.cumsum(sizes) + sizes)[rows]
-        members = self.members[pos]
+        floating variable, i.e. the nonzeros of the active system."""
+        rows, members = self.h.members_of(active)
         keep = self.floating[members]
         return rows[keep], (np.cumsum(self.floating) - 1)[members[keep]]
 
@@ -260,10 +258,9 @@ def _lp_round(st: _EngineState, active) -> bool:
 
     if not active.any():
         return False
-    # an active edge with both halves active is their disjoint union: its
-    # row is the sum of theirs (recursively), so it is left out
-    h0, h1 = st.h.halves.T
-    kept = active & ~((h0 >= 0) & active[h0] & active[h1])
+    # an active edge that is the disjoint union of two active edges has the
+    # sum of their rows (recursively) as its row, so it is left out
+    kept = active & ~st.h.implied(active)
     n_kept = int(np.count_nonzero(kept))
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size

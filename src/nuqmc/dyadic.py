@@ -6,14 +6,15 @@ N^ is N rounded up to a power of two, m = log2(N^).  For every level vector
     prod_s { j_s 2^{m_s} + 1, ..., (j_s + 1) 2^{m_s} }
 
 partition the lattice, so each lattice point lies in exactly (m+1)^d edges
-and the hypergraph has maximum degree (m+1)^d.  build_scheme writes the
-hypergraph straight into CSR form: each level vector's cells are one
-reshape-and-transpose of the lattice, filling one n_hat^d-long stretch of
-the member array, so no per-edge array is built.  It also names every
-non-unit cell's two halves, its children along the first axis with a
-nonzero level, by one ravel_multi_index per level vector; the Beck-Fiala
-LP leaves a cell's row out when both halves' rows are in.  Every anchored lattice
-prefix {1..J_1} x ... x {1..J_d} is a disjoint union of at most one cell per
+and the hypergraph has maximum degree (m+1)^d.  build_scheme stores no
+member: DyadicHypergraph holds one (first edge, block shape, cell shape)
+entry per level vector and answers what beck_fiala_round asks from the
+lattice.  A level's cell sums are the pairwise sums of the level one step
+finer along its first axis with a nonzero level, a cell's members are a
+block of the row-major lattice, and those same two children are the
+cell's halves, so the Beck-Fiala LP leaves a cell's row out when both
+halves' rows are in.  Every anchored lattice prefix
+{1..J_1} x ... x {1..J_d} is a disjoint union of at most one cell per
 level vector (read off the binary representations of the J_s), which turns a
 per-edge rounding error e into an anchored-prefix error of at most
 e * (m+1)^d.
@@ -34,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balancing import Hypergraph, beck_fiala_round
+from .balancing import beck_fiala_round
 from .discrepancy import BudgetExceededError
 
 __all__ = [
+    "DyadicHypergraph",
     "DyadicScheme",
     "build_scheme",
     "check_lattice",
@@ -94,51 +96,108 @@ def check_lattice(n_side: int, d: int) -> int:
     return n_hat
 
 
+class DyadicHypergraph:
+    """The cells of a DyadicScheme as a hypergraph for beck_fiala_round,
+    computed from the lattice: vertices are the lattice points in row-major
+    order and edge ids run as in DyadicScheme.edge_id.  It answers the
+    engine's three questions (see balancing.Hypergraph) without storing a
+    member or a half; each pass over the level vectors is in edge order, so
+    a level's children, one step finer along its first nonzero axis, come
+    before it."""
+
+    def __init__(self, scheme: DyadicScheme):
+        self.n = scheme.n_vertices
+        self.m = scheme.n_edges
+        self.max_degree = scheme.degree
+        self._shape = (scheme.n_hat,) * scheme.d
+        # per level vector: first edge, block shape, cell shape, and for a
+        # non-unit cell the axis it halves along and its children's first edge
+        self._levels = []
+        for level, first in scheme.level_offsets.items():
+            axis = next((s for s, ms in enumerate(level) if ms), None)
+            child = None
+            if axis is not None:
+                child = scheme.level_offsets[level[:axis] + (level[axis] - 1,) + level[axis + 1:]]
+            blocks = tuple(scheme.n_hat >> ms for ms in level)
+            self._levels.append((first, blocks, tuple(1 << ms for ms in level), axis, child))
+        self._level_starts = np.array([lv[0] for lv in self._levels] + [self.m])
+        self._cell_sizes = np.array([math.prod(lv[2]) for lv in self._levels])
+
+    @staticmethod
+    def _children(per_edge, child, blocks, axis):
+        """The values in `per_edge` of the two children along `axis` of
+        every cell of a level with `blocks`, as two views shaped `blocks`;
+        the children's level starts at edge `child`."""
+        pairs = per_edge[child:child + 2 * math.prod(blocks)]
+        pairs = pairs.reshape(blocks[:axis + 1] + (2,) + blocks[axis + 1:])
+        lead = (slice(None),) * (axis + 1)
+        return pairs[lead + (0,)], pairs[lead + (1,)]
+
+    def edge_sums(self, vals) -> np.ndarray:
+        """Per-edge sums of the vertex vector `vals`, in its dtype: the unit
+        cells are `vals` itself and every other level the sum of its two
+        children, about 2^d * n adds in all."""
+        vals = np.asarray(vals)
+        sums = np.empty(self.m, dtype=vals.dtype)
+        for first, blocks, _, axis, child in self._levels:
+            level = sums[first:first + math.prod(blocks)].reshape(blocks)
+            if axis is None:
+                level[...] = vals.reshape(blocks)
+            else:
+                np.add(*self._children(sums, child, blocks, axis), out=level)
+        return sums
+
+    def members_of(self, edges):
+        """(row, vertex) of every member of the cells marked in the bool
+        mask `edges`, cell after cell and each cell's members ascending: row
+        r is the r-th marked cell.  A cell's members are its lowest vertex
+        plus the lattice's first cell of its shape, both read off an
+        n-long arange of the lattice."""
+        picked = np.flatnonzero(edges)
+        # the marked cells of level k are picked[cuts[k]:cuts[k + 1]]
+        cuts = np.searchsorted(picked, self._level_starts)
+        rows = np.repeat(np.arange(picked.size), np.repeat(self._cell_sizes, np.diff(cuts)))
+        members = np.empty(rows.size, dtype=np.int64)
+        lattice = np.arange(self.n).reshape(self._shape)
+        start = 0
+        for (first, blocks, cell, _, _), a, b in zip(self._levels, cuts, cuts[1:]):
+            if a == b:
+                continue
+            corners = lattice[tuple(slice(None, None, c) for c in cell)]
+            corners = corners[np.unravel_index(picked[a:b] - first, blocks)]
+            inner = lattice[tuple(slice(c) for c in cell)].ravel()
+            stop = start + corners.size * inner.size
+            np.add(corners[:, None], inner, out=members[start:stop].reshape(-1, inner.size))
+            start = stop
+        return rows, members
+
+    def implied(self, active) -> np.ndarray:
+        """The active cells whose two halves are both active."""
+        both = np.zeros_like(active)
+        for first, blocks, _, axis, child in self._levels:
+            if axis is not None:
+                level = both[first:first + math.prod(blocks)].reshape(blocks)
+                np.logical_and(*self._children(active, child, blocks, axis), out=level)
+        return active & both
+
+
 def build_scheme(n_side: int, d: int):
-    """Build the scheme and its hypergraph; vertices are the lattice points
-    of {1..N^}^d in row-major order.
+    """Build the scheme and its implicit hypergraph; vertices are the
+    lattice points of {1..N^}^d in row-major order.  Nothing of the
+    lattice's size is allocated.
 
     Refuses lattices above LATTICE_BUDGET points (`check_lattice`)."""
     n_hat = check_lattice(n_side, d)
     m = n_hat.bit_length() - 1
-    n_vertices = n_hat**d
-    lattice = np.arange(n_vertices, dtype=np.int64).reshape((n_hat,) * d)
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    levels = list(itertools.product(range(m + 1), repeat=d))
-    # every level partitions the lattice, so it fills one n_vertices-long
-    # stretch of `members`: its cells in row-major block order, each cell's
-    # points in row-major (hence ascending) order
-    members = np.empty((len(levels), n_vertices), dtype=np.int64)
-    starts = []
+    # edge ids run level by level, the cells of a level in row-major block order
     offsets = {}
     n_edges = 0
-    for k, level in enumerate(levels):
-        shape = [v for ms in level for v in (n_hat >> ms, 1 << ms)]
-        members[k] = lattice.reshape(shape).transpose(perm).ravel()
-        starts.append(np.arange(k * n_vertices, (k + 1) * n_vertices, 1 << sum(level)))
+    for level in itertools.product(range(m + 1), repeat=d):
         offsets[level] = n_edges
-        n_edges += starts[-1].size
-    ptr = np.concatenate(starts + [[members.size]])
+        n_edges += n_hat**d >> sum(level)
     scheme = DyadicScheme(n_side, n_hat, m, d, offsets, n_edges)
-    assert scheme.n_edges == (2 ** (m + 1) - 1) ** d == len(ptr) - 1
-    # a cell's halves are its two children along the first axis s whose
-    # level is nonzero: that level one lower, block index 2 j_s and 2 j_s + 1
-    halves = np.full((n_edges, 2), -1, dtype=np.int64)
-    for level, first in offsets.items():
-        axis = next((s for s, ms in enumerate(level) if ms), None)
-        if axis is None:
-            continue
-        blocks = tuple(n_hat >> ms for ms in level)
-        child = level[:axis] + (level[axis] - 1,) + level[axis + 1:]
-        child_blocks = tuple(n_hat >> ms for ms in child)
-        j = np.indices(blocks).reshape(d, -1)
-        j[axis] *= 2
-        lower = offsets[child] + np.ravel_multi_index(j, child_blocks)
-        halves[first:first + lower.size, 0] = lower
-        halves[first:first + lower.size, 1] = lower + math.prod(child_blocks[axis + 1:])
-    h = Hypergraph(n_vertices, csr=(ptr, members.ravel()), halves=halves)
-    assert h.max_degree == scheme.degree
-    return scheme, h
+    assert scheme.n_edges == (2 ** (m + 1) - 1) ** d
+    return scheme, DyadicHypergraph(scheme)
 
 
 def _axis_runs(j_end: int, m: int):

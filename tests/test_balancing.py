@@ -66,24 +66,20 @@ def test_hypergraph_csr_validation():
         Hypergraph(5, csr=([0, 3], [1, 2]))
 
 
-def test_hypergraph_halves_validation():
-    # edges 0..2: {0, 1, 2, 3} = {0, 1} + {2, 3}
-    csr = ([0, 4, 6, 8], [0, 1, 2, 3, 0, 1, 2, 3])
-    h = Hypergraph(4, csr=csr, halves=[[1, 2], [-1, -1], [-1, -1]])
-    assert h.halves.tolist() == [[1, 2], [-1, -1], [-1, -1]]
-    assert Hypergraph(4, csr=csr).halves.tolist() == [[-1, -1]] * 3
-    assert Hypergraph(4, ([0, 1],)).halves.tolist() == [[-1, -1]]
-    assert h.to_dict() == Hypergraph(4, csr=csr).to_dict()
-    for bad, match in (
-        ([[1, 3], [-1, -1], [-1, -1]], "edge ids"),
-        ([[1, -1], [-1, -1], [-1, -1]], "edge ids"),
-        ([[-1, 2], [-1, -1], [-1, -1]], "edge ids"),
-        ([[0, 2], [-1, -1], [-1, -1]], "own half"),
-        ([[1, 2], [0, 2], [-1, -1]], "sizes"),
-        ([[1, 2]], "shape"),
+def test_hypergraph_refuses_non_integer_ids():
+    # a float id is refused, not truncated: ([0.7, 1.9],) would build [0, 1]
+    for bad in (
+        dict(edges=([0.7, 1.9],)),
+        dict(edges=([0, 2.5], [1])),
+        dict(edges=([1.0],)),
+        dict(csr=([0, 2], [0.5, 1.7])),
+        dict(csr=([0.0, 2.0], [0, 1])),
     ):
-        with pytest.raises(ValueError, match=match):
-            Hypergraph(4, csr=csr, halves=bad)
+        with pytest.raises(ValueError, match="integers"):
+            Hypergraph(3, **bad)
+    # empty edges read as float arrays and stay empty
+    assert Hypergraph(3, ([], [2, 0])).to_dict() == {"n": 3, "edges": [[], [0, 2]]}
+    assert Hypergraph(3, csr=([0, 0], [])).m == 1
 
 
 def test_hypergraph_json_roundtrip():
@@ -234,16 +230,16 @@ def test_null_step_preserves_active_sums():
 def test_null_step_on_a_dyadic_system():
     # the sparse null step at scale: the initial state of the d=2 N=64
     # dyadic system has 4096 floating variables and 769 active rows
-    from nuqmc.balancing import _edge_sums, _EngineState, _null_step
+    from nuqmc.balancing import _EngineState, _null_step
     from nuqmc.dyadic import build_scheme
 
     _, h = build_scheme(64, 2)
     st = _EngineState(h, np.random.default_rng(5).uniform(0.1, 0.9, h.n))
     active = st.active_mask()
     assert (int(st.floating.sum()), int(active.sum())) == (4096, 769)
-    before = _edge_sums(h.ptr, st.x[h.members])[active]
+    before = h.edge_sums(st.x)[active]
     _null_step(st, active)
-    after = _edge_sums(h.ptr, st.x[h.members])[active]
+    after = h.edge_sums(st.x)[active]
     assert np.abs(after - before).max() <= 1e-9
     assert int(st.floating.sum()) < 4096
     assert st.trace["null_frozen"] == 4096 - int(st.floating.sum())
@@ -262,21 +258,24 @@ def test_lp_jump_keeps_every_active_sum():
     # d=2 N=16 dyadic hypergraph: the LP holds only the rows not implied by
     # their halves, yet every active edge keeps its floating sum, the
     # implied rows included
+    from conftest import ExplicitDyadic
     from nuqmc.balancing import _EngineState, _lp_round
     from nuqmc.dyadic import build_scheme
 
-    _, h = build_scheme(16, 2)
+    scheme, h = build_scheme(16, 2)
+    ref = ExplicitDyadic(scheme)
     beta = np.random.default_rng(3).random(h.n)
     beta[np.random.default_rng(4).random(h.n) < 0.3] = 0.0
     st = _EngineState(h, beta)
     active = st.active_mask()
-    h0, h1 = h.halves.T
+    h0, h1 = ref.halves.T
     split = active & (h0 >= 0)
     # the zeros leave some active edges with one active half: those keep their row
     assert np.any(split & (active[h0] != active[h1]))
-    sums = np.add.reduceat(st.x[h.members], h.ptr[:-1])
+    assert np.array_equal(h.implied(active), split & active[h0] & active[h1])
+    sums = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
     assert _lp_round(st, active)
-    after = np.add.reduceat(st.x[h.members], h.ptr[:-1])
+    after = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
     assert np.abs(after - sums)[active].max() <= 1e-9
     assert st.trace["lp_implied_rows"] == np.count_nonzero(split & active[h0] & active[h1]) > 0
     assert st.trace["lp_rows"] + st.trace["lp_implied_rows"] == np.count_nonzero(active)

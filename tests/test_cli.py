@@ -182,6 +182,20 @@ def test_round_command_output_unchanged(tmp_path, capsys):
     assert out.read_text() == want, pin_message("rounding")
 
 
+def test_round_refuses_float_vertex_ids(tmp_path, capsys):
+    # the id 2.5 is refused, not truncated to 2 and rounded over [0, 2]
+    h = tmp_path / "h.json"
+    h.write_text('{"n": 3, "edges": [[0, 2.5], [1]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text("[0.5, 0.5, 0.5]")
+    out = tmp_path / "res.json"
+    code, _, err = run(capsys, "round", "--hypergraph", str(h), "--beta", str(beta),
+                       "--out", str(out))
+    assert code == 2
+    assert "integers" in err
+    assert not out.exists()
+
+
 def test_integrate_command(tmp_path, capsys):
     omega = tmp_path / "omega.json"
     omega.write_text('{"boxes": [[[0.0, 0.0], [0.5, 1.0]], [[0.5, 0.0], [1.0, 0.5]]]}')

@@ -1,12 +1,22 @@
 """Dyadic scheme geometry, prefix decomposition, and the rounding chain."""
 
+import functools
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import pin_message
+from conftest import (
+    ExplicitDyadic,
+    cell_halves,
+    cell_members,
+    dyadic_cells,
+    edges_of,
+    pin_message,
+    tracemalloc_peak,
+)
+from nuqmc.balancing import beck_fiala_round
 from nuqmc.discrepancy import BudgetExceededError
 from nuqmc.dyadic import (
     build_scheme,
@@ -21,7 +31,7 @@ def test_trivial_scheme():
     scheme, h = build_scheme(1, 1)
     assert scheme.n_hat == 1 and scheme.m == 0
     assert h.n == 1 and h.m == 1
-    assert np.array_equal(h.edges[0], [0])
+    assert np.array_equal(edges_of(h)[0], [0])
     assert h.max_degree == 1
 
 
@@ -29,10 +39,11 @@ def test_scheme_n4_d1_by_hand():
     scheme, h = build_scheme(4, 1)
     assert scheme.n_hat == 4 and scheme.m == 2
     assert h.m == 7  # 4 singletons + 2 pairs + 1 quad = 2^(m+1) - 1
-    sizes = sorted(len(e) for e in h.edges)
+    edges = edges_of(h)
+    sizes = sorted(len(e) for e in edges)
     assert sizes == [1, 1, 1, 1, 2, 2, 4]
     assert h.max_degree == 3
-    edge_sets = {tuple(e) for e in h.edges}
+    edge_sets = {tuple(e.tolist()) for e in edges}
     assert {(0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 1, 2, 3)} == edge_sets
 
 
@@ -45,71 +56,70 @@ def test_scheme_n3_d2_product_structure():
 
 def test_partition_property_every_level():
     scheme, h = build_scheme(8, 2)
+    edges = edges_of(h)
     for level in itertools.product(range(scheme.m + 1), repeat=2):
         seen = np.zeros(h.n, dtype=int)
         blocks = [scheme.n_hat >> ms for ms in level]
         for j in itertools.product(*(range(b) for b in blocks)):
-            e = h.edges[scheme.edge_id(level, j)]
+            e = edges[scheme.edge_id(level, j)]
             seen[e] += 1
         assert np.all(seen == 1), f"level {level} is not a partition"
 
 
-def cell_members(scheme, level, j):
-    """Oracle: the lattice points of the cell at `level` with block index
-    `j`, as sorted row-major vertex ids."""
-    ranges = [np.arange(js << ms, (js + 1) << ms) for js, ms in zip(j, level)]
-    grid = np.meshgrid(*ranges, indexing="ij")
-    return np.sort(np.ravel_multi_index([g.ravel() for g in grid], (scheme.n_hat,) * scheme.d))
-
-
 @pytest.mark.parametrize("n_side, d", [(1, 1), (5, 1), (8, 2), (4, 3)])
 def test_scheme_csr_matches_cell_oracle(n_side, d):
+    # members_of lays the cells out like CSR: rows in edge order, each
+    # cell's members ascending; every cell is the oracle's block
     scheme, h = build_scheme(n_side, d)
+    rows, members = h.members_of(np.ones(h.m, dtype=bool))
+    edges = edges_of(h)
     ids = []
-    for level in itertools.product(range(scheme.m + 1), repeat=d):
-        blocks = [scheme.n_hat >> ms for ms in level]
-        for j in itertools.product(*(range(b) for b in blocks)):
-            e = scheme.edge_id(level, j)
-            ids.append(e)
-            members = h.members[h.ptr[e] : h.ptr[e + 1]]
-            assert np.array_equal(members, cell_members(scheme, level, j))
+    for level, j in dyadic_cells(scheme):
+        e = scheme.edge_id(level, j)
+        ids.append(e)
+        assert np.array_equal(edges[e], cell_members(scheme, level, j))
     # edge ids run level by level, the blocks of a level in row-major order
     assert ids == list(range(h.m))
-    assert h.ptr[-1] == h.members.size == h.n * scheme.degree
+    assert np.all(np.diff(rows) >= 0)
+    assert rows.size == members.size == h.n * scheme.degree
 
 
 @pytest.mark.parametrize("n_side, d", [(1, 1), (5, 1), (8, 2), (4, 3)])
 def test_scheme_halves_partition_every_cell(n_side, d):
     # a cell's halves are its children along the first axis with a nonzero
-    # level; their members, merged, are the cell's
+    # level; their members, merged, are the cell's, and `implied` marks an
+    # active cell exactly when both of them are active
     scheme, h = build_scheme(n_side, d)
-    assert h.halves.shape == (h.m, 2)
-    for level in itertools.product(range(scheme.m + 1), repeat=d):
-        blocks = [scheme.n_hat >> ms for ms in level]
-        for j in itertools.product(*(range(b) for b in blocks)):
-            e = scheme.edge_id(level, j)
-            if not any(level):
-                assert h.halves[e].tolist() == [-1, -1]
-                continue
-            s = next(s for s, ms in enumerate(level) if ms)
-            child = level[:s] + (level[s] - 1,) + level[s + 1:]
-            kids = [scheme.edge_id(child, j[:s] + (2 * j[s] + k,) + j[s + 1:]) for k in (0, 1)]
-            assert h.halves[e].tolist() == kids
-            merged = np.sort(np.concatenate([h.edges[k] for k in kids]))
-            assert np.array_equal(merged, h.edges[e])
+    edges = edges_of(h)
+    halves = np.full((h.m, 2), -1)
+    for level, j in dyadic_cells(scheme):
+        e = scheme.edge_id(level, j)
+        kids = [scheme.edge_id(*k) for k in cell_halves(level, j)]
+        if not kids:  # a unit cell has none; `implied` never marks it
+            continue
+        halves[e] = kids
+        merged = np.sort(np.concatenate([edges[k] for k in kids]))
+        assert np.array_equal(merged, edges[e])
+    h0, h1 = halves.T
+    assert np.array_equal(h.implied(np.ones(h.m, dtype=bool)), h0 >= 0)
+    rng = np.random.default_rng(n_side + d)
+    for _ in range(20):
+        active = rng.random(h.m) < 0.7
+        assert np.array_equal(h.implied(active), active & (h0 >= 0) & active[h0] & active[h1])
 
 
 def test_degree_property_exact():
     for n_side, d in ((4, 1), (8, 1), (4, 2), (2, 3)):
         scheme, h = build_scheme(n_side, d)
         deg = np.zeros(h.n, dtype=int)
-        for e in h.edges:
+        for e in edges_of(h):
             deg[e] += 1
         assert np.all(deg == scheme.degree)
 
 
 def test_prefix_decomposition_property():
     scheme, h = build_scheme(16, 2)
+    edges = edges_of(h)
     rng = np.random.default_rng(0)
     lattice_shape = (scheme.n_hat,) * 2
     for _ in range(100):
@@ -119,11 +129,64 @@ def test_prefix_decomposition_property():
         assert len(set(levels)) == len(levels)  # at most one cell per level vector
         covered = np.zeros(lattice_shape, dtype=int)
         for lv, j in cells:
-            e = h.edges[scheme.edge_id(lv, j)]
+            e = edges[scheme.edge_id(lv, j)]
             covered.ravel()[e] += 1
         expected = np.zeros(lattice_shape, dtype=int)
         expected[: prefix[0], : prefix[1]] = 1
         assert np.array_equal(covered, expected)  # disjoint and unions to the prefix
+
+
+IMPLICIT_CASES = [(1, 1), (5, 1), (8, 2), (100, 2), (4, 3), (16, 3)]
+
+
+@functools.cache
+def _explicit(n_side, d):
+    return ExplicitDyadic(build_scheme(n_side, d)[0])
+
+
+def _implicit_case(n_side, d):
+    """The implicit graph, its explicit reference, and beta with about 20 %
+    zeros."""
+    _, h = build_scheme(n_side, d)
+    rng = np.random.default_rng(100 * n_side + d)
+    beta = rng.random(h.n)
+    beta[rng.random(h.n) < 0.2] = 0.0
+    return h, _explicit(n_side, d), beta, rng
+
+
+@pytest.mark.parametrize("n_side, d", IMPLICIT_CASES)
+def test_implicit_graph_matches_explicit(n_side, d):
+    # the three answers the engine reads, against the oracle-built CSR form
+    h, ref, beta, rng = _implicit_case(n_side, d)
+    assert (h.n, h.m, h.max_degree) == (ref.n, ref.m, ref.max_degree)
+    counts = (beta > 0).astype(np.int64)
+    assert np.array_equal(h.edge_sums(counts), ref.edge_sums(counts))
+    assert np.allclose(h.edge_sums(beta), ref.edge_sums(beta), rtol=0, atol=1e-9 * h.n)
+    for density in (0.0, 0.3, 1.0):
+        active = rng.random(h.m) < density
+        for got, want in zip(h.members_of(active), ref.members_of(active)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(h.implied(active), ref.implied(active))
+
+
+@pytest.mark.parametrize("n_side, d", IMPLICIT_CASES)
+def test_implicit_graph_rounds_like_explicit(n_side, d):
+    # the LP gets the same rows and columns in the same order, so the walk
+    # is the same; only the float error sum may differ in its last bits
+    h, ref, beta, _ = _implicit_case(n_side, d)
+    got, want = beck_fiala_round(h, beta), beck_fiala_round(ref, beta)
+    assert np.array_equal(got.b, want.b)
+    assert got.details == want.details
+    assert got.guaranteed_bound == want.guaranteed_bound
+    assert got.achieved_error == pytest.approx(want.achieved_error, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_side, d", [(256, 2), (32, 3), (64, 3)])
+def test_build_scheme_stores_no_member(n_side, d):
+    # stored, the (m+1)^d * N^d member ids alone would take 42 MB at
+    # (256, 2) and 719 MB at (64, 3); the implicit graph holds a few
+    # entries per level vector
+    assert tracemalloc_peak(build_scheme, n_side, d) < 2 * 2**20
 
 
 def test_budget_refusal():
