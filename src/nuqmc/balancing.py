@@ -13,19 +13,22 @@ variables freeze at {0,1}.  Once an edge has at most Delta floating
 variables each can still move by less than one unit, so every edge ends
 with error < Delta <= 2*Delta - 1.  The hard guarantee is 2*Delta - 1.
 
-The walk takes null-space steps in two ways:
-(a) a batched jump to a vertex of {x : A_active x = A_active x_cur,
+Each step of the walk builds one system: the rows of the kept edges over
+the floating variables.  An active edge that the hypergraph names as the
+disjoint union of two other active edges (`implied`) has the sum of their
+rows as its row, and recursively of kept rows, so the kept rows -- the
+active ones not so implied -- span the whole active system.  The step then
+moves in that system's null space in one of two ways:
+(a) a batched jump to a vertex of {x : A_kept x = A_kept x_cur,
     0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
     null-space moves, and at a vertex the floating count is at most the
-    number of active edges, so the floating set shrinks geometrically.
-    An active edge that the hypergraph names as the disjoint union of two
-    other active edges (`implied`) has the sum of their rows as its row:
-    the LP holds only the active rows not so implied, which leaves the
-    polytope unchanged, and HiGHS runs without presolve;
+    number of kept edges, so the floating set shrinks geometrically.
+    Leaving the implied rows out leaves the polytope unchanged, and HiGHS
+    runs without presolve;
 (b) a single explicit null-space step as a progress guard, when a jump
     freezes nothing: a probe vector minus its least-squares projection
-    onto the active rows' span (sparse lsqr), so no dense matrix of the
-    active system is ever formed.
+    onto the kept rows' span (sparse lsqr), so no dense matrix of the
+    system is ever formed.
 
 The engine preserves zeros (beta_i = 0 implies b_i = 0), rounds integral
 vectors to themselves, and is a pure function of its input.
@@ -33,19 +36,20 @@ vectors to themselves, and is a pure function of its input.
 The engine reads a hypergraph through `n`, `max_degree` and three methods,
 none of which loops over edges in Python: `edge_sums` (per-edge sums of a
 vertex vector, for the active mask and the error), `members_of` (the
-members of a set of edges, for the nonzeros of the active system) and
-`implied` (the active rows left out of the LP).  Hypergraph below serves
-them from CSR arrays, (ptr, members), as segmented reductions and one
-gather over the selected edges; its validation is vectorised the same way,
-whether the input is an edge list or CSR arrays.  dyadic.DyadicHypergraph
-serves them from the lattice without storing any member.
+members of a set of edges, for the nonzeros of the kept system) and
+`implied` (the active rows left out of it).  Hypergraph below serves them
+from CSR arrays, (ptr, members), built from an edge list, as segmented
+reductions and one gather over the selected edges; its validation is
+vectorised the same way.  dyadic.DyadicHypergraph serves them from the
+lattice without storing any member.
 beck_fiala_round counts its steps and the variables each froze in
 RoundingResult.details.
 
-scipy is imported by the two steps, (a) and (b), not by this module, so
-`import nuqmc` loads numpy only, and so do the measures, the scans and the
-integration layer.  Every rounding with an active edge, d=1 constructions
-included, reaches an LP jump and pays scipy's import, about 0.6 s, once.
+scipy is imported by the system build and the two moves, not by this
+module, so `import nuqmc` loads numpy only, and so do the measures, the
+scans and the integration layer.  Every rounding with an active edge, d=1
+constructions included, reaches an LP jump and pays scipy's import, about
+0.6 s, once.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ __all__ = ["Hypergraph", "RoundingResult", "beck_fiala_round", "edge_error"]
 
 _BOUND_SNAP = 1e-9
 # Beck-Fiala step counters: how often each step ran and how many variables
-# it froze.  "lp_rows" sums the rows passed to the LP solver over the jumps, and
-# "lp_implied_rows" the active rows left out as sums of two kept ones.
+# it froze.  "lp_rows" sums the kept rows of every step's system (each step
+# makes one LP jump), and "lp_implied_rows" the active rows left out of it
+# as sums of two other active ones.
 # "final_snapped" counts the variables of the unconstrained last step, so
 # the three frozen counts add up to the variables left floating by the
 # initial snap.
@@ -79,34 +84,25 @@ class Hypergraph:
     """n vertices {0..n-1} and m edges in CSR form: edge e is
     members[ptr[e]:ptr[e+1]], sorted ascending.
 
-    Build it from a sequence of edges, Hypergraph(n, edges), or from the CSR
-    arrays themselves, Hypergraph(n, csr=(ptr, members)).  Both inputs go
-    through one vectorised validation: vertex ids are integers (a float id
-    is refused, not truncated) in [0, n), each edge is sorted (one segmented
-    sort when it is not) and repeats no vertex, and max_degree is counted by
-    bincount.  Serialization is the JSON object {"n": n, "edges": [[...], ...]}.
+    Built from a sequence of edges, Hypergraph(n, edges), by one vectorised
+    validation: vertex ids are integers (a float id is refused, not
+    truncated) in [0, n), each edge is sorted (one segmented sort when it
+    is not) and repeats no vertex, and max_degree is counted by bincount.
+    Serialization is the JSON object {"n": n, "edges": [[...], ...]}.
     """
 
-    def __init__(self, n: int, edges=(), *, csr=None):
+    def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if csr is None:
-            edges = [np.asarray(e) for e in edges]
-            _check_integral(*edges)
-            ptr = np.concatenate([[0], np.cumsum([e.size for e in edges], dtype=np.int64)])
-            # only empty edges can still be float here, so no id is truncated
-            members = np.concatenate(
-                [np.zeros(0, dtype=np.int64), *edges], dtype=np.int64, casting="unsafe"
-            )
-        else:
-            ptr, members = (np.asarray(a) for a in csr)
-            _check_integral(ptr, members)
-            ptr, members = ptr.astype(np.int64), members.astype(np.int64)
-            if (
-                ptr.ndim != 1 or members.ndim != 1 or ptr.size == 0 or ptr[0] != 0
-                or ptr[-1] != members.size or np.any(np.diff(ptr) < 0)
-            ):
-                raise ValueError("csr must be (ptr, members), ptr rising from 0 to len(members)")
+        edges = [np.asarray(e) for e in edges]
+        if any(e.size and e.dtype.kind not in "iu" for e in edges):
+            raise ValueError("vertex ids must be integers")
+        ptr = np.concatenate([[0], np.cumsum([e.size for e in edges], dtype=np.int64)])
+        # only empty edges can still be float here (numpy reads `[]` as
+        # float), so no id is truncated
+        members = np.concatenate(
+            [np.zeros(0, dtype=np.int64), *edges], dtype=np.int64, casting="unsafe"
+        )
         if members.size and (members.min() < 0 or members.max() >= n):
             bad = int(np.flatnonzero((members < 0) | (members >= n))[0])
             e = int(np.searchsorted(ptr, bad, side="right")) - 1
@@ -168,13 +164,6 @@ class Hypergraph:
     @classmethod
     def from_dict(cls, d):
         return cls(int(d["n"]), tuple(d["edges"]))
-
-
-def _check_integral(*arrays):
-    """Refuse vertex ids or offsets that are not integers; an empty array
-    (numpy reads `[]` as float) passes."""
-    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
-        raise ValueError("vertex ids and csr offsets must be integers")
 
 
 @dataclass(frozen=True)
@@ -242,42 +231,46 @@ class _EngineState:
     def active_mask(self):
         return self.h.edge_sums(self.floating.astype(np.int64)) > self.h.max_degree
 
-    def active_floating(self, active):
-        """(row, column) of every floating member of every active edge, in
-        edge order: row r is the r-th active edge and column c the c-th
-        floating variable, i.e. the nonzeros of the active system."""
-        rows, members = self.h.members_of(active)
+    def system(self, edges):
+        """The CSR 0/1 matrix of the edges marked in the bool mask `edges`
+        over the floating variables: row r is the r-th marked edge and
+        column c the c-th floating variable."""
+        from scipy.sparse import coo_matrix
+
+        rows, members = self.h.members_of(edges)
         keep = self.floating[members]
-        return rows[keep], (np.cumsum(self.floating) - 1)[members[keep]]
+        cols = (np.cumsum(self.floating) - 1)[members[keep]]
+        shape = (int(np.count_nonzero(edges)), int(np.count_nonzero(self.floating)))
+        return coo_matrix((np.ones(cols.size), (rows[keep], cols)), shape=shape).tocsr()
 
 
-def _lp_round(st: _EngineState, active) -> bool:
-    """Jump to a vertex of the active polytope; returns True on progress."""
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-
-    if not active.any():
-        return False
-    # an active edge that is the disjoint union of two active edges has the
-    # sum of their rows (recursively) as its row, so it is left out
+def _step(st: _EngineState, active) -> None:
+    """One walk step on the active edges: an LP jump on the kept rows'
+    system, and a null step on the same matrix when the jump freezes
+    nothing.  The matrix dies with the step, before the next active mask."""
     kept = active & ~st.h.implied(active)
-    n_kept = int(np.count_nonzero(kept))
+    matrix = st.system(kept)
+    st.trace["lp_rows"] += matrix.shape[0]
+    st.trace["lp_implied_rows"] += int(np.count_nonzero(active)) - matrix.shape[0]
+    if not _lp_round(st, matrix):
+        _null_step(st, matrix)
+
+
+def _lp_round(st: _EngineState, a_eq) -> bool:
+    """Jump to a vertex of the polytope of the system `a_eq`; returns True
+    on progress."""
+    from scipy.optimize import linprog
+
     float_idx = np.flatnonzero(st.floating)
-    f = float_idx.size
-    rows, cols = st.active_floating(kept)
-    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_kept, f)).tocsr()
-    del rows, cols  # not alive while HiGHS holds its own copy of the matrix
     xf = st.x[float_idx]
     b_eq = a_eq @ xf
     # movement-minimizing-ish objective with a deterministic tiebreak wiggle
     c = (0.5 - xf) + 1e-3 * np.cos(0.7 * float_idx + 0.3)
-    method = "highs-ds" if f <= 20000 else "highs-ipm"
+    method = "highs-ds" if float_idx.size <= 20000 else "highs-ipm"
     res = linprog(
         c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method=method, options={"presolve": False}
     )
     st.trace["lp_jumps"] += 1
-    st.trace["lp_rows"] += n_kept
-    st.trace["lp_implied_rows"] += int(np.count_nonzero(active)) - n_kept
     if res.status != 0:
         return False
     st.x[float_idx] = res.x
@@ -288,22 +281,19 @@ def _lp_round(st: _EngineState, active) -> bool:
     return frozen > 0
 
 
-def _null_step(st: _EngineState, active) -> None:
-    """One explicit null-space move; freezes at least one variable.
+def _null_step(st: _EngineState, mat) -> None:
+    """One explicit null-space move of the system `mat`; freezes at least
+    one variable.
 
     The direction is a probe vector minus its least-squares fit by the
-    active rows (lsqr on the sparse system), the first probe that leaves a
-    nonzero residual.  No dense matrix is formed: a dense null-space basis
-    of a 65536-variable dyadic system would need a 65536^2 matrix."""
-    from scipy.sparse import coo_matrix
+    rows of `mat` (lsqr on the sparse system), the first probe that leaves
+    a nonzero residual.  No dense matrix is formed: a dense null-space
+    basis of a 65536-variable dyadic system would need a 65536^2 matrix."""
     from scipy.sparse.linalg import lsqr
 
     st.trace["null_steps"] += 1
     float_idx = np.flatnonzero(st.floating)
     f = float_idx.size
-    n_active = int(np.count_nonzero(active))  # >= 1: beck_fiala_round snaps otherwise
-    rows, cols = st.active_floating(active)
-    mat = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n_active, f)).tocsr()
     v = None
     for probe in range(min(f, 32)):
         g = np.cos(0.31 * np.arange(f) + probe)
@@ -351,9 +341,7 @@ def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
             st.floating[idx] = False
             st.trace["final_snapped"] = int(idx.size)
             break
-        if _lp_round(st, active):
-            continue
-        _null_step(st, active)
+        _step(st, active)
     b = st.x
     if not np.all((b == 0.0) | (b == 1.0)):
         raise RuntimeError("rounding left non-integral values")

@@ -328,7 +328,7 @@ def bracket_star_discrepancy(
 
     Every axis keeps G evenly spaced corners of its critical grid, ending in
     1.0, with G the largest value that fits the budget, at most `g` and the
-    axis's length.  A box, closed or open, with c_{j-1} < corner <= c_j on
+    axis's length; a `g` below 1 is refused before anything is sorted.  A box, closed or open, with c_{j-1} < corner <= c_j on
     every axis lies between the closed boxes at c_{j-1} (empty where j is 0)
     and c_j, so for any measure its count and mass lie between theirs,
     C- <= C+ and M- <= M+.  `upper` is the largest max(C+/K - M-, M+ - C-/K)
@@ -338,6 +338,8 @@ def bracket_star_discrepancy(
     coordinate 0, where an atom would count.  The budget is checked before
     anything is counted.  `_sorted` starts with `_grid(ps.points)`'s axes
     and ranks."""
+    if g is not None and g < 1:
+        raise ValueError(f"g must be >= 1, got {g}")
     if ps.dim != mu.dim:
         raise DimensionMismatchError(f"point set dimension {ps.dim} != measure dimension {mu.dim}")
     axes, ranks = (_grid(ps.points) if _sorted is None else _sorted)[:2]

@@ -12,8 +12,8 @@ entry per level vector and answers what beck_fiala_round asks from the
 lattice.  A level's cell sums are the pairwise sums of the level one step
 finer along its first axis with a nonzero level, a cell's members are a
 block of the row-major lattice, and those same two children are the
-cell's halves, so the Beck-Fiala LP leaves a cell's row out when both
-halves' rows are in.  Every anchored lattice prefix
+cell's halves, so a Beck-Fiala step's system leaves a cell's row out
+when both halves' rows are in.  Every anchored lattice prefix
 {1..J_1} x ... x {1..J_d} is a disjoint union of at most one cell per
 level vector (read off the binary representations of the J_s), which turns a
 per-edge rounding error e into an anchored-prefix error of at most

@@ -75,7 +75,8 @@ class AnchoredBox:
         corner = np.atleast_1d(np.asarray(self.corner, dtype=float))
         if corner.ndim != 1 or corner.size < 1:
             raise ValueError("corner must be a 1-d vector with d >= 1")
-        if np.any(corner < 0.0) or np.any(corner > 1.0):
+        # positive range tests, so that NaN fails them
+        if not (corner.min() >= 0.0 and corner.max() <= 1.0):
             raise ValueError(f"corner coordinates must lie in [0,1], got {corner}")
         object.__setattr__(self, "corner", corner)
 
@@ -97,7 +98,9 @@ class PointSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a (N, d) array with N >= 1, d >= 1")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        # min and max propagate NaN, which fails both tests, and make no
+        # temporary the size of the cloud
+        if not (pts.min() >= 0.0 and pts.max() <= 1.0):
             raise ValueError("all coordinates must lie in [0,1]")
         object.__setattr__(self, "points", pts)
 
@@ -132,9 +135,6 @@ class UniformCdf:
     def inverse(self, u):
         return np.asarray(u, dtype=float)
 
-    def describe(self):
-        return {"type": "uniform"}
-
 
 class PowerCdf:
     """F(t) = t**theta for theta > 0."""
@@ -150,17 +150,14 @@ class PowerCdf:
     def inverse(self, u):
         return np.power(np.asarray(u, dtype=float), 1.0 / self.theta)
 
-    def describe(self):
-        return {"type": "power", "theta": self.theta}
-
 
 class PiecewiseLinearCdf:
     """Piecewise-linear F given by knots [(t_0=0, v_0=0), ..., (t_k=1, v_k=1)].
 
     Knot positions must be strictly increasing (so F is continuous); values
-    are expected nondecreasing but this is only diagnosed by `validate`, not
+    must be finite.  Values are expected nondecreasing, but that is not
     enforced here, so that defective configurations can be constructed and
-    then flagged.
+    then flagged by `validate`'s monotonicity check.
     """
 
     def __init__(self, knots: Sequence[Sequence[float]]):
@@ -171,8 +168,10 @@ class PiecewiseLinearCdf:
         vs = np.array([v for _, v in knots])
         if ts[0] != 0.0 or ts[-1] != 1.0:
             raise ValueError("knot positions must start at 0 and end at 1")
-        if np.any(np.diff(ts) <= 0):
+        if not np.all(np.diff(ts) > 0):
             raise ValueError("knot positions must be strictly increasing")
+        if not np.all(np.isfinite(vs)):
+            raise ValueError("knot values must be finite")
         self.ts = ts
         self.vs = vs
 
@@ -183,12 +182,6 @@ class PiecewiseLinearCdf:
         # plateaus (flat value runs) map to their left endpoint
         vs, idx = np.unique(self.vs, return_index=True)
         return np.interp(np.asarray(u, dtype=float), vs, self.ts[idx])
-
-    def is_monotone(self) -> bool:
-        return bool(np.all(np.diff(self.vs) >= 0))
-
-    def describe(self):
-        return {"type": "piecewise", "knots": [[t, v] for t, v in zip(self.ts, self.vs)]}
 
 
 def _cdf_from_config(cfg: dict):
@@ -252,7 +245,7 @@ class BoxMeasure:
             )
         for ax in axes:
             a = np.asarray(ax)
-            if a.size and (a.min() < 0.0 or a.max() > 1.0):
+            if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
                 raise ValueError("grid coordinates must lie in [0,1]")
 
 
@@ -303,7 +296,7 @@ class OmegaRegion:
         hi = np.atleast_2d(np.asarray([b[1] for b in boxes], dtype=float))
         if lo.shape != hi.shape or lo.shape[0] < 1:
             raise ValueError("need at least one box given as (lo, hi)")
-        if np.any(lo < 0) or np.any(hi > 1) or np.any(lo > hi):
+        if not (np.all(lo >= 0) and np.all(hi <= 1) and np.all(lo <= hi)):
             raise ValueError("boxes must satisfy 0 <= lo <= hi <= 1")
         self.lo, self.hi = lo, hi
         self.dim = lo.shape[1]
@@ -354,9 +347,6 @@ class OmegaRegion:
                 part = np.multiply.outer(part, seg)
             out += part
         return out
-
-    def describe(self):
-        return [[list(l), list(h)] for l, h in zip(self.lo, self.hi)]
 
 
 class RestrictionMeasure(BoxMeasure):

@@ -43,43 +43,29 @@ def test_hypergraph_degree_cached_and_checked():
 
 
 def test_hypergraph_csr_validation():
-    # unsorted edges are sorted and empty edges kept; CSR input runs the
-    # same validation as an edge list
+    # unsorted edges are sorted and empty edges kept in the CSR arrays
     h = Hypergraph(5, ([3, 1], [], [4, 0, 2], [2]))
     assert h.ptr.tolist() == [0, 2, 2, 5, 6]
     assert h.members.tolist() == [1, 3, 0, 2, 4, 2]
     assert h.to_dict() == {"n": 5, "edges": [[1, 3], [], [0, 2, 4], [2]]}
     assert h.max_degree == 2
-    c = Hypergraph(5, csr=([0, 2, 2, 5, 6], [3, 1, 4, 0, 2, 2]))
-    assert np.array_equal(c.ptr, h.ptr) and np.array_equal(c.members, h.members)
     # a vertex shared by neighbouring edges is not a repeat
     assert Hypergraph(3, ([0, 2], [2], [2, 1])).max_degree == 3
     with pytest.raises(ValueError, match="repeat"):
         Hypergraph(5, ([1], [0, 2, 0]))
-    with pytest.raises(ValueError, match="repeat"):
-        Hypergraph(5, csr=([0, 2], [1, 1]))
     with pytest.raises(ValueError, match="outside"):
         Hypergraph(5, ([1, 5],))
     with pytest.raises(ValueError, match="outside"):
         Hypergraph(5, ([], [2, -1]))
-    with pytest.raises(ValueError, match="csr"):
-        Hypergraph(5, csr=([0, 3], [1, 2]))
 
 
 def test_hypergraph_refuses_non_integer_ids():
     # a float id is refused, not truncated: ([0.7, 1.9],) would build [0, 1]
-    for bad in (
-        dict(edges=([0.7, 1.9],)),
-        dict(edges=([0, 2.5], [1])),
-        dict(edges=([1.0],)),
-        dict(csr=([0, 2], [0.5, 1.7])),
-        dict(csr=([0.0, 2.0], [0, 1])),
-    ):
+    for bad in (([0.7, 1.9],), ([0, 2.5], [1]), ([1.0],)):
         with pytest.raises(ValueError, match="integers"):
-            Hypergraph(3, **bad)
+            Hypergraph(3, bad)
     # empty edges read as float arrays and stay empty
     assert Hypergraph(3, ([], [2, 0])).to_dict() == {"n": 3, "edges": [[], [0, 2]]}
-    assert Hypergraph(3, csr=([0, 0], [])).m == 1
 
 
 def test_hypergraph_json_roundtrip():
@@ -220,7 +206,7 @@ def test_null_step_preserves_active_sums():
     assert active.tolist() == [True, False, False]  # only the 5-edge exceeds Delta=3
     before = st.x[h.edges[0]].sum()
     n_floating = int(st.floating.sum())
-    _null_step(st, active)
+    _null_step(st, st.system(active))
     assert st.x[h.edges[0]].sum() == pytest.approx(before, abs=1e-9)
     assert int(st.floating.sum()) < n_floating
     assert st.trace["null_steps"] == 1
@@ -238,7 +224,7 @@ def test_null_step_on_a_dyadic_system():
     active = st.active_mask()
     assert (int(st.floating.sum()), int(active.sum())) == (4096, 769)
     before = h.edge_sums(st.x)[active]
-    _null_step(st, active)
+    _null_step(st, st.system(active))
     after = h.edge_sums(st.x)[active]
     assert np.abs(after - before).max() <= 1e-9
     assert int(st.floating.sum()) < 4096
@@ -255,11 +241,11 @@ def test_empty_edges_degenerate():
 
 
 def test_lp_jump_keeps_every_active_sum():
-    # d=2 N=16 dyadic hypergraph: the LP holds only the rows not implied by
-    # their halves, yet every active edge keeps its floating sum, the
-    # implied rows included
+    # d=2 N=16 dyadic hypergraph: the step's system holds only the rows not
+    # implied by their halves, yet its LP jump keeps every active edge's
+    # floating sum, the implied rows included
     from conftest import ExplicitDyadic
-    from nuqmc.balancing import _EngineState, _lp_round
+    from nuqmc.balancing import _EngineState, _step
     from nuqmc.dyadic import build_scheme
 
     scheme, h = build_scheme(16, 2)
@@ -274,16 +260,39 @@ def test_lp_jump_keeps_every_active_sum():
     assert np.any(split & (active[h0] != active[h1]))
     assert np.array_equal(h.implied(active), split & active[h0] & active[h1])
     sums = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
-    assert _lp_round(st, active)
+    _step(st, active)
+    # the jump made progress, so no null step followed
+    assert (st.trace["lp_jumps"], st.trace["null_steps"]) == (1, 0) and st.trace["lp_frozen"] > 0
     after = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
     assert np.abs(after - sums)[active].max() <= 1e-9
     assert st.trace["lp_implied_rows"] == np.count_nonzero(split & active[h0] & active[h1]) > 0
     assert st.trace["lp_rows"] + st.trace["lp_implied_rows"] == np.count_nonzero(active)
 
 
+@pytest.mark.parametrize(
+    ("n_side", "d", "n_active", "n_kept"), [(64, 2, 769, 448), (16, 3, 927, 576)]
+)
+def test_null_step_on_kept_rows_keeps_every_active_sum(n_side, d, n_active, n_kept):
+    # the implied rows are sums of kept rows, so a null step of the kept
+    # system alone holds every active sum, the implied ones included
+    from nuqmc.balancing import _EngineState, _null_step
+    from nuqmc.dyadic import build_scheme
+
+    _, h = build_scheme(n_side, d)
+    st = _EngineState(h, np.random.default_rng(5).uniform(0.1, 0.9, h.n))
+    active = st.active_mask()
+    kept = active & ~h.implied(active)
+    assert (int(active.sum()), int(kept.sum())) == (n_active, n_kept)
+    before = h.edge_sums(st.x)[active]
+    _null_step(st, st.system(kept))
+    assert np.abs(h.edge_sums(st.x)[active] - before).max() <= 1e-9
+    assert 0 < st.trace["null_frozen"] == h.n - int(st.floating.sum())
+
+
 def test_active_floating_matches_loop_oracle():
-    # the nonzeros of the active system in edge order, then member order,
-    # whatever edges are active or empty and variables are floating
+    # the nonzeros of the system of the marked edges over the floating
+    # variables, in edge order, then member order, whatever edges are
+    # marked or empty and variables are floating
     from nuqmc.balancing import _EngineState
 
     rng = np.random.default_rng(12)
@@ -300,5 +309,7 @@ def test_active_floating_matches_loop_oracle():
             for v in h.edges[e]
             if st.floating[v]
         ]
-        rows, cols = st.active_floating(active)
-        assert list(zip(rows.tolist(), cols.tolist())) == [(int(r), int(c)) for r, c in pairs]
+        mat = st.system(active).tocoo()
+        assert mat.shape == (int(active.sum()), int(st.floating.sum()))
+        assert np.all(mat.data == 1.0)
+        assert list(zip(mat.row.tolist(), mat.col.tolist())) == [(int(r), int(c)) for r, c in pairs]

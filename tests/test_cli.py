@@ -32,6 +32,20 @@ def test_disc_single_midpoint(tmp_path, capsys):
     assert float(out.strip()) == 0.5
 
 
+def test_disc_refuses_nan_coordinates(tmp_path, capsys):
+    # a NaN point, or a NaN atom of a discrete measure, exits 2 with no value
+    p = tmp_path / "p.csv"
+    p.write_text("0.2\nnan\n0.7\n")
+    code, out, err = run(capsys, "disc", "--points", str(p), "--measure", "uniform", "--d", "1")
+    assert (code, out) == (2, "") and "[0,1]" in err
+    p.write_text("0.5\n")
+    (tmp_path / "atoms.csv").write_text("0.25\nnan\n0.75\n")
+    m = tmp_path / "m.json"
+    m.write_text('{"type": "discrete", "points": "atoms.csv"}')
+    code, out, err = run(capsys, "disc", "--points", str(p), "--measure", str(m))
+    assert (code, out) == (2, "") and "[0,1]" in err
+
+
 def test_disc_bracket_mode(tmp_path, capsys):
     # over the budget the exact scan is refused, and disc prints the
     # bracket "lower upper" on the largest grid the budget holds

@@ -219,6 +219,19 @@ def test_bracket_refused_before_any_mass():
         bracket_star_discrepancy(ps, NoMass([UniformCdf()] * 3), budget=2)
 
 
+def test_bracket_refuses_g_below_one(monkeypatch):
+    # g=0 used to drop the cap (a 51-corner grid for 50 points) and g=-1 to
+    # raise IndexError; both are refused before the points are sorted
+    def no_sort(*args):
+        raise AssertionError("points sorted before g was checked")
+
+    monkeypatch.setattr(discrepancy, "_grid", no_sort)
+    ps = PointSet(np.random.default_rng(3).random((50, 2)))
+    for g in (0, -1):
+        with pytest.raises(ValueError, match="g must be >= 1"):
+            bracket_star_discrepancy(ps, uniform_measure(2), g)
+
+
 @pytest.mark.parametrize("block_cells", [1, 200])
 def test_bracket_bit_identical_in_row_blocks(block_cells, monkeypatch):
     # one row per block, or a few rows with a ragged last block: both ends

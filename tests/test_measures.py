@@ -80,6 +80,26 @@ def test_mass_errors():
         box(-0.1)
 
 
+def test_nan_coordinates_refused():
+    # every range check is a positive test, which NaN fails
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        PointSet([[0.2], [nan], [0.7]])
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        AnchoredBox(np.array([nan]))
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        uniform_measure(1).mass_on_grid([np.array([nan])], True)
+    for boxes in ([([nan], [0.5]), ([0.0], [1.0])], [([0.0], [nan])]):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            OmegaRegion(boxes)
+    with pytest.raises(ValueError, match="increasing"):
+        PiecewiseLinearCdf([[0, 0], [nan, 0.5], [1, 1]])
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseLinearCdf([[0, 0], [0.5, nan], [1, 1]])
+    # a decreasing knot value is still built, and flagged by validate
+    assert not validate(ProductMeasure([PiecewiseLinearCdf([[0, 0], [0.5, 0.9], [0.7, 0.2], [1, 1]])]))
+
+
 def test_full_cube_normalization_all_families():
     families = [
         uniform_measure(3),
