@@ -209,6 +209,8 @@ def _bench_one(payload):
 
 def _cmd_bench(args):
     t0 = time.time()
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     raw = json.loads(Path(args.measure_omega).read_text())
     boxes = [(b[0], b[1]) for b in raw["boxes"]]
     n_list = [int(v) for v in args.n_list.split(",")]
@@ -217,8 +219,10 @@ def _cmd_bench(args):
         (boxes, args.g, n, seeds, _resolve_k_policy(args.k_policy), args.scale_c)
         for n in n_list
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_bench_one, payloads))
     else:
         chunks = [_bench_one(p) for p in payloads]

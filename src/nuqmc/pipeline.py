@@ -119,7 +119,7 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
             f"K*d = {k}*{d} coordinates exceeds the sample budget of {SAMPLE_BUDGET}"
         )
     z = mu.sample(cfg.seed, k)
-    # one sort per axis of z serves both scans and the decomposition; the
+    # one `_grid` of z serves both scans and the decomposition; the
     # rounding holds only the ranks and the axis-0 order the selection scan reads
     axes, ranks, orders = _grid(z.points)
     try:
@@ -300,7 +300,7 @@ def alexander_bound(t: float, n: int, d: int) -> dict:
 
     Returns {"conditions_met": (c1, c2), "bound": float | None, thresholds}.
     """
-    if t <= 0 or n < 1 or d < 1:
+    if not (t > 0 and n >= 1 and d >= 1):  # NaN fails every comparison
         raise ValueError("need t > 0, N >= 1, d >= 1")
     thr1 = (2 ** (33 / 2) * d / math.sqrt(n)) * math.log(max(n / (2 * d), math.e))
     thr2 = math.sqrt(2**25 * d * math.log(4.0))

@@ -4,7 +4,7 @@ Given z_1..z_K in [0,1]^d and N <= sqrt(K), the points are ranked per
 coordinate (stable sort, ties broken by original index) and the ranks are cut
 into N slabs per axis whose sizes differ from K/N by at most one.  The sort
 is the one the exact scans use (`discrepancy._grid`), so a construction
-sorts each axis of z once for the decomposition and both certificate scans;
+sorts z once for the decomposition and both certificate scans;
 cells are found in axis-0 order, with no (K, d) slab array.  The slab
 intersections partition the points into N^d cells, and the scaled occupancy
 

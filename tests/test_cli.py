@@ -247,6 +247,39 @@ def test_bench_jobs_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_bench_jobs_capped_at_the_n_list(tmp_path, capsys, monkeypatch):
+    # a pool gets at most one worker per N, none for a single N, and --jobs
+    # below 1 is refused; the stand-in pool maps in-process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    omega = tmp_path / "omega.json"
+    omega.write_text('{"boxes": [[[0.0], [0.5]]]}')
+    out = tmp_path / "bench.csv"
+    for jobs, n_list, pools, code in (
+        (64, "4,8", [2], 0), (64, "4", [], 0), (2, "4,8,16", [2], 0), (0, "4,8", [], 2), (-3, "4", [], 2),
+    ):
+        sizes.clear()
+        got = run(capsys, "bench", "--measure-omega", str(omega), "--g", "const",
+                  "--n-list", n_list, "--seeds", "1", "--jobs", str(jobs), "--out", str(out))
+        assert (got[0], sizes) == (code, pools)
+        if code:
+            assert "--jobs" in got[2]
+
+
 def test_verify_balancing_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "balancing", "--seed", "1")
     assert code == 0

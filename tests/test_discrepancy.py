@@ -417,31 +417,72 @@ def _tie_heavy_clouds():
     grid8 = rng.integers(0, 9, size=(5000, 2)) / 8.0  # holds 0.0 and 1.0
     rows = rng.random((40, 3))
     dup_rows = rows[rng.integers(0, 40, size=3000)]  # duplicate rows
-    return [
+    zeros = np.zeros((500, 2))  # -0.0 inside runs of zeros, first on axis 1 only
+    zeros[rng.integers(1, 500, 60)] = -0.0
+    zeros[0, 1] = -0.0
+    clouds = [
         grid8,
         dup_rows,
         np.vstack([np.zeros((700, 1)), np.ones((700, 1)), rng.random((600, 1))]),
         rng.random((4000, 2)),
         np.zeros((1, 1)),
         np.zeros((0, 2)),
+        zeros,
     ]
+    # a key keeps x * 2**(63-b) with b = bit_length(K-1): 2**-49 apart at
+    # K = 2**14, 2**-48 at K = 2**14 + 1, so coordinates 2**-50 apart, and
+    # those below 2**-(63-b), share a fraction while their values differ
+    for k in (1 << 14, (1 << 14) + 1):
+        near = 0.5 + rng.integers(0, 3000, k) * 2.0**-50  # exact ties as well
+        tiny = np.where(rng.random(k) < 0.5, rng.random(k) * 2.0**-55, 0.0)
+        tiny[rng.random(k) < 0.1] = -0.0
+        ends = rng.choice([0.0, -0.0, 0.25, 1.0], k)
+        clouds.append(np.column_stack([near, tiny, ends]))
+    return clouds
+
+
+def _fraction_clashes(col):
+    # distinct coordinates that share their key's fraction bits
+    b = max(col.size - 1, 0).bit_length()
+    v = np.sort(col)
+    frac = np.floor(np.ldexp(v, 63 - b))
+    return bool(np.any((frac[1:] == frac[:-1]) & (v[1:] != v[:-1])))
 
 
 @pytest.mark.parametrize(
-    "cloud", _tie_heavy_clouds(), ids=["grid8", "dup", "ends", "free", "one", "empty"]
+    "cloud",
+    _tie_heavy_clouds(),
+    ids=["grid8", "dup", "ends", "free", "one", "empty", "negzero", "clash-2^14", "clash-2^14+1"],
 )
-def test_shared_sort_matches_stable_argsort_and_unique(cloud):
-    # one default argsort per axis with the tie order restored is the stable
-    # argsort, and the grid read off it is np.unique's axis and inverse
+def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
+    # one sort of unique keys per axis, with the runs of tied fractions
+    # repaired, is the stable argsort, and the grid read off it is np.unique's
+    # axis and inverse; a zero on the axis keeps the lowest-index zero's sign
+    real, lexsorts = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or real(keys))
     axes, ranks, orders = _grid(cloud)
+    monkeypatch.undo()
     assert len(axes) == len(ranks) == len(orders) == cloud.shape[1]
+    assert len(lexsorts) == sum(_fraction_clashes(cloud[:, s]) for s in range(cloud.shape[1]))
     for s in range(cloud.shape[1]):
         col = cloud[:, s]
         ax, inv = np.unique(np.concatenate([col, [1.0]]), return_inverse=True)
-        assert np.array_equal(orders[s], np.argsort(col, kind="stable"))
+        stable = np.argsort(col, kind="stable")
+        assert np.array_equal(orders[s], stable)
         assert np.array_equal(axes[s], ax)
         # ranks are listed in axis-0 order
         assert np.array_equal(ranks[s], inv[: col.size][orders[0]])
+        # bitwise, the signs of zeros included: the stably sorted column's
+        # first value of every run
+        values = np.concatenate([col[stable], [1.0]])
+        first = np.concatenate([[True], values[1:] != values[:-1]])
+        assert axes[s].tobytes() == values[first].tobytes()
+        assert np.array_equal(np.signbit(axes[s]), np.signbit(values[first]))
+        assert orders[s].dtype == ranks[s].dtype == np.intp
+
+
+def test_tie_heavy_clouds_take_the_fraction_repair():
+    assert any(_fraction_clashes(c[:, s]) for c in _tie_heavy_clouds() for s in range(c.shape[1]))
 
 
 def test_merge_axes_adds_atoms_and_moves_ranks():

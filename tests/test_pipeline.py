@@ -399,3 +399,9 @@ def test_alexander_both_fail():
     res = alexander_bound(1.0, 100, 1)
     assert res["conditions_met"] == (False, False)
     assert res["bound"] is None
+
+
+@pytest.mark.parametrize("t", [float("nan"), 0.0, -1.0])
+def test_alexander_rejects_t_not_positive(t):
+    with pytest.raises(ValueError):
+        alexander_bound(t, 100, 1)
