@@ -32,9 +32,12 @@ The scan streams the grid in blocks of whole rows of axis 0, about
 array is allocated.  In axis-0 order, the points that start counting in a
 block are one stretch: one bincount of it, cumulative sums along the other
 axes, and a cumulative sum along axis 0 carried over from the block before
-give the block's counts; the mass side is evaluated on the same rows.  A
-scan of K points costs O(K log K + grid cells * d) rather than
-O(grid cells * K * d).
+give the block's closed counts; the mass side is evaluated on the same
+rows.  A strict count is the closed count one corner lower on every axis:
+the exact scan subtracts the block's quotient count/N shifted that way,
+and only the bracket, which reads strict counts themselves, builds a
+strict block.  A scan of K points costs O(K log K + grid cells * d) rather
+than O(grid cells * K * d).
 The scan refuses to run when grid_cells * d exceeds a configurable step
 budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
 The budget is checked on the grid's size once the atoms are merged in,
@@ -46,7 +49,9 @@ The discrete discrepancy of a selection against the set it was drawn from
 (`discrete_discrepancy`) takes the selection as distinct row indices of
 that set, so its ranks are the set's, read off one mark of the rows; both
 are counted on the selection's own grid: at most 2N+1 slots per axis,
-whatever the size of the full set.
+whatever the size of the full set.  It reads closed counts only.  At d=1
+the full set's points in one slot are one stretch of axis-0 positions, so
+its counts are the cumulated stretch lengths, with no K-long index built.
 
 All operations are pure; scans may be partitioned arbitrarily and max-reduced
 without changing the result.
@@ -168,10 +173,14 @@ def _grid(points: np.ndarray):
         del same, clash  # freed before the ranks are allocated: a lower peak
         if k:
             values[0] = col[order[0]]  # the lowest-index zero's sign
-        run = keep[:k].astype(np.intp)
-        np.cumsum(run, out=run)
-        run -= 1
-        ax = values if keep.all() else values[keep]
+        if keep.all():  # distinct values below 1.0: every point its own run
+            run = np.arange(k, dtype=np.intp)
+            ax = values
+        else:
+            run = keep[:k].astype(np.intp)
+            np.cumsum(run, out=run)
+            run -= 1
+            ax = values[keep]
         if s:
             scattered = np.empty_like(run)
             scattered[order] = run
@@ -209,18 +218,19 @@ def _flat_ranks(ranks, shape):
 
 
 def _count_blocks(flat, shape, rows):
-    """Counts of the points inside [0, corner] and inside [0, corner) for
-    every corner of the grid, yielded as (closed, strict) pairs of blocks of
-    `rows` rows of axis 0.
+    """Counts of the points inside [0, corner] for every corner of the grid,
+    yielded in blocks of `rows` rows of axis 0.
 
     `flat` holds every point's first corner as a C-order flat index, in
     axis-0 row order (`_flat_ranks`).  The points whose first corner lies in
     a block are then one stretch: a block costs one bincount of that stretch
     and a cumsum along every other axis, and its running sum along axis 0
     starts from the last cumulative row of the block before.  A strict count
-    is the closed count one corner lower on every axis (zero where there is
-    none), so the strict block is the closed one, with that carried row on
-    top, shifted by one (`_one_corner_lower`)."""
+    (points inside [0, corner)) is the closed count one corner lower on
+    every axis, zero where there is none; a caller that reads strict counts
+    shifts the closed block, with the row before it on top, itself.  The
+    last row of a yielded block carries into the next, so a caller must not
+    write to the block."""
     d = len(shape)
     stride = math.prod(shape[1:])
     # flat rises with the row, so a search at a row start splits it exactly
@@ -240,9 +250,8 @@ def _count_blocks(flat, shape, rows):
                 np.add(block[i], block[i - 1], out=block[i])
         else:
             np.cumsum(block, axis=0, out=block)
-        strict = _one_corner_lower(block, carry)
         carry = block[-1]
-        yield block, strict
+        yield block
 
 
 def _one_corner_lower(block, carry):
@@ -280,12 +289,16 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
 
     The grid is streamed in blocks of about `_BLOCK_CELLS` cells, whole rows
     of axis 0 each (`_count_blocks`), so nothing grid-sized is allocated.
+    Each block's closed counts are divided once, q = count/normalizer; the
+    open variant's strict count/normalizer is q shifted one corner lower on
+    every axis, with the row before the block on top, which is the same
+    float as the strict count divided, so no strict block is built.
     `mass_provider(block_axes, closed)` is called once per block and variant,
     closed first, with `axes[0]` cut to the block's rows; it returns the
     masses of that block as a fresh, writable array, which the scan
-    overwrites with |mass - count/normalizer| (bitwise |count/normalizer -
-    mass|).  Without `extra_axes` the measure has no atoms, so the open box
-    has the closed box's mass, and the closed call serves both variants.
+    overwrites with |mass - q| (bitwise |q - mass|).  Without `extra_axes`
+    the measure has no atoms, so the open box has the closed box's mass,
+    and the closed call serves both variants.
     The maximum is kept with a strict > in C order, closed variant first,
     so value and witness are those of an argmax over the whole grid.
     """
@@ -297,24 +310,32 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     stride = cells // shape[0]
     counts = _count_blocks(_flat_ranks(ranks, shape), shape, block_rows)
+    # a block's corners above the first on every axis but 0, and the
+    # corners one lower on those axes
+    up, down = (slice(1, None),) * (d - 1), (slice(None, -1),) * (d - 1)
+    q_carry = np.zeros(shape[1:])  # the quotients of the row before the block
     best = {}  # closed -> (value, flat index of the corner)
-    for lo in range(0, shape[0], block_rows):
+    for lo, c in zip(range(0, shape[0], block_rows), counts):
         block_axes = [axes[0][lo:lo + block_rows], *axes[1:]]
-        for closed, c in zip((True, False), next(counts)):
-            if closed or extra_axes is not None:
-                mass = mass_provider(block_axes, closed)
-            if closed and extra_axes is None:
-                # the open variant reuses the closed mass, so this variant
-                # gets a new array
-                vals = mass - c / float(normalizer)
+        q = c / float(normalizer)
+        for closed in (True, False):
+            if closed:
+                mass = mass_provider(block_axes, True)
+                # without atoms the open variant reuses the closed mass, so
+                # this variant gets a new array
+                vals = mass - q if extra_axes is None else np.subtract(mass, q, out=mass)
             else:
-                vals = mass
-                vals -= c / float(normalizer)
+                vals = mass if extra_axes is None else mass_provider(block_axes, False)
+                # strict count/normalizer is q one corner lower on every
+                # axis, the carried row on top, and 0 where there is none
+                vals[(slice(1, None), *up)] -= q[(slice(None, -1), *down)]
+                vals[(0, *up)] -= q_carry[down]
             np.abs(vals, out=vals)
             j = int(np.argmax(vals))
             v = float(vals.ravel()[j])
             if closed not in best or v > best[closed][0]:
                 best[closed] = (v, lo * stride + j)
+        q_carry = q[-1]
 
     closed = not best[False][0] > best[True][0]
     v, flat = best[closed]
@@ -366,12 +387,12 @@ def bracket_star_discrepancy(
     every axis lies between the closed boxes at c_{j-1} (empty where j is 0)
     and c_j, so for any measure its count and mass lie between theirs,
     C- <= C+ and M- <= M+.  `upper` is the largest max(C+/K - M-, M+ - C-/K)
-    and `value` the largest |C+/K - M+|, at the closed box `witness`.  C+ and
-    C- are `_count_blocks`' closed and strict blocks on the points' coarse
-    corners, and M- is M+ one corner lower: mu is never evaluated at
-    coordinate 0, where an atom would count.  The budget is checked before
-    anything is counted.  `_sorted` starts with `_grid(ps.points)`'s axes
-    and ranks."""
+    and `value` the largest |C+/K - M+|, at the closed box `witness`.  C+ is
+    `_count_blocks`' closed block on the points' coarse corners, and C- and
+    M- are C+ and M+ one corner lower (`_one_corner_lower`): mu is never
+    evaluated at coordinate 0, where an atom would count.  The budget is
+    checked before anything is counted.  `_sorted` starts with
+    `_grid(ps.points)`'s axes and ranks."""
     if g is not None and g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if ps.dim != mu.dim:
@@ -393,10 +414,12 @@ def bracket_star_discrepancy(
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     upper, lower, at = 0.0, -1.0, 0
     carry = np.zeros(shape[1:])  # M+ of the row before the block
+    c_carry = np.zeros(shape[1:], dtype=np.intp)  # C+ of the row before the block
     blocks = _count_blocks(flat, shape, block_rows)
-    for lo, (c_hi, c_lo) in zip(range(0, shape[0], block_rows), blocks):
+    for lo, c_hi in zip(range(0, shape[0], block_rows), blocks):
         m_hi = mu.mass_on_grid([corners[0][lo:lo + block_rows], *corners[1:]], True)
         m_lo, carry = _one_corner_lower(m_hi, carry), m_hi[-1]
+        c_lo, c_carry = _one_corner_lower(c_hi, c_carry), c_hi[-1]
         c_hi, c_lo = c_hi / float(ps.n), c_lo / float(ps.n)
         upper = max(upper, float((c_hi - m_lo).max()), float((m_hi - c_lo).max()))
         dev = np.abs(c_hi - m_hi).ravel()
@@ -418,7 +441,8 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _so
     closed, past the last), which keeps Q's count and does not lower full's.
     So each axis gets one slot per distinct coordinate of Q and one per gap
     around them, at most (2N+1)^d cells whatever K is; full is binned onto
-    the slots, both sets are counted on them (`_count_blocks`), and every
+    the slots, both sets are counted on them (`_count_blocks`; at d=1 full's
+    counts are the cumulated stretch lengths between Q's ranks), and every
     corner is a box.
 
     The rows are checked (a ValueError) before anything is sorted or
@@ -449,21 +473,25 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _so
     # stretch, cut where Q's ranks start and end
     cuts = np.searchsorted(full_ranks[0], np.stack([distinct[0], distinct[0] + 1], 1))
     lengths = np.diff(cuts.ravel(), prepend=0, append=full.n)
-    flat = np.repeat(np.arange(shape[0]) * (cells // shape[0]), lengths)
-    for s in range(1, len(shape)):
-        mark = np.zeros(full.n, dtype=np.intp)  # full has at most K distinct values
-        mark[distinct[s]] = 1
-        slot = 2 * np.cumsum(mark) - mark  # the slot of every rank on axis s
-        flat += slot[full_ranks[s]] * math.prod(shape[s + 1:])
+    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    if len(shape) == 1:
+        # the stretch lengths are full's histogram on the slots
+        closed = np.cumsum(lengths)
+        blocks = (closed[lo:lo + block_rows] for lo in range(0, shape[0], block_rows))
+    else:
+        flat = np.repeat(np.arange(shape[0]) * (cells // shape[0]), lengths)
+        for s in range(1, len(shape)):
+            mark = np.zeros(full.n, dtype=np.intp)  # full has at most K distinct values
+            mark[distinct[s]] = 1
+            slot = 2 * np.cumsum(mark) - mark  # the slot of every rank on axis s
+            flat += slot[full_ranks[s]] * math.prod(shape[s + 1:])
+        blocks = _count_blocks(flat, shape, block_rows)
     sub_flat = np.ravel_multi_index([2 * i + 1 for i in sub_slots], shape)
     sub_flat.sort()
 
-    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     ratio = rows.size / full.n
     best = 0.0
-    for (c, _), (c_sub, _) in zip(
-        _count_blocks(flat, shape, block_rows), _count_blocks(sub_flat, shape, block_rows)
-    ):
+    for c, c_sub in zip(blocks, _count_blocks(sub_flat, shape, block_rows)):
         vals = ratio * c
         vals -= c_sub
         best = max(best, float(np.abs(vals, out=vals).max()))

@@ -80,7 +80,7 @@ class ConstructionConfig:
     """K policy and seed for a construction.
 
     k_policy: "paper" (K = 2^26 d N^2), "scaled" (K = scale_c * N^2), or an
-    explicit integer K.
+    explicit integer K >= 1 (a bool or a float is refused, not truncated).
     """
 
     k_policy: object = "scaled"
@@ -93,7 +93,11 @@ class ConstructionConfig:
         elif self.k_policy == "scaled":
             k = self.scale_c * n * n
         else:
-            k = int(self.k_policy)
+            k = self.k_policy
+            # an explicit K is refused, not truncated, unless it is an integer
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+                raise ValueError(f"explicit K must be an integer >= 1, got K={k!r}")
+            k = int(k)
         if n > math.isqrt(k):
             raise ValueError(f"K={k} violates N <= sqrt(K) for N={n}")
         return k

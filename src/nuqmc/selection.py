@@ -5,8 +5,12 @@ coordinate (stable sort, ties broken by original index) and the ranks are cut
 into N slabs per axis whose sizes differ from K/N by at most one.  The sort
 is the one the exact scans use (`discrepancy._grid`), so a construction
 sorts z once for the decomposition and both certificate scans;
-cells are found in axis-0 order, with no (K, d) slab array.  The slab
-intersections partition the points into N^d cells, and the scaled occupancy
+cells are found in axis-0 order, with no (K, d) slab array.  At d=1 the
+cells are the slabs, and slab i is the stretch of axis-0 positions
+[iK//N, (i+1)K//N): its occupancy is the stretch's length and its
+representative the stretch's lowest index, with no K-long cell array.
+The slab intersections partition the points into N^d cells, and the scaled
+occupancy
 
     beta_cell = N/(K+N) * #(points in cell)
 
@@ -75,21 +79,28 @@ def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
         )
     if _orders is None:
         _orders = _grid(z.points)[2]
-    # axis-0 position p has axis-0 rank p + 1; on axis s a sorted position's
-    # slab goes to its point (scatter), then to its axis-0 position (gather)
-    slab = _slab_of_rank(k, n_target)
-    cell = slab.copy() if d > 1 else slab
-    for order in _orders[1:]:
-        scattered = np.empty_like(slab)
-        scattered[order] = slab
-        cell *= n_target
-        cell += scattered[_orders[0]]
-
     shape = (n_target,) * d
-    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+    if d == 1:
+        # slab i is the axis-0 positions [iK//N, (i+1)K//N), none empty
+        # since K >= N^2
+        bounds = np.arange(n_target + 1, dtype=np.intp) * k // n_target
+        counts = np.diff(bounds)
+        first = np.minimum.reduceat(_orders[0], bounds[:-1]).astype(np.int64, copy=False)
+    else:
+        # axis-0 position p has axis-0 rank p + 1; on axis s a sorted
+        # position's slab goes to its point (scatter), then to its axis-0
+        # position (gather)
+        slab = _slab_of_rank(k, n_target)
+        cell = slab.copy()
+        for order in _orders[1:]:
+            scattered = np.empty_like(slab)
+            scattered[order] = slab
+            cell *= n_target
+            cell += scattered[_orders[0]]
+        counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+        first = np.full(counts.size, k, dtype=np.int64)
+        np.minimum.at(first, cell, _orders[0])
     assert counts.sum() == k
-    first = np.full(counts.size, k, dtype=np.int64)
-    np.minimum.at(first, cell, _orders[0])
 
     beta = counts * (n_target / (k + n_target))
     if beta.max() > 1.0:
@@ -140,7 +151,9 @@ def select_subset(z: PointSet, n_target: int, *, _decomp=None) -> SelectionResul
     if raw_count > n_target:
         indices = reps[:n_target]  # drop highest original indices
     elif raw_count < n_target:
-        unselected = np.setdiff1d(np.arange(k), reps, assume_unique=False)
+        # at most raw_count < N of [0, N) are selected, so the lowest
+        # unselected indices lie there
+        unselected = np.setdiff1d(np.arange(n_target), reps)
         indices = np.sort(
             np.concatenate([reps, unselected[: n_target - raw_count]])
         )

@@ -307,6 +307,10 @@ def test_exit_code_precondition(tmp_path, capsys):
                        "--out", str(tmp_path / "s.csv"))
     assert code == 2  # 9 > sqrt(10)
     assert "sqrt" in err
+    for k in ("-4", "0"):  # refused by name before any isqrt
+        code, _, err = run(capsys, "gen", "--measure", "uniform", "--d", "1", "--n", "2",
+                           "--k-policy", f"K={k}", "--out", str(tmp_path / "g.csv"))
+        assert code == 2 and f"K={k}" in err and "isqrt" not in err
 
 
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):

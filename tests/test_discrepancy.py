@@ -14,6 +14,7 @@ from nuqmc.discrepancy import (
     _flat_ranks,
     _grid,
     _merge_axes,
+    _one_corner_lower,
     bracket_star_discrepancy,
     discrete_discrepancy,
     exact_star_discrepancy,
@@ -438,6 +439,11 @@ def _tie_heavy_clouds():
         tiny[rng.random(k) < 0.1] = -0.0
         ends = rng.choice([0.0, -0.0, 0.25, 1.0], k)
         clouds.append(np.column_stack([near, tiny, ends]))
+    # all distinct below 1.0 on axes 0 and 1 (ranks from np.arange); axis 2
+    # holds 1.0 once, and a lone 1.0 is K = 1 with a run index cumulated
+    distinct = rng.random((300, 3))
+    distinct[17, 2] = 1.0
+    clouds += [distinct, np.ones((1, 1)), np.full((1, 2), 0.3)]
     return clouds
 
 
@@ -452,18 +458,27 @@ def _fraction_clashes(col):
 @pytest.mark.parametrize(
     "cloud",
     _tie_heavy_clouds(),
-    ids=["grid8", "dup", "ends", "free", "one", "empty", "negzero", "clash-2^14", "clash-2^14+1"],
+    ids=[
+        "grid8", "dup", "ends", "free", "one", "empty", "negzero", "clash-2^14", "clash-2^14+1",
+        "distinct", "lone-1.0", "lone-0.3",
+    ],
 )
 def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
     # one sort of unique keys per axis, with the runs of tied fractions
     # repaired, is the stable argsort, and the grid read off it is np.unique's
-    # axis and inverse; a zero on the axis keeps the lowest-index zero's sign
+    # axis and inverse; a zero on the axis keeps the lowest-index zero's sign.
+    # Only an axis with a repeated value or a 1.0 cumulates its run index
     real, lexsorts = np.lexsort, []
     monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or real(keys))
+    real_cumsum, cumsums = np.cumsum, []
+    monkeypatch.setattr(np, "cumsum", lambda a, **kw: cumsums.append(a) or real_cumsum(a, **kw))
     axes, ranks, orders = _grid(cloud)
     monkeypatch.undo()
     assert len(axes) == len(ranks) == len(orders) == cloud.shape[1]
     assert len(lexsorts) == sum(_fraction_clashes(cloud[:, s]) for s in range(cloud.shape[1]))
+    assert len(cumsums) == sum(
+        np.unique(col).size < col.size or bool((col == 1.0).any()) for col in cloud.T
+    )
     for s in range(cloud.shape[1]):
         col = cloud[:, s]
         ax, inv = np.unique(np.concatenate([col, [1.0]]), return_inverse=True)
@@ -497,7 +512,40 @@ def test_merge_axes_adds_atoms_and_moves_ranks():
         assert np.array_equal(ranks[s], inv[: len(cloud)][orders[0]])
 
 
-@pytest.mark.parametrize("block_cells", [1, 7])
+def strict_count_scan(ps, mu):
+    """(value, witness corner, closed) of a whole-grid scan that counts the
+    closed and strict boxes directly and divides each count by N: the
+    streamed scan's shifted quotients must give the same floats."""
+    jumps = mu.jump_coordinates()
+    axes = [
+        np.unique(np.concatenate([ps.points[:, s], [1.0], [] if jumps is None else jumps[s]]))
+        for s in range(ps.dim)
+    ]
+    corners = np.stack(np.meshgrid(*axes, indexing="ij"), -1)[..., None, :]
+    best = None
+    for closed in (True, False):
+        inside = ps.points <= corners if closed else ps.points < corners
+        vals = np.abs(mu.mass_on_grid(axes, closed) - inside.all(-1).sum(-1) / float(ps.n))
+        j = int(np.argmax(vals))
+        if best is None or vals.ravel()[j] > best[0]:
+            at = np.unravel_index(j, vals.shape)
+            best = (float(vals.ravel()[j]), [float(ax[i]) for ax, i in zip(axes, at)], closed)
+    return best
+
+
+def d1_selection_reference(z, rows):
+    # |#(Q in A) - (N/K) #(z in A)| at every closed and open box on the
+    # union of both sets' coordinates and 1.0, counted by search
+    full, sub = np.sort(z.points[:, 0]), np.sort(z.points[rows, 0])
+    corners = np.union1d(full, [1.0])
+    ratio = rows.size / z.n
+    return max(
+        float(np.abs(np.searchsorted(sub, corners, side) - ratio * np.searchsorted(full, corners, side)).max())
+        for side in ("left", "right")
+    )
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 200])
 def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
     # blocks of one row, ragged last blocks and counts carried across block
     # starts; at the default block size every oracle grid is one block
@@ -511,12 +559,23 @@ def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
     measures = [uniform_measure, lambda d: DiscreteMeasure(PointSet(rng.random((6, d))))]
     cases = [(ps, make(ps.dim)) for ps in sets for make in measures]
     whole = [exact_star_discrepancy(ps, mu) for ps, mu in cases]
+    # d=1 selections with more slots than a block of 200 cells: full's
+    # counts come from the stretch lengths, cut into blocks
+    picks = []
+    for k, n in ((3000, 400), (2000, 150)):
+        z = PointSet(np.concatenate([rng.random(k - 500), rng.integers(0, 9, 500) / 8.0])[:, None])
+        rows = rng.choice(k, n, replace=False)
+        picks.append((z, rows, discrete_discrepancy(z, rows)))
+        assert picks[-1][2] == d1_selection_reference(z, rows)
     monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
     for (ps, mu), ref in zip(cases, whole):
         rep = exact_star_discrepancy(ps, mu)
         assert rep.value == ref.value and rep.boxes_scanned == ref.boxes_scanned
         assert rep.witness.corner.tolist() == ref.witness.corner.tolist()
         assert rep.witness.closed == ref.witness.closed
+        assert (rep.value, rep.witness.corner.tolist(), rep.witness.closed) == strict_count_scan(ps, mu)
+    for z, rows, ref in picks:
+        assert discrete_discrepancy(z, rows) == ref
     check_matches_naive_oracle_small()
     check_matches_naive_oracle_with_ties()
     check_discrete_discrepancy_matches_naive()
@@ -541,8 +600,14 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
     # any listing in axis-0 order: ties on axis 0 in index or in random order
     for order in (np.argsort(ranks[0], kind="stable"), np.lexsort((rng.random(500), ranks[0]))):
         blocks = list(_count_blocks(_flat_ranks([r[order] for r in ranks], shape), shape, rows))
-        assert np.array_equal(np.concatenate([c for c, _ in blocks]), closed)
-        assert np.array_equal(np.concatenate([s for _, s in blocks]), strict)
+        assert np.array_equal(np.concatenate(blocks), closed)
+        # the bracket's strict blocks: each closed block one corner lower,
+        # with the last row of the block before on top
+        carry, lower = np.zeros(shape[1:], dtype=np.intp), []
+        for c in blocks:
+            lower.append(_one_corner_lower(c, carry))
+            carry = c[-1]
+        assert np.array_equal(np.concatenate(lower), strict)
 
 
 def test_atomless_scan_evaluates_mass_once_per_block(monkeypatch):

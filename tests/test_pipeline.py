@@ -223,6 +223,11 @@ def test_k_policies():
     assert ConstructionConfig(400).resolve_k(20, 1) == 400
     with pytest.raises(ValueError):
         ConstructionConfig(100).resolve_k(20, 1)  # N > sqrt(K)
+    assert ConstructionConfig(np.int64(16)).resolve_k(4, 1) == 16
+    # an explicit K is refused, not truncated, unless it is an integer >= 1
+    for k in (16.7, 16.0, True, False, 0, -4, "16"):
+        with pytest.raises(ValueError, match="K="):
+            ConstructionConfig(k).resolve_k(1, 1)
 
 
 def test_construct_determinism():

@@ -6,6 +6,7 @@ import pytest
 from conftest import prefix_count
 from nuqmc.discrepancy import _grid, discrete_discrepancy
 from nuqmc.measures import PointSet, PowerCdf, ProductMeasure, uniform_measure
+from nuqmc import selection
 from nuqmc.selection import _slab_of_rank, decompose, select_subset
 
 
@@ -64,12 +65,19 @@ def test_decompose_byte_equal_to_stable_argsort():
     # clouds (a k/8 grid with 0.0 and 1.0, duplicate rows), whether the
     # orders are passed in or computed by decompose itself: every point lands
     # in its stable-argsort cell, which fixes the counts and representatives
+    # At d=1 the slabs are read off stretches of axis-0 positions: K not a
+    # multiple of N, K = N^2, N = 1 and tied coordinates
     rng = np.random.default_rng(8)
     rows = rng.random((30, 2))
     for pts, n in [
         (rng.integers(0, 9, size=(4096, 2)) / 8.0, 16),
         (rows[rng.integers(0, 30, size=2500)], 12),
         (rng.integers(0, 9, size=(3000, 1)) / 8.0, 40),
+        (rng.random((1003, 1)), 17),
+        (rng.random((144, 1)), 12),
+        (rng.integers(0, 3, size=(50, 1)) / 2.0, 7),
+        (rng.random((5, 1)), 1),
+        (np.full((1, 1), 0.5), 1),
     ]:
         z = PointSet(pts)
         k, d = pts.shape
@@ -83,6 +91,8 @@ def test_decompose_byte_equal_to_stable_argsort():
             ).reshape((n,) * d)
             assert dc.counts.tobytes() == counts.tobytes()
             assert dc.beta.tobytes() == (counts * (n / (k + n))).tobytes()
+            assert (dc.first.dtype, dc.counts.dtype) == (first.dtype, counts.dtype)
+            assert dc.first.shape == dc.counts.shape == (n,) * d
 
 
 def test_decompose_first_is_lowest_index_per_cell():
@@ -194,3 +204,24 @@ def test_certificate_chain_fields():
     assert c["box_bound"] == pytest.approx(6 * c["prefix_error"] + 4 * c["d"] + 6)
     assert c["reference_box_bound"] > 0
     assert c["slab_boundary_bound"] == pytest.approx(2 * 1 * 256 / 16)
+
+
+@pytest.mark.parametrize("drop", [1, 3])
+def test_cardinality_fix_adds_lowest_unselected_indices(drop, monkeypatch):
+    # a rounding with fewer than N ones: the selection adds the lowest
+    # unselected indices, which lie in [0, N)
+    real = selection.round_array
+
+    def fewer_ones(beta):
+        b, cert = real(beta)
+        b = b.copy()
+        b.ravel()[np.flatnonzero(b.ravel() == 1)[:drop]] = 0
+        return b, {**cert, "measured_prefix_error": max(cert["measured_prefix_error"], drop)}
+
+    monkeypatch.setattr(selection, "round_array", fewer_ones)
+    for z, n in [(uniform_measure(1).sample(3, 1024), 32), (uniform_measure(2).sample(4, 900), 9)]:
+        res = select_subset(z, n)
+        reps = np.sort(decompose(z, n).first[fewer_ones(decompose(z, n).beta)[0] == 1])
+        assert res.raw_selected_count == reps.size < n
+        lowest = np.setdiff1d(np.arange(z.n), reps)[: n - reps.size]
+        assert np.array_equal(res.indices, np.sort(np.concatenate([reps, lowest])))
