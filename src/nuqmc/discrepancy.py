@@ -34,10 +34,10 @@ block are one stretch: one bincount of it, cumulative sums along the other
 axes, and a cumulative sum along axis 0 carried over from the block before
 give the block's closed counts; the mass side is evaluated on the same
 rows.  A strict count is the closed count one corner lower on every axis:
-the exact scan subtracts the block's quotient count/N shifted that way,
-and only the bracket, which reads strict counts themselves, builds a
-strict block.  A scan of K points costs O(K log K + grid cells * d) rather
-than O(grid cells * K * d).
+the exact scan and the bracket subtract the block's quotient count/N
+shifted that way (`_subtract_lower`), so no strict block is built.  A
+scan of K points costs O(K log K + grid cells * d) rather than
+O(grid cells * K * d).
 The scan refuses to run when grid_cells * d exceeds a configurable step
 budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
 The budget is checked on the grid's size once the atoms are merged in,
@@ -227,10 +227,10 @@ def _count_blocks(flat, shape, rows):
     and a cumsum along every other axis, and its running sum along axis 0
     starts from the last cumulative row of the block before.  A strict count
     (points inside [0, corner)) is the closed count one corner lower on
-    every axis, zero where there is none; a caller that reads strict counts
-    shifts the closed block, with the row before it on top, itself.  The
-    last row of a yielded block carries into the next, so a caller must not
-    write to the block."""
+    every axis, zero where there is none; a caller that needs strict counts
+    shifts the closed block, with the row before it on top, itself
+    (`_subtract_lower`).  The last row of a yielded block carries into the
+    next, so a caller must not write to the block."""
     d = len(shape)
     stride = math.prod(shape[1:])
     # flat rises with the row, so a search at a row start splits it exactly
@@ -254,13 +254,14 @@ def _count_blocks(flat, shape, rows):
         yield block
 
 
-def _one_corner_lower(block, carry):
-    """`block` one corner lower on every axis, 0 where there is none; `carry`
-    is the row before it (zeros before the first row)."""
-    out = np.zeros_like(block)
-    up = (slice(None),) + (slice(1, None),) * (block.ndim - 1)
-    down = (slice(None),) + (slice(None, -1),) * (block.ndim - 1)
-    out[up] = np.concatenate([carry[None], block[:-1]])[down]
+def _subtract_lower(out, block, carry):
+    """Subtract from `out`, in place, `block` one corner lower on every axis;
+    `carry` is the row before the block (zeros before the first row), and a
+    corner with none below keeps its value.  Returns `out`."""
+    up = (slice(1, None),) * (block.ndim - 1)
+    down = (slice(None, -1),) * (block.ndim - 1)
+    out[(slice(1, None), *up)] -= block[(slice(None, -1), *down)]
+    out[(0, *up)] -= carry[down]
     return out
 
 
@@ -310,9 +311,6 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     stride = cells // shape[0]
     counts = _count_blocks(_flat_ranks(ranks, shape), shape, block_rows)
-    # a block's corners above the first on every axis but 0, and the
-    # corners one lower on those axes
-    up, down = (slice(1, None),) * (d - 1), (slice(None, -1),) * (d - 1)
     q_carry = np.zeros(shape[1:])  # the quotients of the row before the block
     best = {}  # closed -> (value, flat index of the corner)
     for lo, c in zip(range(0, shape[0], block_rows), counts):
@@ -328,8 +326,7 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
                 vals = mass if extra_axes is None else mass_provider(block_axes, False)
                 # strict count/normalizer is q one corner lower on every
                 # axis, the carried row on top, and 0 where there is none
-                vals[(slice(1, None), *up)] -= q[(slice(None, -1), *down)]
-                vals[(0, *up)] -= q_carry[down]
+                _subtract_lower(vals, q, q_carry)
             np.abs(vals, out=vals)
             j = int(np.argmax(vals))
             v = float(vals.ravel()[j])
@@ -389,7 +386,7 @@ def bracket_star_discrepancy(
     C- <= C+ and M- <= M+.  `upper` is the largest max(C+/K - M-, M+ - C-/K)
     and `value` the largest |C+/K - M+|, at the closed box `witness`.  C+ is
     `_count_blocks`' closed block on the points' coarse corners, and C- and
-    M- are C+ and M+ one corner lower (`_one_corner_lower`): mu is never
+    M- are C+ and M+ one corner lower (`_subtract_lower`): mu is never
     evaluated at coordinate 0, where an atom would count.  The budget is
     checked before anything is counted.  `_sorted` starts with
     `_grid(ps.points)`'s axes and ranks."""
@@ -414,14 +411,16 @@ def bracket_star_discrepancy(
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     upper, lower, at = 0.0, -1.0, 0
     carry = np.zeros(shape[1:])  # M+ of the row before the block
-    c_carry = np.zeros(shape[1:], dtype=np.intp)  # C+ of the row before the block
+    c_carry = np.zeros(shape[1:])  # C+/K of the row before the block
     blocks = _count_blocks(flat, shape, block_rows)
     for lo, c_hi in zip(range(0, shape[0], block_rows), blocks):
         m_hi = mu.mass_on_grid([corners[0][lo:lo + block_rows], *corners[1:]], True)
-        m_lo, carry = _one_corner_lower(m_hi, carry), m_hi[-1]
-        c_lo, c_carry = _one_corner_lower(c_hi, c_carry), c_hi[-1]
-        c_hi, c_lo = c_hi / float(ps.n), c_lo / float(ps.n)
-        upper = max(upper, float((c_hi - m_lo).max()), float((m_hi - c_lo).max()))
+        c_hi = c_hi / float(ps.n)
+        # C+/K - M- and M+ - C-/K
+        over = _subtract_lower(c_hi.copy(), m_hi, carry)
+        under = _subtract_lower(m_hi.copy(), c_hi, c_carry)
+        carry, c_carry = m_hi[-1], c_hi[-1]
+        upper = max(upper, float(over.max()), float(under.max()))
         dev = np.abs(c_hi - m_hi).ravel()
         j = int(np.argmax(dev))
         if dev[j] > lower:

@@ -14,7 +14,7 @@ from nuqmc.discrepancy import (
     _flat_ranks,
     _grid,
     _merge_axes,
-    _one_corner_lower,
+    _subtract_lower,
     bracket_star_discrepancy,
     discrete_discrepancy,
     exact_star_discrepancy,
@@ -605,7 +605,7 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
         # with the last row of the block before on top
         carry, lower = np.zeros(shape[1:], dtype=np.intp), []
         for c in blocks:
-            lower.append(_one_corner_lower(c, carry))
+            lower.append(-_subtract_lower(np.zeros_like(c), c, carry))
             carry = c[-1]
         assert np.array_equal(np.concatenate(lower), strict)
 

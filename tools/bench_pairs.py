@@ -5,9 +5,9 @@
 Exports the parent ref with `git archive` into a temporary directory and
 runs `bench/run.py` from both trees, one run after the other, in `--pairs`
 pairs; the side that runs first alternates from pair to pair.  Pair i runs
-seed `--seed + i` on both sides, for the run length BENCHMARK.json sets
-unless `--seconds` is given.  The change side is this tree as it stands on
-disk, so commit or stash first to measure a commit.
+seed `--seed + i` on both sides, for the run length BENCHMARK.json sets.
+The change side is this tree as it stands on disk, so commit or stash
+first to measure a commit.
 
 Per end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles and the change's wins (ties count for neither), and checks
@@ -23,7 +23,6 @@ quartiles and the change's wins (ties count for neither), and checks
 
 It also prints the failed share of operations on each side.  The exit code
 is 1 when a run fails its correctness gate or prints no summary, else 0.
-`--json` writes every run's summary and the verdicts to a file.
 """
 
 from __future__ import annotations
@@ -129,15 +128,13 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="run length; BENCHMARK.json's by default")
-    parser.add_argument("--json", type=Path, help="write every run and the verdicts here")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed < 0:
         parser.error("--pairs must be >= 1 and --seed >= 0")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
-    failed, record = False, {}
+    failed = False
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(args.parent, parent_tree)
@@ -147,30 +144,27 @@ def main(argv=None):
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                got = {}
+                got = {}  # side -> summary dict, {} if the run printed none
                 for side in order:
                     code, summary = run_bench(sides[side], workload, seed, seconds)
                     failed |= code != 0 or summary is None
-                    got[side] = {"exit": code, "summary": summary}
-                values = {}
-                for side, run in got.items():
-                    metrics = (run["summary"] or {}).get("metrics", {})
-                    values[side] = {name: m["value"] for name, m in metrics.items()}
-                runs.append({"seed": seed, "first": order[0], **got, "values": values})
+                    got[side] = summary or {}
+                values = {
+                    side: {name: m["value"] for name, m in summary.get("metrics", {}).items()}
+                    for side, summary in got.items()
+                }
+                runs.append((got, values))
                 print(f"{workload} pair {i} seed {seed} first {order[0]}: " + "  ".join(
                     f"{k} {values['parent'].get(k, float('nan')):.4g}/{values['change'].get(k, float('nan')):.4g}"
                     for k in ("setup_s", "wall_s", "peak_rss_mb")
                 ), flush=True)
-            rows = summarize([(r["values"]["parent"], r["values"]["change"]) for r in runs], bench["end_to_end"])
+            rows = summarize([(v["parent"], v["change"]) for _, v in runs], bench["end_to_end"])
             print(f"== {workload}: {args.pairs} pairs, {seconds:g} s runs, parent {args.parent}")
             for side in ("parent", "change"):
-                att = sum((r[side]["summary"] or {}).get("attempted", 0) for r in runs)
-                bad = sum((r[side]["summary"] or {}).get("failed", 0) for r in runs)
+                att = sum(got[side].get("attempted", 0) for got, _ in runs)
+                bad = sum(got[side].get("failed", 0) for got, _ in runs)
                 print(f"{side} operations: attempted={att} failed={bad}")
             print("\n".join(format_rows(rows)), flush=True)
-            record[workload] = {"runs": runs, "rows": rows}
-    if args.json:
-        args.json.write_text(json.dumps(record, indent=1) + "\n")
     if failed:
         print("FAIL: a run failed its correctness gate or printed no summary", file=sys.stderr)
     return 1 if failed else 0
