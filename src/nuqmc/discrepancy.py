@@ -27,7 +27,7 @@ and the selected points' ranks are the cloud's at their axis-0 positions.
 Coordinates of the mass side (atoms) are merged into the axes by one small
 np.unique of axis and atoms.
 
-The scan streams the grid in blocks of whole rows of axis 0, about
+The scans stream their grids in blocks of whole rows of axis 0, about
 `_BLOCK_CELLS` cells each (one row when a row is larger), so no grid-sized
 array is allocated.  In axis-0 order, the points that start counting in a
 block are one stretch: one bincount of it, cumulative sums along the other
@@ -35,9 +35,17 @@ axes, and a cumulative sum along axis 0 carried over from the block before
 give the block's closed counts; the mass side is evaluated on the same
 rows.  A strict count is the closed count one corner lower on every axis:
 the exact scan and the bracket subtract the block's quotient count/N
-shifted that way (`_subtract_lower`), so no strict block is built.  A
-scan of K points costs O(K log K + grid cells * d) rather than
-O(grid cells * K * d).
+shifted that way (`_subtract_lower`), so no strict block is built.
+
+The exact scan counts in two levels (`_scan_grid`).  A grid of more than
+one block is cut into tiles of a few corners per axis; the counts and
+masses at the tile tops bound every tile from both sides, with the
+bracket's arithmetic (`_bound_blocks`), and only the tiles whose bound
+reaches the running maximum are counted corner by corner, in bands of axis
+0 at their own columns.  Value, witness and variant are bitwise those of a
+scan of every corner.  A scan of K points costs O(K log K + grid cells * d)
+at most, rather than O(grid cells * K * d), and on the clouds of a
+construction it evaluates the mass side on a few hundredths of the grid.
 The scan refuses to run when grid_cells * d exceeds a configurable step
 budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
 The budget is checked on the grid's size once the atoms are merged in,
@@ -217,7 +225,7 @@ def _flat_ranks(ranks, shape):
     return flat
 
 
-def _count_blocks(flat, shape, rows):
+def _count_blocks(flat, shape, rows, carry=None):
     """Counts of the points inside [0, corner] for every corner of the grid,
     yielded in blocks of `rows` rows of axis 0.
 
@@ -225,16 +233,19 @@ def _count_blocks(flat, shape, rows):
     axis-0 row order (`_flat_ranks`).  The points whose first corner lies in
     a block are then one stretch: a block costs one bincount of that stretch
     and a cumsum along every other axis, and its running sum along axis 0
-    starts from the last cumulative row of the block before.  A strict count
-    (points inside [0, corner)) is the closed count one corner lower on
-    every axis, zero where there is none; a caller that needs strict counts
-    shifts the closed block, with the row before it on top, itself
-    (`_subtract_lower`).  The last row of a yielded block carries into the
-    next, so a caller must not write to the block."""
+    starts from the last cumulative row of the block before, or from
+    `carry` (the counts of the row before the grid, zeros when None) for
+    the first.  A strict count (points inside [0, corner)) is the closed
+    count one corner lower on every axis, zero where there is none; a
+    caller that needs strict counts shifts the closed block, with the row
+    before it on top, itself (`_subtract_lower`).  The last row of a
+    yielded block carries into the next, so a caller must not write to the
+    block."""
     d = len(shape)
     stride = math.prod(shape[1:])
+    if carry is None:
+        carry = np.zeros(shape[1:], dtype=np.intp)
     # flat rises with the row, so a search at a row start splits it exactly
-    carry = np.zeros(shape[1:], dtype=np.intp)
     for lo in range(0, shape[0], rows):
         hi = min(lo + rows, shape[0])
         a, b = np.searchsorted(flat, (lo * stride, hi * stride))
@@ -276,6 +287,140 @@ def _check_budget(shape, budget):
     return cells
 
 
+def _bound_blocks(counts, corners, normalizer, mass_provider, rows):
+    """Both ends of the deviation on every cell of a coarse grid, in blocks
+    of `rows` rows of axis 0; yields (bound, dev) per block.
+
+    `corners` are the coarse grid's coordinates per axis, increasing subsets
+    of the fine grid's axes, and `counts` yields the closed counts C+ at
+    them in the same blocks.  A box, closed or open, whose corner lies above
+    coarse corner j-1 and at or below corner j on every axis sits between
+    the closed boxes at j-1 (empty where j is 0) and j, so for any measure
+    its count and mass lie between theirs, C- <= C+ and M- <= M+: the
+    returned `bound` is max(C+/K - M-, M+ - C-/K), where C- and M- are C+
+    and M+ one corner lower (`_subtract_lower`), so mu is never evaluated at
+    coordinate 0, where an atom would count.  `dev` is |C+/K - M+|, the
+    closed box's own deviation at the cell's top corner; the next block may
+    overwrite it.  Masses come from one `mass_provider(block_axes, True)`
+    call per block."""
+    m_carry = np.zeros(tuple(c.size for c in corners[1:]))  # M+ of the row before the block
+    q_carry = m_carry  # C+/K of the row before the block
+    for lo, c in zip(range(0, corners[0].size, rows), counts):
+        m = mass_provider([corners[0][lo:lo + rows], *corners[1:]], True)
+        q = c / float(normalizer)
+        bound = _subtract_lower(q.copy(), m, m_carry)  # C+/K - M-
+        dev = _subtract_lower(m.copy(), q, q_carry)  # M+ - C-/K
+        np.maximum(bound, dev, out=bound)
+        m_carry, q_carry = m[-1], q[-1]
+        np.subtract(q, m, out=dev)
+        yield bound, np.abs(dev, out=dev)
+
+
+def _tile_side(d):
+    """Fine corners per axis of a tile of the exact scan: a tile holds about
+    a 1024th of a row block's cells, and at least 2 corners per axis (64,
+    8 and 4 at d = 1, 2 and 3 for the default block)."""
+    return max(2, round((_BLOCK_CELLS >> 10) ** (1 / d)))
+
+
+class _Scan:
+    """The running maximum of an exact scan over bands of its grid.
+
+    `band(r0, r1, keep)` scans rows [r0, r1) of axis 0 at the corners of
+    every other axis s that `keep[s-1]` marks (all of them when `keep` is
+    None), and folds their values into the maximum; the masses come from
+    `mass_provider(block_axes, closed)` on those rows and columns, plus,
+    per marked corner, the one below it, which gives the open variant its
+    strict counts.  Each variant keeps its first maximum in global C order,
+    whatever the order of the bands."""
+
+    def __init__(self, axes, ranks, normalizer, mass_provider, atoms):
+        self.axes, self.ranks, self.atoms = axes, ranks, atoms
+        self.normalizer, self.mass_provider = float(normalizer), mass_provider
+        self.shape = tuple(len(a) for a in axes)
+        self.best = {}  # closed -> (value, flat index of the corner)
+
+    def running(self):
+        """The largest value found so far in either variant, -1.0 before any."""
+        return max((v for v, _ in self.best.values()), default=-1.0)
+
+    def band(self, r0, r1, keep=None):
+        axes, ranks, shape = self.axes, self.ranks, self.shape
+        # the points of rows < r0, then of the band
+        a, b = ranks[0].searchsorted(r0), ranks[0].searchsorted(r1)
+        pts = [r[:b] for r in ranks]
+        if keep is None:  # every column
+            cols, added, sub = None, (), (r1 - r0, *shape[1:])
+        else:
+            # every marked corner and the one below it: the open variant
+            # reads a marked corner's strict count in the column before it
+            cols = []
+            for k in keep:
+                e = k.copy()
+                e[:-1] |= k[1:]
+                cols.append(np.flatnonzero(e))
+            # the open values of an added column are not scanned: the
+            # column below it is not there
+            added = [~k[c] for k, c in zip(keep, cols)]
+            sub = (r1 - r0, *(c.size for c in cols))
+            # a point counts from the first kept column at or above its
+            # rank, and nowhere past the last
+            pts[1:] = [np.searchsorted(c, r) for c, r in zip(cols, pts[1:])]
+            inside = np.logical_and.reduce([p < c.size for p, c in zip(pts[1:], cols)])
+            pts = [p[inside] for p in pts]
+            a = np.count_nonzero(inside[:a])
+        carry = np.zeros(sub[1:], dtype=np.intp)  # the counts of the row before the band
+        if a and len(shape) == 1:
+            carry += a
+        elif a:
+            carry += np.bincount(
+                np.ravel_multi_index([p[:a] for p in pts[1:]], sub[1:]), minlength=carry.size
+            ).reshape(sub[1:])
+            for axis in range(carry.ndim):
+                np.cumsum(carry, axis=axis, out=carry)
+        flat = _flat_ranks([pts[0][a:] - r0 if r0 else pts[0], *(p[a:] for p in pts[1:])], sub)
+        stride = math.prod(sub[1:])
+        rows = max(1, _BLOCK_CELLS // stride)
+        q_carry = carry / self.normalizer  # the quotients of the row before the block
+        others = axes[1:] if cols is None else [ax[c] for ax, c in zip(axes[1:], cols)]
+        for lo, count in zip(range(0, sub[0], rows), _count_blocks(flat, sub, rows, carry)):
+            block_axes = [axes[0][r0:r1][lo:lo + rows], *others]
+            q = count / self.normalizer
+            for closed in (True, False):
+                if closed:
+                    mass = self.mass_provider(block_axes, True)
+                    # without atoms the open variant reuses the closed mass, so
+                    # this variant gets a new array
+                    vals = np.subtract(mass, q, out=mass) if self.atoms else mass - q
+                else:
+                    vals = self.mass_provider(block_axes, False) if self.atoms else mass
+                    # strict count/normalizer is q one corner lower on every
+                    # axis, the carried row on top, and 0 where there is none
+                    _subtract_lower(vals, q, q_carry)
+                np.abs(vals, out=vals)
+                if not closed:
+                    for s, drop in enumerate(added, 1):
+                        vals[(slice(None),) * s + (drop,)] = -np.inf
+                j = int(np.argmax(vals))
+                v = float(vals.ravel()[j])
+                if cols is None:
+                    at = (r0 + lo) * stride + j
+                else:
+                    i = np.unravel_index(j, vals.shape)
+                    corner = (r0 + lo + i[0], *(c[x] for c, x in zip(cols, i[1:])))
+                    at = int(np.ravel_multi_index(corner, shape))
+                if closed not in self.best or (v, -at) > (self.best[closed][0], -self.best[closed][1]):
+                    self.best[closed] = (v, at)
+            q_carry = q[-1]
+
+    def result(self):
+        """(value, witness) of the whole grid: closed wins a tie."""
+        closed = not self.best[False][0] > self.best[True][0]
+        v, flat = self.best[closed]
+        idx = np.unravel_index(flat, self.shape)
+        return v, AnchoredBox(np.array([ax[i] for ax, i in zip(self.axes, idx)]), closed=closed)
+
+
 def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     """Core scan: max over grid corners and variants of
     |mass - count/normalizer|, plus the witnessing corner; returns
@@ -286,58 +431,95 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     (per-axis coordinates of the mass side, required for exactness against
     purely atomic set functions) are merged into the grid first; the merge
     keeps the order of the ranks.  The budget is checked on the merged
-    grid's size, before any block is counted.
+    grid's size, before any block is counted.  The normalizer must be
+    positive.
 
-    The grid is streamed in blocks of about `_BLOCK_CELLS` cells, whole rows
-    of axis 0 each (`_count_blocks`), so nothing grid-sized is allocated.
-    Each block's closed counts are divided once, q = count/normalizer; the
-    open variant's strict count/normalizer is q shifted one corner lower on
-    every axis, with the row before the block on top, which is the same
-    float as the strict count divided, so no strict block is built.
-    `mass_provider(block_axes, closed)` is called once per block and variant,
-    closed first, with `axes[0]` cut to the block's rows; it returns the
-    masses of that block as a fresh, writable array, which the scan
-    overwrites with |mass - q| (bitwise |q - mass|).  Without `extra_axes`
-    the measure has no atoms, so the open box has the closed box's mass,
-    and the closed call serves both variants.
-    The maximum is kept with a strict > in C order, closed variant first,
-    so value and witness are those of an argmax over the whole grid.
+    A grid of more than one block of `_BLOCK_CELLS` cells is cut into tiles
+    of t corners per axis (`_tile_side`), and scanned in two levels:
+
+      coarse  every tile gets the bound of `_bound_blocks` from the closed
+              counts and masses at the tops of its own and of the tile one
+              lower on every axis, streamed in row blocks; the largest
+              closed deviation at a tile top is a real corner's value;
+      fine    the tile with the largest bound is counted exactly first,
+              then the rows of tiles in ascending order; a row counts only
+              the tiles whose bound is at least the running maximum over
+              both variants (at d=1, runs of such tiles as one band).
+
+    Counts, quotients and masses grow with the corner and float rounding is
+    monotone, so a tile whose bound is below the running maximum holds no
+    value that reaches it, in either variant: value, witness and variant
+    are those of the full scan, bitwise.  A smaller grid is one tile, and
+    is counted exactly in row blocks.
+
+    A band's closed counts are the prefix histogram of the points below it
+    (a stretch in axis-0 order) and its own bincount and cumsums
+    (`_count_blocks`) at the kept columns.  Each block is divided once,
+    q = count/normalizer; the open variant's strict count/normalizer is q
+    shifted one corner lower on every axis, with the row before the block
+    on top, which is the same float as the strict count divided, so no
+    strict block is built.  `mass_provider(block_axes, closed)` is called
+    once per block and variant, closed first, on the block's rows and
+    columns, and once per coarse row block, closed; it returns the masses
+    as a fresh, writable array, which the scan overwrites with |mass - q|
+    (bitwise |q - mass|).  Without `extra_axes` the measure has no atoms,
+    so the open box has the closed box's mass, and the closed call serves
+    both variants.  Each variant keeps its first maximum in C order, and
+    the closed variant wins a tie, as an argmax over the whole grid would.
     """
     axes, ranks = _merge_axes(axes, ranks, extra_axes)
     shape = tuple(len(a) for a in axes)
     d = len(axes)
     cells = _check_budget(shape, budget)
+    scan = _Scan(axes, ranks, normalizer, mass_provider, extra_axes is not None)
+    if cells <= _BLOCK_CELLS:
+        scan.band(0, shape[0])
+        return (*scan.result(), 2 * cells)
 
-    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
-    stride = cells // shape[0]
-    counts = _count_blocks(_flat_ranks(ranks, shape), shape, block_rows)
-    q_carry = np.zeros(shape[1:])  # the quotients of the row before the block
-    best = {}  # closed -> (value, flat index of the corner)
-    for lo, c in zip(range(0, shape[0], block_rows), counts):
-        block_axes = [axes[0][lo:lo + block_rows], *axes[1:]]
-        q = c / float(normalizer)
-        for closed in (True, False):
-            if closed:
-                mass = mass_provider(block_axes, True)
-                # without atoms the open variant reuses the closed mass, so
-                # this variant gets a new array
-                vals = mass - q if extra_axes is None else np.subtract(mass, q, out=mass)
-            else:
-                vals = mass if extra_axes is None else mass_provider(block_axes, False)
-                # strict count/normalizer is q one corner lower on every
-                # axis, the carried row on top, and 0 where there is none
-                _subtract_lower(vals, q, q_carry)
-            np.abs(vals, out=vals)
-            j = int(np.argmax(vals))
-            v = float(vals.ravel()[j])
-            if closed not in best or v > best[closed][0]:
-                best[closed] = (v, lo * stride + j)
-        q_carry = q[-1]
+    t = _tile_side(d)
+    tiles = tuple(-(-n // t) for n in shape)
+    tops = [np.minimum(np.arange(1, g + 1) * t, n) - 1 for g, n in zip(tiles, shape)]
+    rows = max(1, _BLOCK_CELLS * tiles[0] // math.prod(tiles))
+    if d == 1:
+        counts = (ranks[0].searchsorted(tops[0][lo:lo + rows], "right") for lo in range(0, tiles[0], rows))
+    else:
+        counts = _count_blocks(_flat_ranks([r // t for r in ranks], tiles), tiles, rows)
+    bounds = np.empty(tiles)
+    lower = 0.0  # a closed value at a real corner
+    coarse = _bound_blocks(counts, [ax[top] for ax, top in zip(axes, tops)], normalizer, mass_provider, rows)
+    for lo, (bound, dev) in zip(range(0, tiles[0], rows), coarse):
+        bounds[lo:lo + rows] = bound
+        lower = max(lower, float(dev.max()))
 
-    closed = not best[False][0] > best[True][0]
-    v, flat = best[closed]
-    idx = np.unravel_index(flat, shape)
-    return v, AnchoredBox(np.array([axes[s][idx[s]] for s in range(d)]), closed=closed), 2 * cells
+    def tile_rows(first, last):
+        """Fine rows [r0, r1) of tile rows first..last."""
+        return first * t, min(last * t + t, shape[0])
+
+    def keep(hit):
+        """The fine corners of every other axis in a hit tile of the row;
+        None when every tile is hit."""
+        if hit.all():
+            return None
+        every = tuple(range(d - 1))
+        return [np.repeat(hit.any(axis=every[:s] + every[s + 1:]), t)[:n] for s, n in enumerate(shape[1:])]
+
+    top = np.unravel_index(int(np.argmax(bounds)), tiles)
+    hit = np.zeros(tiles[1:], dtype=bool)
+    hit[top[1:]] = True
+    scan.band(*tile_rows(top[0], top[0]), keep(hit))
+    bounds[top] = -np.inf
+    if d == 1:
+        # runs of consecutive tiles whose bound reaches the running maximum
+        hit = np.flatnonzero(bounds >= max(lower, scan.running()))
+        for run in np.split(hit, np.flatnonzero(np.diff(hit) > 1) + 1):
+            if run.size and bounds[run].max() >= max(lower, scan.running()):
+                scan.band(*tile_rows(run[0], run[-1]))
+    else:
+        for i, row in enumerate(bounds):
+            reach = max(lower, scan.running())
+            if row.max() >= reach:
+                scan.band(*tile_rows(i, i), keep(row >= reach))
+    return (*scan.result(), 2 * cells)
 
 
 def local_star_discrepancy(ps: PointSet, mu: BoxMeasure, box: AnchoredBox) -> float:
@@ -380,16 +562,12 @@ def bracket_star_discrepancy(
 
     Every axis keeps G evenly spaced corners of its critical grid, ending in
     1.0, with G the largest value that fits the budget, at most `g` and the
-    axis's length; a `g` below 1 is refused before anything is sorted.  A box, closed or open, with c_{j-1} < corner <= c_j on
-    every axis lies between the closed boxes at c_{j-1} (empty where j is 0)
-    and c_j, so for any measure its count and mass lie between theirs,
-    C- <= C+ and M- <= M+.  `upper` is the largest max(C+/K - M-, M+ - C-/K)
-    and `value` the largest |C+/K - M+|, at the closed box `witness`.  C+ is
-    `_count_blocks`' closed block on the points' coarse corners, and C- and
-    M- are C+ and M+ one corner lower (`_subtract_lower`): mu is never
-    evaluated at coordinate 0, where an atom would count.  The budget is
-    checked before anything is counted.  `_sorted` starts with
-    `_grid(ps.points)`'s axes and ranks."""
+    axis's length; a `g` below 1 is refused before anything is sorted.
+    `upper` is the largest bound of `_bound_blocks` over the coarse cells,
+    max(C+/K - M-, M+ - C-/K), and `value` the largest |C+/K - M+|, at the
+    closed box `witness`.  C+ is `_count_blocks`' closed block on the
+    points' coarse corners.  The budget is checked before anything is
+    counted.  `_sorted` starts with `_grid(ps.points)`'s axes and ranks."""
     if g is not None and g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if ps.dim != mu.dim:
@@ -410,18 +588,11 @@ def bracket_star_discrepancy(
 
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     upper, lower, at = 0.0, -1.0, 0
-    carry = np.zeros(shape[1:])  # M+ of the row before the block
-    c_carry = np.zeros(shape[1:])  # C+/K of the row before the block
     blocks = _count_blocks(flat, shape, block_rows)
-    for lo, c_hi in zip(range(0, shape[0], block_rows), blocks):
-        m_hi = mu.mass_on_grid([corners[0][lo:lo + block_rows], *corners[1:]], True)
-        c_hi = c_hi / float(ps.n)
-        # C+/K - M- and M+ - C-/K
-        over = _subtract_lower(c_hi.copy(), m_hi, carry)
-        under = _subtract_lower(m_hi.copy(), c_hi, c_carry)
-        carry, c_carry = m_hi[-1], c_hi[-1]
-        upper = max(upper, float(over.max()), float(under.max()))
-        dev = np.abs(c_hi - m_hi).ravel()
+    bounds = _bound_blocks(blocks, corners, ps.n, mu.mass_on_grid, block_rows)
+    for lo, (bound, dev) in zip(range(0, shape[0], block_rows), bounds):
+        upper = max(upper, float(bound.max()))
+        dev = dev.ravel()
         j = int(np.argmax(dev))
         if dev[j] > lower:
             lower, at = float(dev[j]), lo * (cells // shape[0]) + j

@@ -64,10 +64,16 @@ def omega_discrepancy(
     budget: int | None = None,
 ) -> float:
     """Exact D_N^(Omega); `n_override` replaces the normalizer N (used when
-    the set is conceptually padded with points outside Omega)."""
+    the set is conceptually padded with points outside Omega), so it must be
+    an integer of at least ps.n: a bool, a float or a smaller value is a
+    ValueError."""
     if ps.dim != omega.dim:
         raise ValueError("point set and region dimensions differ")
-    n = n_override if n_override is not None else ps.n
+    n = ps.n
+    if n_override is not None:
+        if isinstance(n_override, bool) or not isinstance(n_override, (int, np.integer)) or n_override < n:
+            raise ValueError(f"n_override must be an integer >= ps.n = {n}, got n_override={n_override!r}")
+        n = int(n_override)
     axes, ranks, _ = _grid(ps.points[omega.contains(ps.points)])
 
     def mass_provider(axes, closed):

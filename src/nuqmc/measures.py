@@ -222,10 +222,16 @@ class BoxMeasure:
         """Masses of [0, a] for every corner a in the tensor grid
         axes[0] x ... x axes[d-1]; result has shape (len(axes[0]), ...).
 
-        The exact scans stream their grid in blocks of rows: they call this
-        once per block with axes[0] cut to a contiguous slice of the grid's
-        axis, and the result must equal those rows of the whole grid's
-        masses bitwise.  It is a fresh, writable array: the scans overwrite
+        The scans call this on sub-grids: every axis an increasing subset
+        of the whole grid's axis (a contiguous slice of rows of axis 0, the
+        tops of tiles, or the columns of the tiles an exact scan counts).
+        Each entry must equal the whole grid's bitwise, and be
+        non-decreasing in every coordinate.  The open mass at a corner must
+        be at most the closed mass there, and at least the closed mass at
+        any corner below it on every axis.  The exact scan prunes the tiles
+        of its grid with bounds that rest on these orders, so a measure
+        that breaks them may get a different maximum than a scan of every
+        corner.  The result is a fresh, writable array: the scans overwrite
         it in place."""
         raise NotImplementedError
 

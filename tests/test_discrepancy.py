@@ -395,8 +395,9 @@ def test_restriction_measure_scan():
 
 
 def test_dense_scan_holds_two_grids():
-    # a 1025 x 1025 critical grid: the scan keeps the mass grid and the count
-    # grid alive, not a third array for their difference
+    # a 1025 x 1025 critical grid: the tiled scan keeps a 129 x 129 array of
+    # tile bounds and row blocks, far below the two grids a whole-grid scan
+    # would hold
     mu = RestrictionMeasure([([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])])
     ps = mu.sample(7, 1024)
     grid_bytes = 1025 * 1025 * 8
@@ -407,7 +408,7 @@ def test_dense_scan_holds_two_grids():
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * grid_bytes
-    # value and witness of the scan that held three grids
+    # value and witness of the whole-grid scan
     assert rep.value == 0.030064549388919837
     assert rep.witness.corner.tolist() == [0.4751757825765715, 0.4504098513244865]
     assert rep.witness.closed and rep.boxes_scanned == 2 * 1025 * 1025
@@ -545,20 +546,60 @@ def d1_selection_reference(z, rows):
     )
 
 
+def pruning_cases(rng):
+    """(name, point set, measure) cases whose maximum tiles find hard: one
+    held by the open variant only, many tied maxima, atoms at coordinate 0,
+    a single point, and product extensions."""
+    # 20 points on the right edge: the open box at (1, 1) misses them all
+    open_only = np.concatenate([rng.random((30, 2)) * 0.9, np.column_stack([np.ones(20), rng.random(20)])])
+    lattice = (np.arange(8) + 0.5) / 8
+    grid = np.stack(np.meshgrid(lattice, lattice), -1).reshape(-1, 2)
+    atoms = DiscreteMeasure(PointSet(
+        np.concatenate([rng.integers(0, 5, size=(8, 2)) / 4.0, [[0.0, 0.0], [0.0, 0.5], [0.75, 0.0]]])
+    ))
+    return [
+        ("open-only", PointSet(open_only), uniform_measure(2)),
+        ("tied-maxima-d1", PointSet(lattice[:, None]), uniform_measure(1)),
+        ("tied-maxima-d2", PointSet(grid), uniform_measure(2)),
+        ("atoms-at-0", PointSet(tied_points(rng, 20, 2)), atoms),
+        ("atoms-at-0-d1", PointSet(rng.random((25, 1))), DiscreteMeasure(PointSet([[0.0], [0.0], [0.5]]))),
+        # the maximum's tile bound equals the maximum: a strict > would skip it
+        (
+            "sevenths-d1",
+            PointSet(rng.integers(0, 8, size=(51, 1)) / 7.0),
+            DiscreteMeasure(PointSet([[1.0], [6 / 7], [1.0]])),
+        ),
+        ("k1-d1", PointSet([[0.3]]), uniform_measure(1)),
+        ("k1-d2", PointSet([[0.3, 0.8]]), ProductMeasure([PowerCdf(2.0)] * 2)),
+        ("k1-atoms", PointSet([[0.0, 0.5]]), atoms),
+        ("extension-atoms", PointSet(rng.random((8, 3))), ProductExtensionMeasure(atoms)),
+        ("extension-power", PointSet(rng.random((30, 2))),
+         ProductExtensionMeasure(ProductMeasure([PowerCdf(0.5)]))),
+    ]
+
+
 @pytest.mark.parametrize("block_cells", [1, 7, 200])
 def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
     # blocks of one row, ragged last blocks and counts carried across block
-    # starts; at the default block size every oracle grid is one block
+    # starts; at the default block size every oracle grid is one block, at
+    # these sizes most are cut into tiles of 2 corners per axis
     rng = np.random.default_rng(41)
     sets = [PointSet(tied_points(rng, 12, d)) for d in (1, 2, 3)]
     sets += [PointSet(rng.random((40, d))) for d in (1, 2)]
+    sets.append(PointSet(rng.random((300, 1))))  # more corners than a block of 200 cells
     # centred lattices: the maximum is attained in every row, so the witness
     # is the first corner in C order, closed before open
     lattice = (np.arange(4) + 0.5) / 4
     sets += [PointSet(lattice[:, None]), PointSet(np.stack(np.meshgrid(lattice, lattice), -1).reshape(-1, 2))]
     measures = [uniform_measure, lambda d: DiscreteMeasure(PointSet(rng.random((6, d))))]
     cases = [(ps, make(ps.dim)) for ps in sets for make in measures]
+    hard = pruning_cases(rng)
+    for name, ps, mu in hard:
+        naive = naive_star_discrepancy(ps, mu)
+        assert exact_star_discrepancy(ps, mu).value == pytest.approx(naive, abs=1e-12), name
+    cases += [(ps, mu) for _, ps, mu in hard]
     whole = [exact_star_discrepancy(ps, mu) for ps, mu in cases]
+    assert not whole[-len(hard)].witness.closed  # the open-only case
     # d=1 selections with more slots than a block of 200 cells: full's
     # counts come from the stretch lengths, cut into blocks
     picks = []
@@ -568,12 +609,19 @@ def test_oracles_in_small_row_blocks(block_cells, monkeypatch):
         picks.append((z, rows, discrete_discrepancy(z, rows)))
         assert picks[-1][2] == d1_selection_reference(z, rows)
     monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block_cells)
+    # the coarse grids of the tiled scans
+    coarse, bound_blocks = [], discrepancy._bound_blocks
+    monkeypatch.setattr(
+        discrepancy, "_bound_blocks", lambda *a: coarse.append([c.size for c in a[1]]) or bound_blocks(*a)
+    )
     for (ps, mu), ref in zip(cases, whole):
         rep = exact_star_discrepancy(ps, mu)
         assert rep.value == ref.value and rep.boxes_scanned == ref.boxes_scanned
         assert rep.witness.corner.tolist() == ref.witness.corner.tolist()
         assert rep.witness.closed == ref.witness.closed
         assert (rep.value, rep.witness.corner.tolist(), rep.witness.closed) == strict_count_scan(ps, mu)
+    # at every dimension, some scan ran with several tiles on every axis
+    assert {len(g) for g in coarse if min(g) >= 2} == {1, 2, 3}
     for z, rows, ref in picks:
         assert discrete_discrepancy(z, rows) == ref
     check_matches_naive_oracle_small()
@@ -610,9 +658,10 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
         assert np.array_equal(np.concatenate(lower), strict)
 
 
-def test_atomless_scan_evaluates_mass_once_per_block(monkeypatch):
-    # without atoms the open box has the closed box's mass, so one call per
-    # row block serves both variants
+def test_atomless_scan_never_asks_for_the_open_mass(monkeypatch):
+    # without atoms the open box has the closed box's mass, so every call,
+    # the coarse pass's and the tiles', asks for closed masses only; the
+    # tiled scan in blocks of 7 cells gives the default scan's result
     calls = []
 
     class Counting(ProductMeasure):
@@ -623,10 +672,29 @@ def test_atomless_scan_evaluates_mass_once_per_block(monkeypatch):
     ps = PointSet(np.random.default_rng(5).random((30, 2)))
     mu = Counting([PowerCdf(2.0)] * 2)
     whole = exact_star_discrepancy(ps, mu)
-    assert calls == [True]
+    assert calls == [True]  # a 31 x 31 grid is one block: one tile, one call
     calls.clear()
-    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 7)  # one row of the 31 x 31 grid per block
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 7)
     rep = exact_star_discrepancy(ps, mu)
-    assert calls == [True] * 31
+    assert len(calls) > 1 and all(calls)
     assert (rep.value, rep.witness.closed) == (whole.value, whole.witness.closed)
+    assert rep.boxes_scanned == whole.boxes_scanned
     assert rep.witness.corner.tolist() == whole.witness.corner.tolist()
+
+
+def test_pruned_scan_counts_a_few_hundredths_of_the_grid():
+    # the 1025 x 1025 L-region grid of test_dense_scan_holds_two_grids: the
+    # coarse pass and the tiles that can hold the maximum ask for masses on
+    # a small part of the grid
+    cells = []
+
+    class Counting(RestrictionMeasure):
+        def mass_on_grid(self, axes, closed=True):
+            out = super().mass_on_grid(axes, closed)
+            cells.append(out.size)
+            return out
+
+    mu = Counting([([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])])
+    rep = exact_star_discrepancy(mu.sample(7, 1024), mu)
+    assert rep.value == 0.030064549388919837 and rep.boxes_scanned == 2 * 1025 * 1025
+    assert sum(cells) <= 0.1 * 1025 * 1025

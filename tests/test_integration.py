@@ -155,6 +155,19 @@ def test_omega_discrepancy_in_small_row_blocks(block_cells, monkeypatch):
     check_omega_discrepancy_ties_and_outside_points_match_oracle()
 
 
+def test_omega_discrepancy_refuses_a_bad_n_override():
+    # the normalizer pads the set with points outside Omega, so it is an
+    # integer no smaller than the set: 0 gave inf, -1 a value above 2^d,
+    # and floats and bools were taken as they came
+    omega = OmegaRegion([([0.0, 0.0], [0.5, 0.5])])
+    ps = PointSet([[0.1, 0.2], [0.4, 0.3]])
+    for bad in (0, -1, 1, 2.5, 2.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n_override"):
+            omega_discrepancy(ps, omega, n_override=bad)
+    assert omega_discrepancy(ps, omega, n_override=np.int64(2)) == omega_discrepancy(ps, omega)
+    assert 0.0 < omega_discrepancy(ps, omega, n_override=8) <= 4.0
+
+
 def test_integrate_constant_exact():
     ig = Integrand(lambda x: np.ones(len(x)), L_SHAPE)
     pts = RestrictionMeasure(L_SHAPE).sample(0, 50)

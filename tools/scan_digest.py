@@ -1,0 +1,185 @@
+"""One digest line per case of nuqmc's scans and constructions.
+
+    PYTHONPATH=src python3 tools/scan_digest.py [CASE ...]
+
+Prints `name sha256-prefix` for every case, or for the named ones.  A case
+hashes everything a caller can read off its result, floats by their bytes:
+
+  build-*    construct_point_set: the points and the certificate JSON, at
+             d = 1, 2, 3, on the L region and on a product extension;
+  exact-*    exact_star_discrepancy: value, witness corner, closed flag and
+             boxes scanned;
+  bracket-*  bracket_star_discrepancy: both ends, witness and grid;
+  select-*   discrete_discrepancy of random rows at d = 1, 2, 3.
+
+The exact and bracket cases run at `_BLOCK_CELLS` 1, 7 and 65536 on clouds
+with ties and zeros, against measures with and without atoms, and at 65536
+on clouds whose grids span many blocks (free points and centred lattices).
+Two source trees that print the same lines give bitwise the same results
+on all of them: run the script under each tree's `src` and diff the
+outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from nuqmc import discrepancy
+from nuqmc.discrepancy import bracket_star_discrepancy, discrete_discrepancy, exact_star_discrepancy
+from nuqmc.measures import (
+    DiscreteMeasure,
+    OmegaRegion,
+    PointSet,
+    PowerCdf,
+    ProductExtensionMeasure,
+    ProductMeasure,
+    RestrictionMeasure,
+    uniform_measure,
+)
+from nuqmc.pipeline import ConstructionConfig, construct_point_set
+
+BLOCK_SIZES = (1, 7, 1 << 16)
+L_REGION = [([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])]
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(part.dtype.str.encode() + repr(part.shape).encode() + part.tobytes())
+        else:
+            h.update(json.dumps(part, sort_keys=True, default=repr).encode())
+    return h.hexdigest()[:16]
+
+
+def _report(rep):
+    return rep.to_dict() | {"bits": np.array([rep.value, rep.upper]), "corner": rep.witness.corner}
+
+
+def _measures(d, rng):
+    """Every measure family in dimension d, with atoms at 0 and on a k/4 grid."""
+    atoms = np.concatenate([rng.integers(0, 5, size=(10, d)) / 4.0, np.zeros((1, d))])
+    out = {
+        "uniform": uniform_measure(d),
+        "power": ProductMeasure([PowerCdf(float(rng.uniform(0.3, 3.0))) for _ in range(d)]),
+        "atoms": DiscreteMeasure(PointSet(atoms)),
+    }
+    if d == 2:
+        out["L"] = RestrictionMeasure(L_REGION)
+    if d > 1:
+        out["extension"] = ProductExtensionMeasure(DiscreteMeasure(PointSet(atoms[:, 1:])))
+    return out
+
+
+def _clouds(d, rng):
+    """Tied clouds (k/8 coordinates with repeated rows and 0.0 and 1.0 on
+    every axis; k/7 coordinates) and a free one, sized so that at small
+    blocks the grid spans many tiles."""
+    n = {1: 3000, 2: 120, 3: 24}[d]
+    tied = rng.integers(0, 9, size=(n, d)) / 8.0
+    tied[0], tied[-1] = 0.0, 1.0
+    tied = np.concatenate([tied, tied[: n // 3]])
+    sevenths = rng.integers(0, 8, size=(n // 2, d)) / 7.0  # off the atoms' k/4 grid
+    return {"tied": PointSet(tied), "free": PointSet(rng.random((n, d))), "sevenths": PointSet(sevenths)}
+
+
+def _large_clouds(d, rng):
+    """Clouds whose grids exceed one block of the default size: free points,
+    and a centred lattice whose maximum is attained in many places."""
+    n = {1: 200_000, 2: 1000, 3: 60}[d]
+    side = {1: 4096, 2: 32, 3: 8}[d]
+    lattice = (np.arange(side) + 0.5) / side
+    lattice = np.stack(np.meshgrid(*[lattice] * d, indexing="ij"), -1).reshape(-1, d)
+    return {"large": PointSet(rng.random((n, d))), "lattice": PointSet(lattice)}
+
+
+def _scan_cases():
+    """(name, point set, measure, block sizes) of every scan case."""
+    rng = np.random.default_rng(2024)
+    for d in (1, 2, 3):
+        measures = _measures(d, rng)
+        for sizes, clouds in ((BLOCK_SIZES, _clouds(d, rng)), (BLOCK_SIZES[-1:], _large_clouds(d, rng))):
+            for cname, ps in clouds.items():
+                for mname, mu in measures.items():
+                    yield f"d{d}-{cname}-{mname}", ps, mu, sizes
+
+
+def _build_cases():
+    yield "build-d1-power-N64", ProductMeasure([PowerCdf(2.0)]), 64, 3
+    yield "build-d1-power-N256", ProductMeasure([PowerCdf(2.0)]), 256, 0
+    yield "build-d2-power-N16", ProductMeasure([PowerCdf(2.0), PowerCdf(0.5)]), 16, 1
+    yield "build-d2-power-N32", ProductMeasure([PowerCdf(2.0)] * 2), 32, 2
+    yield "build-d3-uniform-N8", uniform_measure(3), 8, 4
+    yield "build-L-N16", RestrictionMeasure(L_REGION), 16, 0
+    yield "build-L-N32", RestrictionMeasure(L_REGION), 32, 5
+    yield "build-extension-N4", ProductExtensionMeasure(ProductMeasure([PowerCdf(2.0)])), 4, 6
+
+
+def cases():
+    """(name, thunk) of every case, in print order; a thunk returns the digest."""
+    out = []
+    for name, mu, n, seed in _build_cases():
+        def build(mu=mu, n=n, seed=seed):
+            pts, cert = construct_point_set(mu, n, ConstructionConfig(seed=seed))
+            return _digest(pts.points, cert)
+
+        out.append((name, build))
+    scans = list(_scan_cases())
+    for cells in BLOCK_SIZES:
+        for name, ps, mu, sizes in scans:
+            if cells not in sizes:
+                continue
+            def exact(ps=ps, mu=mu, cells=cells):
+                with _block_cells(cells):
+                    return _digest(_report(exact_star_discrepancy(ps, mu)))
+
+            def bracket(ps=ps, mu=mu, cells=cells):
+                with _block_cells(cells):
+                    return _digest(*(_report(bracket_star_discrepancy(ps, mu, g)) for g in (1, 3, 16)))
+
+            out.append((f"exact-{name}-b{cells}", exact))
+            out.append((f"bracket-{name}-b{cells}", bracket))
+    rng = np.random.default_rng(7)
+    for d, k, n in ((1, 4096, 64), (1, 300, 17), (2, 1024, 32), (3, 216, 6)):
+        z = PointSet(np.concatenate([rng.random((k - k // 4, d)), rng.integers(0, 9, (k // 4, d)) / 8.0]))
+        rows = rng.choice(k, n, replace=False)
+        def select(z=z, rows=rows):
+            return _digest(np.array(discrete_discrepancy(z, rows)))
+
+        out.append((f"select-d{d}-K{k}-N{n}", select))
+    return out
+
+
+class _block_cells:
+    """Sets discrepancy._BLOCK_CELLS for a block, and puts it back after."""
+
+    def __init__(self, cells):
+        self.cells = cells
+
+    def __enter__(self):
+        self.saved, discrepancy._BLOCK_CELLS = discrepancy._BLOCK_CELLS, self.cells
+
+    def __exit__(self, *exc):
+        discrepancy._BLOCK_CELLS = self.saved
+
+
+def digest_lines(names=None):
+    """`name digest` lines of every case, or of the cases in `names`."""
+    table = cases()
+    unknown = set(names or ()) - {name for name, _ in table}
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(sorted(unknown))}")
+    return [f"{name} {run()}" for name, run in table if not names or name in names]
+
+
+def main(argv=None):
+    for line in digest_lines(sys.argv[1:] if argv is None else argv):
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
