@@ -23,8 +23,10 @@ moves in that system's null space in one of two ways:
     0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
     null-space moves, and at a vertex the floating count is at most the
     number of kept edges, so the floating set shrinks geometrically.
-    Leaving the implied rows out leaves the polytope unchanged, and HiGHS
-    runs without presolve;
+    Leaving the implied rows out leaves the polytope unchanged.  HiGHS
+    takes the system as its CSC arrays and runs without presolve, with
+    linprog's model, options and result check (`_lp_vertex`) but without
+    its Python front end; a refused result counts as no progress;
 (b) a single explicit null-space step as a progress guard, when a jump
     freezes nothing: a probe vector minus its least-squares projection
     onto the kept rows' span (sparse lsqr), so no dense matrix of the
@@ -45,11 +47,12 @@ lattice without storing any member.
 beck_fiala_round counts its steps and the variables each froze in
 RoundingResult.details.
 
-scipy is imported by the system build and the two moves, not by this
-module, so `import nuqmc` loads numpy only, and so do the measures, the
-scans and the integration layer.  Every rounding with an active edge, d=1
-constructions included, reaches an LP jump and pays scipy's import, about
-0.6 s, once.
+scipy is imported by the system build (scipy.sparse), the LP jump (its
+HiGHS bindings, scipy.optimize._highspy._core, which first ship with scipy
+1.15) and the null step (lsqr), not by this module, so `import nuqmc` loads
+numpy only, and so do the measures, the scans and the integration layer.
+Every rounding with an active edge, d=1 constructions included, reaches an
+LP jump and pays scipy's import, about 0.6 s, once.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ import numpy as np
 __all__ = ["Hypergraph", "RoundingResult", "beck_fiala_round", "edge_error"]
 
 _BOUND_SNAP = 1e-9
+# scipy's feasibility tolerance on a linprog result: 10 * sqrt(tol), tol = 1e-9
+_CHECK_TOL = 10 * np.sqrt(1e-9)
 # Beck-Fiala step counters: how often each step ran and how many variables
 # it froze.  "lp_rows" sums the kept rows of every step's system (each step
 # makes one LP jump), and "lp_implied_rows" the active rows left out of it
@@ -232,16 +237,17 @@ class _EngineState:
         return self.h.edge_sums(self.floating.astype(np.int64)) > self.h.max_degree
 
     def system(self, edges):
-        """The CSR 0/1 matrix of the edges marked in the bool mask `edges`
-        over the floating variables: row r is the r-th marked edge and
-        column c the c-th floating variable."""
+        """The 0/1 matrix of the edges marked in the bool mask `edges` over
+        the floating variables, in CSC form with int32 indices and each
+        column's rows ascending: row r is the r-th marked edge and column c
+        the c-th floating variable."""
         from scipy.sparse import coo_matrix
 
         rows, members = self.h.members_of(edges)
         keep = self.floating[members]
         cols = (np.cumsum(self.floating) - 1)[members[keep]]
         shape = (int(np.count_nonzero(edges)), int(np.count_nonzero(self.floating)))
-        return coo_matrix((np.ones(cols.size), (rows[keep], cols)), shape=shape).tocsr()
+        return coo_matrix((np.ones(cols.size), (rows[keep], cols)), shape=shape).tocsc()
 
 
 def _step(st: _EngineState, active) -> None:
@@ -259,26 +265,79 @@ def _step(st: _EngineState, active) -> None:
 def _lp_round(st: _EngineState, a_eq) -> bool:
     """Jump to a vertex of the polytope of the system `a_eq`; returns True
     on progress."""
-    from scipy.optimize import linprog
-
     float_idx = np.flatnonzero(st.floating)
     xf = st.x[float_idx]
     b_eq = a_eq @ xf
     # movement-minimizing-ish objective with a deterministic tiebreak wiggle
     c = (0.5 - xf) + 1e-3 * np.cos(0.7 * float_idx + 0.3)
-    method = "highs-ds" if float_idx.size <= 20000 else "highs-ipm"
-    res = linprog(
-        c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method=method, options={"presolve": False}
-    )
+    x = _lp_vertex(c, a_eq, b_eq)
     st.trace["lp_jumps"] += 1
-    if res.status != 0:
+    if x is None:
         return False
-    st.x[float_idx] = res.x
+    st.x[float_idx] = x
     before = int(st.floating.sum())
     _snap(st.x, st.floating)
     frozen = before - int(st.floating.sum())
     st.trace["lp_frozen"] += frozen
     return frozen > 0
+
+
+def _lp_vertex(c, a_eq, b_eq):
+    """The solution x of min c.x subject to a_eq x = b_eq, 0 <= x <= 1, or
+    None where linprog would report a failure (status != 0).
+
+    It is linprog(method="highs-ds" or "highs-ipm", options={"presolve":
+    False})'s model and result check without its front end: x is taken only
+    from an optimal run, and refused for a NaN, an entry outside [-t, 1+t]
+    or a row residual above t, with scipy's t = 10 * sqrt(1e-9)."""
+    run = _run_highs(c, a_eq, b_eq)
+    if run is None:
+        return None
+    x, ax, objective = run
+    residual = b_eq - ax
+    if np.isnan(objective) or np.isnan(x).any() or np.isnan(residual).any():
+        return None
+    if np.any((x < -_CHECK_TOL) | (x > 1.0 + _CHECK_TOL)) or np.any(np.abs(residual) > _CHECK_TOL):
+        return None
+    return x
+
+
+def _run_highs(c, a_eq, b_eq):
+    """One HiGHS run on min c.x subject to a_eq x = b_eq, 0 <= x <= 1, for
+    the CSC matrix `a_eq`: (x, a_eq x, objective) as HiGHS reports them,
+    or None unless the run ends optimal.
+
+    The model goes in as numpy arrays, and the options are linprog's for
+    highs-ds (highs-ipm above 20000 variables) without presolve; its
+    other setting, highs_debug_level 0, is the HiGHS default."""
+    try:
+        from scipy.optimize._highspy import _core as highs
+    except ImportError as exc:
+        raise ImportError(
+            "nuqmc's LP jump needs scipy >= 1.15, whose scipy.optimize._highspy._core "
+            "binds HiGHS"
+        ) from exc
+
+    n, m = c.size, b_eq.size
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("presolve", "off")
+    solver.setOptionValue("solver", "simplex" if n <= 20000 else "ipm")
+    solver.setOptionValue("simplex_strategy", 1)  # dual
+    loaded = solver.passModel(
+        n, m, a_eq.nnz, 1, 1, 0.0,  # column-wise, minimise, no offset
+        c, np.zeros(n), np.ones(n), b_eq, b_eq,
+        a_eq.indptr, a_eq.indices, a_eq.data,
+        np.zeros(n, dtype=np.int32),  # all continuous; an empty array is refused
+    )
+    failed = highs.HighsStatus.kError
+    if loaded == failed or solver.run() == failed:
+        return None
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    solution = solver.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_value), solver.getObjectiveValue()
 
 
 def _null_step(st: _EngineState, mat) -> None:

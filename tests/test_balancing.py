@@ -2,16 +2,24 @@
 determinism, and the engine's steps."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from nuqmc import balancing
 from nuqmc.balancing import (
     TRACE_KEYS,
     Hypergraph,
+    _EngineState,
+    _lp_round,
+    _step,
     beck_fiala_round,
     edge_error,
 )
+from nuqmc.dyadic import build_scheme
+from nuqmc.measures import OmegaRegion, PowerCdf, ProductMeasure, RestrictionMeasure
+from nuqmc.pipeline import ConstructionConfig, construct_point_set
 
 
 def random_hypergraph(rng, n_max=200, m_max=400, delta_max=10, min_n=4):
@@ -292,7 +300,9 @@ def test_null_step_on_kept_rows_keeps_every_active_sum(n_side, d, n_active, n_ke
 def test_active_floating_matches_loop_oracle():
     # the nonzeros of the system of the marked edges over the floating
     # variables, in edge order, then member order, whatever edges are
-    # marked or empty and variables are floating
+    # marked or empty and variables are floating; the system is stored
+    # column-wise with int32 indices and each column's rows ascending, the
+    # arrays HiGHS takes
     from nuqmc.balancing import _EngineState
 
     rng = np.random.default_rng(12)
@@ -309,7 +319,112 @@ def test_active_floating_matches_loop_oracle():
             for v in h.edges[e]
             if st.floating[v]
         ]
-        mat = st.system(active).tocoo()
+        csc = st.system(active)
+        assert csc.format == "csc" and csc.indptr.dtype == csc.indices.dtype == np.int32
+        assert all(np.all(np.diff(csc.indices[a:b]) > 0) for a, b in itertools.pairwise(csc.indptr))
+        mat = csc.tocsr().tocoo()
         assert mat.shape == (int(active.sum()), int(st.floating.sum()))
         assert np.all(mat.data == 1.0)
         assert list(zip(mat.row.tolist(), mat.col.tolist())) == [(int(r), int(c)) for r, c in pairs]
+
+
+# --- LP solve -----------------------------------------------------------------
+
+L_REGION = OmegaRegion([([0.0, 0.0], [0.5, 1.0]), ([0.5, 0.0], [1.0, 0.5])])
+
+
+@pytest.mark.parametrize(
+    ("mu", "n"),
+    [
+        (ProductMeasure([PowerCdf(2.0)]), 64),
+        (ProductMeasure([PowerCdf(2.0)] * 2), 64),
+        (RestrictionMeasure(L_REGION), 64),
+        (ProductMeasure([PowerCdf(2.0)] * 3), 16),
+    ],
+    ids=["power-d1-N64", "power-d2-N64", "L-N64", "power-d3-N16"],
+)
+def test_lp_jump_solves_like_linprog_bitwise(mu, n, monkeypatch):
+    # the direct HiGHS call keeps linprog's model, options and result
+    # check: on the first two LP jumps of a construction it accepts exactly
+    # when linprog reports success, and then with bitwise linprog's x.  A
+    # scipy release that changes either front end fails here.
+    from scipy.optimize import linprog
+
+    jumps, solve = [], balancing._lp_vertex
+
+    def record(c, a_eq, b_eq):
+        jumps.append((c, a_eq, b_eq, solve(c, a_eq, b_eq)))
+        return jumps[-1][-1]
+
+    monkeypatch.setattr(balancing, "_lp_vertex", record)
+    construct_point_set(mu, n, ConstructionConfig(seed=0))
+    assert jumps
+    for c, a_eq, b_eq, x in jumps[:2]:
+        ref = linprog(
+            c, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0.0, 1.0), method="highs-ds",
+            options={"presolve": False},
+        )
+        assert (x is not None) == (ref.status == 0)
+        assert x is None or np.array_equal(x, ref.x)
+
+
+@pytest.mark.parametrize("fault", ["not optimal", "nan", "above one", "residual"])
+def test_refused_lp_jump_is_followed_by_a_null_step(fault, monkeypatch):
+    # a run that linprog would report as failed leaves x alone and counts
+    # the jump; the step then takes a null step, which keeps every active sum
+    t, run = balancing._CHECK_TOL, balancing._run_highs
+
+    def faulty(c, a_eq, b_eq):
+        if fault == "not optimal":
+            return None
+        x, ax, objective = run(c, a_eq, b_eq)
+        if fault == "nan":
+            x[3] = np.nan
+        elif fault == "above one":
+            x[3] = 1.0 + 2 * t
+        else:
+            ax[3] = b_eq[3] + 2 * t
+        return x, ax, objective
+
+    monkeypatch.setattr(balancing, "_run_highs", faulty)
+    _, h = build_scheme(16, 2)
+    beta = np.random.default_rng(3).uniform(0.1, 0.9, h.n)
+    st = _EngineState(h, beta)
+    active = st.active_mask()
+    x0 = st.x.copy()
+    assert not _lp_round(st, st.system(active & ~h.implied(active)))
+    assert np.array_equal(st.x, x0) and (st.trace["lp_jumps"], st.trace["lp_frozen"]) == (1, 0)
+
+    st = _EngineState(h, beta)
+    before = h.edge_sums(st.x)[active]
+    _step(st, active)
+    assert (st.trace["lp_jumps"], st.trace["null_steps"]) == (1, 1) and st.trace["null_frozen"] > 0
+    assert np.abs(h.edge_sums(st.x)[active] - before).max() <= 1e-9
+
+
+def test_lp_result_check_is_as_strict_as_linprogs():
+    # scipy refuses only beyond t: an entry at 1 + t or -t and a residual
+    # of t pass, the next float past each is refused
+    t = balancing._CHECK_TOL
+    a_eq = _EngineState(Hypergraph(3, ([0, 1, 2],)), np.full(3, 0.5)).system(np.array([True]))
+    b_eq = np.zeros(1)  # so that the residual is -ax, exactly
+    x = np.array([0.5, 0.5, 0.5])
+    cases = [
+        (np.array([1.0 + t, -t, 0.5]), b_eq, True),
+        (np.array([np.nextafter(1.0 + t, 2.0), 0.0, 0.5]), b_eq, False),
+        (np.array([0.5, np.nextafter(-t, -1.0), 1.0]), b_eq, False),
+        (x, np.array([-t]), True),
+        (x, np.array([np.nextafter(t, 1.0)]), False),
+        (x, np.array([np.nan]), False),
+    ]
+    for got, ax, accepted in cases:
+        run = lambda c, a, b, got=got, ax=ax: (got, ax, 0.0)  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balancing, "_run_highs", run)
+            assert (balancing._lp_vertex(np.zeros(3), a_eq, b_eq) is not None) == accepted
+
+
+def test_lp_jump_without_the_highs_bindings_names_the_scipy_floor(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        beck_fiala_round(Hypergraph(4, ([0, 1, 2, 3],)), [0.5] * 4)

@@ -21,8 +21,10 @@ quartiles and the change's wins (ties count for neither), and checks
          reads "unresolved", unless every run of the change is better than
          every run of the parent.
 
-It also prints the failed share of operations on each side.  The exit code
-is 1 when a run fails its correctness gate or prints no summary, else 0.
+Each pair's line names the end-to-end metrics whose values are equal on
+both sides.  It also prints the failed share of operations on each side.
+The exit code is 1 when a run fails its correctness gate or prints no
+summary, else 0.
 """
 
 from __future__ import annotations
@@ -154,10 +156,15 @@ def main(argv=None):
                     for side, summary in got.items()
                 }
                 runs.append((got, values))
+                same = [
+                    m["name"] for m in bench["end_to_end"]
+                    if m["name"] in values["parent"]
+                    and values["parent"][m["name"]] == values["change"].get(m["name"])
+                ]
                 print(f"{workload} pair {i} seed {seed} first {order[0]}: " + "  ".join(
                     f"{k} {values['parent'].get(k, float('nan')):.4g}/{values['change'].get(k, float('nan')):.4g}"
                     for k in ("setup_s", "wall_s", "peak_rss_mb")
-                ), flush=True)
+                ) + f"  equal: {' '.join(same) or '-'}", flush=True)
             rows = summarize([(v["parent"], v["change"]) for _, v in runs], bench["end_to_end"])
             print(f"== {workload}: {args.pairs} pairs, {seconds:g} s runs, parent {args.parent}")
             for side in ("parent", "change"):

@@ -10,7 +10,12 @@ hashes everything a caller can read off its result, floats by their bytes:
   exact-*    exact_star_discrepancy: value, witness corner, closed flag and
              boxes scanned;
   bracket-*  bracket_star_discrepancy: both ends, witness and grid;
-  select-*   discrete_discrepancy of random rows at d = 1, 2, 3.
+  select-*   discrete_discrepancy of random rows at d = 1, 2, 3;
+  round-*    round_array at d = 1, 2, 3 and, above the 20000 variables
+             from which the LP jump runs HiGHS's interior point method,
+             at d = 2 N = 256 (about 3 s); beck_fiala_round on a general
+             Hypergraph (the `nuqmc round` path): b, the per-edge error
+             and the engine trace.
 
 The exact and bracket cases run at `_BLOCK_CELLS` 1, 7 and 65536 on clouds
 with ties and zeros, against measures with and without atoms, and at 65536
@@ -29,7 +34,9 @@ import sys
 import numpy as np
 
 from nuqmc import discrepancy
+from nuqmc.balancing import Hypergraph, beck_fiala_round
 from nuqmc.discrepancy import bracket_star_discrepancy, discrete_discrepancy, exact_star_discrepancy
+from nuqmc.dyadic import round_array
 from nuqmc.measures import (
     DiscreteMeasure,
     OmegaRegion,
@@ -151,7 +158,38 @@ def cases():
             return _digest(np.array(discrete_discrepancy(z, rows)))
 
         out.append((f"select-d{d}-K{k}-N{n}", select))
+    out.extend(_round_cases())
     return out
+
+
+def _round_cases():
+    """(name, thunk) of the rounding cases: seeded beta with a quarter of
+    zeros on the dyadic lattice, free beta at d=2 N=256, and a random
+    hypergraph of degree at most 6."""
+    rng = np.random.default_rng(11)
+    out = []
+    for d, n in ((1, 1024), (2, 64), (3, 16)):
+        beta = rng.random((n,) * d) * (rng.random((n,) * d) >= 0.25)
+        out.append((f"round-d{d}-N{n}", beta))
+    out.append(("round-d2-N256-ipm", rng.random((256, 256))))
+    table = [(name, lambda beta=beta: _digest(*round_array(beta))) for name, beta in out]
+
+    deg = np.zeros(300, dtype=int)
+    edges = []
+    for _ in range(150):
+        pool = np.flatnonzero(deg < 6)
+        edge = rng.choice(pool, size=min(int(rng.integers(1, 21)), pool.size), replace=False)
+        deg[edge] += 1
+        edges.append(edge)
+    h = Hypergraph(300, edges)
+    beta = rng.random(300) * (rng.random(300) >= 0.25)
+
+    def hypergraph():
+        res = beck_fiala_round(h, beta)
+        return _digest(res.b, res.to_dict())
+
+    table.append(("round-hypergraph-n300", hypergraph))
+    return table
 
 
 class _block_cells:
