@@ -186,9 +186,7 @@ def _cmd_round(args):
 
 
 def _cmd_integrate(args):
-    omega = measures.OmegaRegion(
-        [(b[0], b[1]) for b in json.loads(Path(args.measure_omega).read_text())["boxes"]]
-    )
+    omega = measures.OmegaRegion(json.loads(Path(args.measure_omega).read_text())["boxes"])
     g, _ = integration.BUILTIN_INTEGRANDS[args.g]
     ig = integration.Integrand(g, omega, name=args.g)
     ps = measures.PointSet.from_csv(args.points, header=args.header)
@@ -203,16 +201,17 @@ def _bench_one(payload):
     omega = measures.OmegaRegion(boxes)
     g, _ = integration.BUILTIN_INTEGRANDS[gname]
     ig = integration.Integrand(g, omega, name=gname)
-    cfg = pipeline.ConstructionConfig(k_policy, scale_c, seeds[0])
-    return integration.benchmark(ig, [n], seeds, cfg)
+    return integration.benchmark(ig, [n], seeds, pipeline.ConstructionConfig(k_policy, scale_c))
 
 
 def _cmd_bench(args):
     t0 = time.time()
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     raw = json.loads(Path(args.measure_omega).read_text())
-    boxes = [(b[0], b[1]) for b in raw["boxes"]]
+    boxes = raw["boxes"]
     n_list = [int(v) for v in args.n_list.split(",")]
     seeds = list(range(args.seeds))
     payloads = [

@@ -29,7 +29,12 @@ np.unique of axis and atoms.
 
 The scans stream their grids in blocks of whole rows of axis 0, about
 `_BLOCK_CELLS` cells each (one row when a row is larger), so no grid-sized
-array is allocated.  In axis-0 order, the points that start counting in a
+array is allocated.  Every count comes from one routine, `_corner_counts`:
+the closed counts at chosen corners of each axis (a band's rows and kept
+columns, the tile tops of the coarse pass, the bracket's picks, the
+selection's slots), each point binned at the first chosen corner at or
+above its rank on every axis.  At d=1 they are one search of the sorted
+ranks.  Otherwise, in axis-0 order, the points that start counting in a
 block are one stretch: one bincount of it, cumulative sums along the other
 axes, and a cumulative sum along axis 0 carried over from the block before
 give the block's closed counts; the mass side is evaluated on the same
@@ -57,9 +62,8 @@ The discrete discrepancy of a selection against the set it was drawn from
 (`discrete_discrepancy`) takes the selection as distinct row indices of
 that set, so its ranks are the set's, read off one mark of the rows; both
 are counted on the selection's own grid: at most 2N+1 slots per axis,
-whatever the size of the full set.  It reads closed counts only.  At d=1
-the full set's points in one slot are one stretch of axis-0 positions, so
-its counts are the cumulated stretch lengths, with no K-long index built.
+whatever the size of the full set.  The slots are the chosen corners of
+`_corner_counts` for both sets, and only closed counts are read.
 
 All operations are pure; scans may be partitioned arbitrarily and max-reduced
 without changing the result.
@@ -217,15 +221,17 @@ def _merge_axes(axes, ranks, extra=None):
 
 def _flat_ranks(ranks, shape):
     """C-order flat index of every point's first corner (its rank on every
-    axis), from ranks listed in axis-0 order, so it rises with the row."""
-    if len(shape) == 1:
-        return ranks[0]
-    flat = np.ravel_multi_index(ranks[1:], shape[1:])
-    flat += ranks[0] * math.prod(shape[1:])
+    axis), from ranks listed in axis-0 order, so it rises with the row.  The
+    ranks must lie on the grid: they are not checked.  The index is written
+    over `ranks[0]`, an intp array of the caller's own, and returned."""
+    flat = ranks[0]
+    for r, n in zip(ranks[1:], shape[1:]):
+        flat *= n
+        flat += r
     return flat
 
 
-def _count_blocks(flat, shape, rows, carry=None):
+def _count_blocks(flat, shape, rows):
     """Counts of the points inside [0, corner] for every corner of the grid,
     yielded in blocks of `rows` rows of axis 0.
 
@@ -233,18 +239,12 @@ def _count_blocks(flat, shape, rows, carry=None):
     axis-0 row order (`_flat_ranks`).  The points whose first corner lies in
     a block are then one stretch: a block costs one bincount of that stretch
     and a cumsum along every other axis, and its running sum along axis 0
-    starts from the last cumulative row of the block before, or from
-    `carry` (the counts of the row before the grid, zeros when None) for
-    the first.  A strict count (points inside [0, corner)) is the closed
-    count one corner lower on every axis, zero where there is none; a
-    caller that needs strict counts shifts the closed block, with the row
-    before it on top, itself (`_subtract_lower`).  The last row of a
-    yielded block carries into the next, so a caller must not write to the
-    block."""
+    starts from the last cumulative row of the block before.  The last row
+    of a yielded block carries into the next, so a caller must not write to
+    the block.  Only `_corner_counts` calls it."""
     d = len(shape)
     stride = math.prod(shape[1:])
-    if carry is None:
-        carry = np.zeros(shape[1:], dtype=np.intp)
+    carry = np.zeros(shape[1:], dtype=np.intp)
     # flat rises with the row, so a search at a row start splits it exactly
     for lo in range(0, shape[0], rows):
         hi = min(lo + rows, shape[0])
@@ -263,6 +263,53 @@ def _count_blocks(flat, shape, rows, carry=None):
             np.cumsum(block, axis=0, out=block)
         carry = block[-1]
         yield block
+
+
+def _corner_counts(ranks, tops, rows):
+    """Closed counts of the points at the corners `tops[0] x ... x
+    tops[d-1]` of their critical grid, yielded in blocks of `rows` rows of
+    axis 0.
+
+    `ranks` are the points' ranks, listed in axis-0 order (`_grid`), and
+    `tops[s]` non-decreasing corner indices of axis s, -1 for a corner below
+    every point.  The count at (j_0, ..., j_{d-1}) is the number of points
+    whose rank on every axis s is at most tops[s][j_s]: each point is binned
+    at the first top at or above its rank on every axis, and dropped when a
+    rank lies past an axis's last top.  At d=1 the counts are one search of
+    the sorted ranks.  Otherwise axis 0's bins are stretches of the listing,
+    cut by one such search; a point's bin on another axis is read off a
+    table indexed by rank, or searched when the points are few (fewer than
+    512 plus a sixteenth of the table), and the points past a last top are
+    looked for only on the axes whose ranks reach past it.  The bins go
+    through `_flat_ranks` and `_count_blocks`, whose blocks a caller must
+    not write to."""
+    shape = tuple(top.size for top in tops)
+    if len(shape) == 1:
+        for lo in range(0, shape[0], rows):
+            top = tops[0][lo:lo + rows]
+            a, b = ranks[0].searchsorted(top[[0, -1]], "right")  # the stretch the block's tops cut
+            yield ranks[0][a:b].searchsorted(top, "right") + a
+        return
+    cuts = ranks[0].searchsorted(tops[0], "right")
+    bins, past = [], []  # past: per axis whose ranks reach past its last top, the points past it
+    for r, top in zip(ranks[1:], tops[1:]):
+        r = r[:cuts[-1]]
+        hi = int(r.max(initial=top[-1]))  # the table's last rank
+        if 16 * r.size < hi + 8192:  # a search costs ~16 table entries a point
+            b = top.searchsorted(r)
+        else:  # bin j holds the ranks above top j-1 up to top j; the last, those past every top
+            b = np.take(np.repeat(np.arange(top.size + 1), np.diff(np.concatenate(([-1], top, [hi])))), r)
+        if hi > top[-1]:
+            past.append(b == top.size)
+        bins.append(b)
+    # axis 0's bins come last, when no table is held
+    bins.insert(0, np.repeat(np.arange(shape[0]), np.diff(np.concatenate(([0], cuts)))))
+    if past:
+        keep = ~np.logical_or.reduce(past)
+        bins = [b[keep] for b in bins]
+    flat = _flat_ranks(bins, shape)
+    del bins, b, past  # only the flat index stays alive while the blocks are counted
+    yield from _count_blocks(flat, shape, rows)
 
 
 def _subtract_lower(out, block, carry):
@@ -287,24 +334,26 @@ def _check_budget(shape, budget):
     return cells
 
 
-def _bound_blocks(counts, corners, normalizer, mass_provider, rows):
+def _bound_blocks(axes, tops, ranks, normalizer, mass_provider, rows):
     """Both ends of the deviation on every cell of a coarse grid, in blocks
     of `rows` rows of axis 0; yields (bound, dev) per block.
 
-    `corners` are the coarse grid's coordinates per axis, increasing subsets
-    of the fine grid's axes, and `counts` yields the closed counts C+ at
-    them in the same blocks.  A box, closed or open, whose corner lies above
-    coarse corner j-1 and at or below corner j on every axis sits between
-    the closed boxes at j-1 (empty where j is 0) and j, so for any measure
-    its count and mass lie between theirs, C- <= C+ and M- <= M+: the
-    returned `bound` is max(C+/K - M-, M+ - C-/K), where C- and M- are C+
-    and M+ one corner lower (`_subtract_lower`), so mu is never evaluated at
-    coordinate 0, where an atom would count.  `dev` is |C+/K - M+|, the
-    closed box's own deviation at the cell's top corner; the next block may
-    overwrite it.  Masses come from one `mass_provider(block_axes, True)`
-    call per block."""
+    The coarse grid's corners are `axes[s][tops[s]]`, for increasing corner
+    indices `tops[s]` of the fine grid, and the closed counts C+ at them are
+    `_corner_counts(ranks, tops, rows)`.  A box, closed or open, whose
+    corner lies above coarse corner j-1 and at or below corner j on every
+    axis sits between the closed boxes at j-1 (empty where j is 0) and j, so
+    for any measure its count and mass lie between theirs, C- <= C+ and
+    M- <= M+: the returned `bound` is max(C+/K - M-, M+ - C-/K), where C-
+    and M- are C+ and M+ one corner lower (`_subtract_lower`), so mu is
+    never evaluated at coordinate 0, where an atom would count.  `dev` is
+    |C+/K - M+|, the closed box's own deviation at the cell's top corner;
+    the next block may overwrite it.  Masses come from one
+    `mass_provider(block_axes, True)` call per block."""
+    corners = [ax[top] for ax, top in zip(axes, tops)]
     m_carry = np.zeros(tuple(c.size for c in corners[1:]))  # M+ of the row before the block
     q_carry = m_carry  # C+/K of the row before the block
+    counts = _corner_counts(ranks, tops, rows)
     for lo, c in zip(range(0, corners[0].size, rows), counts):
         m = mass_provider([corners[0][lo:lo + rows], *corners[1:]], True)
         q = c / float(normalizer)
@@ -345,47 +394,28 @@ class _Scan:
         return max((v for v, _ in self.best.values()), default=-1.0)
 
     def band(self, r0, r1, keep=None):
-        axes, ranks, shape = self.axes, self.ranks, self.shape
-        # the points of rows < r0, then of the band
-        a, b = ranks[0].searchsorted(r0), ranks[0].searchsorted(r1)
-        pts = [r[:b] for r in ranks]
+        axes, shape = self.axes, self.shape
         if keep is None:  # every column
-            cols, added, sub = None, (), (r1 - r0, *shape[1:])
+            cols, added = [np.arange(n) for n in shape[1:]], ()
         else:
             # every marked corner and the one below it: the open variant
             # reads a marked corner's strict count in the column before it
-            cols = []
-            for k in keep:
-                e = k.copy()
-                e[:-1] |= k[1:]
-                cols.append(np.flatnonzero(e))
+            cols = [np.flatnonzero(k | np.append(k[1:], False)) for k in keep]
             # the open values of an added column are not scanned: the
             # column below it is not there
             added = [~k[c] for k, c in zip(keep, cols)]
-            sub = (r1 - r0, *(c.size for c in cols))
-            # a point counts from the first kept column at or above its
-            # rank, and nowhere past the last
-            pts[1:] = [np.searchsorted(c, r) for c, r in zip(cols, pts[1:])]
-            inside = np.logical_and.reduce([p < c.size for p, c in zip(pts[1:], cols)])
-            pts = [p[inside] for p in pts]
-            a = np.count_nonzero(inside[:a])
-        carry = np.zeros(sub[1:], dtype=np.intp)  # the counts of the row before the band
-        if a and len(shape) == 1:
-            carry += a
-        elif a:
-            carry += np.bincount(
-                np.ravel_multi_index([p[:a] for p in pts[1:]], sub[1:]), minlength=carry.size
-            ).reshape(sub[1:])
-            for axis in range(carry.ndim):
-                np.cumsum(carry, axis=axis, out=carry)
-        flat = _flat_ranks([pts[0][a:] - r0 if r0 else pts[0], *(p[a:] for p in pts[1:])], sub)
-        stride = math.prod(sub[1:])
-        rows = max(1, _BLOCK_CELLS // stride)
-        q_carry = carry / self.normalizer  # the quotients of the row before the block
-        others = axes[1:] if cols is None else [ax[c] for ax, c in zip(axes[1:], cols)]
-        for lo, count in zip(range(0, sub[0], rows), _count_blocks(flat, sub, rows, carry)):
-            block_axes = [axes[0][r0:r1][lo:lo + rows], *others]
+        rows = max(1, _BLOCK_CELLS // math.prod(c.size for c in cols))
+        others = [ax[c] for ax, c in zip(axes[1:], cols)]
+        # the row before the band comes first: the open variant's carry
+        counts = _corner_counts(self.ranks, [np.arange(r0 - 1, r1), *cols], rows)
+        lo, q_carry = r0, None  # the row of the block, the quotients of the row before it
+        for count in counts:
             q = count / self.normalizer
+            if q_carry is None:
+                q_carry, q = q[0], q[1:]
+                if not len(q):
+                    continue
+            block_axes = [axes[0][lo:lo + len(q)], *others]
             for closed in (True, False):
                 if closed:
                     mass = self.mass_provider(block_axes, True)
@@ -403,15 +433,11 @@ class _Scan:
                         vals[(slice(None),) * s + (drop,)] = -np.inf
                 j = int(np.argmax(vals))
                 v = float(vals.ravel()[j])
-                if cols is None:
-                    at = (r0 + lo) * stride + j
-                else:
-                    i = np.unravel_index(j, vals.shape)
-                    corner = (r0 + lo + i[0], *(c[x] for c, x in zip(cols, i[1:])))
-                    at = int(np.ravel_multi_index(corner, shape))
+                i = np.unravel_index(j, vals.shape)
+                at = int(np.ravel_multi_index((lo + i[0], *(c[x] for c, x in zip(cols, i[1:]))), shape))
                 if closed not in self.best or (v, -at) > (self.best[closed][0], -self.best[closed][1]):
                     self.best[closed] = (v, at)
-            q_carry = q[-1]
+            lo, q_carry = lo + len(q), q[-1]
 
     def result(self):
         """(value, witness) of the whole grid: closed wins a tie."""
@@ -452,9 +478,9 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     are those of the full scan, bitwise.  A smaller grid is one tile, and
     is counted exactly in row blocks.
 
-    A band's closed counts are the prefix histogram of the points below it
-    (a stretch in axis-0 order) and its own bincount and cumsums
-    (`_count_blocks`) at the kept columns.  Each block is divided once,
+    A band's closed counts are `_corner_counts` at its rows and kept
+    columns, with the row before the band in front: that row is the open
+    variant's carry, and no mass is asked for it.  Each block is divided once,
     q = count/normalizer; the open variant's strict count/normalizer is q
     shifted one corner lower on every axis, with the row before the block
     on top, which is the same float as the strict count divided, so no
@@ -480,13 +506,9 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     tiles = tuple(-(-n // t) for n in shape)
     tops = [np.minimum(np.arange(1, g + 1) * t, n) - 1 for g, n in zip(tiles, shape)]
     rows = max(1, _BLOCK_CELLS * tiles[0] // math.prod(tiles))
-    if d == 1:
-        counts = (ranks[0].searchsorted(tops[0][lo:lo + rows], "right") for lo in range(0, tiles[0], rows))
-    else:
-        counts = _count_blocks(_flat_ranks([r // t for r in ranks], tiles), tiles, rows)
     bounds = np.empty(tiles)
     lower = 0.0  # a closed value at a real corner
-    coarse = _bound_blocks(counts, [ax[top] for ax, top in zip(axes, tops)], normalizer, mass_provider, rows)
+    coarse = _bound_blocks(axes, tops, ranks, normalizer, mass_provider, rows)
     for lo, (bound, dev) in zip(range(0, tiles[0], rows), coarse):
         bounds[lo:lo + rows] = bound
         lower = max(lower, float(dev.max()))
@@ -565,9 +587,9 @@ def bracket_star_discrepancy(
     axis's length; a `g` below 1 is refused before anything is sorted.
     `upper` is the largest bound of `_bound_blocks` over the coarse cells,
     max(C+/K - M-, M+ - C-/K), and `value` the largest |C+/K - M+|, at the
-    closed box `witness`.  C+ is `_count_blocks`' closed block on the
-    points' coarse corners.  The budget is checked before anything is
-    counted.  `_sorted` starts with `_grid(ps.points)`'s axes and ranks."""
+    closed box `witness`.  C+ is `_corner_counts` at the picks.  The
+    budget is checked before anything is counted.  `_sorted` starts with
+    `_grid(ps.points)`'s axes and ranks."""
     if g is not None and g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if ps.dim != mu.dim:
@@ -581,22 +603,16 @@ def bracket_star_discrepancy(
     cells = _check_budget(shape, budget)
 
     picks = [(np.arange(1, size + 1) * ax.size) // size - 1 for ax, size in zip(axes, shape)]
-    corners = [ax[pick] for ax, pick in zip(axes, picks)]
-    # a point's coarse corner: corner i takes the ranks above corner i-1 up to its own
-    coarse = (np.repeat(np.arange(p.size), np.diff(p, prepend=-1))[r] for p, r in zip(picks, ranks))
-    flat = _flat_ranks(list(coarse), shape)
-
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     upper, lower, at = 0.0, -1.0, 0
-    blocks = _count_blocks(flat, shape, block_rows)
-    bounds = _bound_blocks(blocks, corners, ps.n, mu.mass_on_grid, block_rows)
+    bounds = _bound_blocks(axes, picks, ranks, ps.n, mu.mass_on_grid, block_rows)
     for lo, (bound, dev) in zip(range(0, shape[0], block_rows), bounds):
         upper = max(upper, float(bound.max()))
         dev = dev.ravel()
         j = int(np.argmax(dev))
         if dev[j] > lower:
             lower, at = float(dev[j]), lo * (cells // shape[0]) + j
-    witness = np.array([c[i] for c, i in zip(corners, np.unravel_index(at, shape))])
+    witness = np.array([ax[p[i]] for ax, p, i in zip(axes, picks, np.unravel_index(at, shape))])
     return DiscrepancyReport(lower, AnchoredBox(witness, closed=True), "bracket", cells, upper, shape)
 
 
@@ -610,10 +626,11 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _so
     does not raise full's; or raise it to just below Q's next one (to 1.0,
     closed, past the last), which keeps Q's count and does not lower full's.
     So each axis gets one slot per distinct coordinate of Q and one per gap
-    around them, at most (2N+1)^d cells whatever K is; full is binned onto
-    the slots, both sets are counted on them (`_count_blocks`; at d=1 full's
-    counts are the cumulated stretch lengths between Q's ranks), and every
-    corner is a box.
+    around them, at most (2N+1)^d cells whatever K is.  Slot 2j + 1 tops
+    at Q's j-th distinct rank q_j, slot 2j at q_j - 1 (-1 below Q's lowest
+    rank, a repeated top between adjacent ranks) and the last slot at K,
+    past every rank; both sets are counted at those tops (`_corner_counts`),
+    and every corner is a box.
 
     The rows are checked (a ValueError) before anything is sorted or
     counted, and the budget on Q's grid.  Q's ranks are full's, picked by a
@@ -634,34 +651,15 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _so
     sub_ranks = [r[chosen] for r in full_ranks]
     del chosen  # the counts below need the K-long arrays of full only
 
-    # slot 2j + 1 of an axis holds Q's j-th distinct rank, slot 2j the gap
-    # below it, and slot 2m the gap above the last
-    distinct, sub_slots = zip(*(np.unique(r, return_inverse=True) for r in sub_ranks))
-    shape = tuple(2 * q.size + 1 for q in distinct)
+    tops = [np.append(np.column_stack([q - 1, q]).ravel(), full.n) for q in map(np.unique, sub_ranks)]
+    shape = tuple(top.size for top in tops)
     cells = _check_budget(shape, budget)
-    # in axis-0 order, the points of full in one axis-0 slot are one
-    # stretch, cut where Q's ranks start and end
-    cuts = np.searchsorted(full_ranks[0], np.stack([distinct[0], distinct[0] + 1], 1))
-    lengths = np.diff(cuts.ravel(), prepend=0, append=full.n)
     block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
-    if len(shape) == 1:
-        # the stretch lengths are full's histogram on the slots
-        closed = np.cumsum(lengths)
-        blocks = (closed[lo:lo + block_rows] for lo in range(0, shape[0], block_rows))
-    else:
-        flat = np.repeat(np.arange(shape[0]) * (cells // shape[0]), lengths)
-        for s in range(1, len(shape)):
-            mark = np.zeros(full.n, dtype=np.intp)  # full has at most K distinct values
-            mark[distinct[s]] = 1
-            slot = 2 * np.cumsum(mark) - mark  # the slot of every rank on axis s
-            flat += slot[full_ranks[s]] * math.prod(shape[s + 1:])
-        blocks = _count_blocks(flat, shape, block_rows)
-    sub_flat = np.ravel_multi_index([2 * i + 1 for i in sub_slots], shape)
-    sub_flat.sort()
 
     ratio = rows.size / full.n
     best = 0.0
-    for c, c_sub in zip(blocks, _count_blocks(sub_flat, shape, block_rows)):
+    counts = zip(_corner_counts(full_ranks, tops, block_rows), _corner_counts(sub_ranks, tops, block_rows))
+    for c, c_sub in counts:
         vals = ratio * c
         vals -= c_sub
         best = max(best, float(np.abs(vals, out=vals).max()))

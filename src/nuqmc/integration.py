@@ -131,6 +131,8 @@ def benchmark(
 
     Returns one "constructed" row per N (built with the first seed) and one
     "monte_carlo" row per (N, seed) pair; rows are ready for CSV export."""
+    if len(seeds) < 1:
+        raise ValueError(f"seeds must hold at least one seed, got {list(seeds)}")
     cfg = cfg or ConstructionConfig()
     mu = RestrictionMeasure(integrand.omega)
     ref = reference_integral(integrand)

@@ -298,10 +298,13 @@ class OmegaRegion:
     """
 
     def __init__(self, boxes: Sequence):
-        lo = np.atleast_2d(np.asarray([b[0] for b in boxes], dtype=float))
-        hi = np.atleast_2d(np.asarray([b[1] for b in boxes], dtype=float))
-        if lo.shape != hi.shape or lo.shape[0] < 1:
-            raise ValueError("need at least one box given as (lo, hi)")
+        malformed = "need at least one box given as (lo, hi), with at least one coordinate"
+        try:
+            lo, hi = (np.atleast_2d(np.asarray([b[i] for b in boxes], dtype=float)) for i in (0, 1))
+        except (IndexError, TypeError, ValueError) as e:  # a box without hi, ragged corners
+            raise ValueError(malformed) from e
+        if lo.shape != hi.shape or lo.size < 1:
+            raise ValueError(malformed)
         if not (np.all(lo >= 0) and np.all(hi <= 1) and np.all(lo <= hi)):
             raise ValueError("boxes must satisfy 0 <= lo <= hi <= 1")
         self.lo, self.hi = lo, hi
@@ -310,7 +313,7 @@ class OmegaRegion:
         grids = [np.unique(np.concatenate([lo[:, s], hi[:, s]])) for s in range(self.dim)]
         cell_lo, cell_hi = [], []
         mesh = np.meshgrid(*[np.arange(len(g) - 1) for g in grids], indexing="ij")
-        idx = np.stack([m.ravel() for m in mesh], axis=1) if self.dim > 0 else None
+        idx = np.stack([m.ravel() for m in mesh], axis=1)
         for ix in idx:
             clo = np.array([grids[s][ix[s]] for s in range(self.dim)])
             chi = np.array([grids[s][ix[s] + 1] for s in range(self.dim)])
@@ -517,7 +520,7 @@ def measure_from_config(cfg, base_dir: Path | None = None) -> BoxMeasure:
     if kind == "product":
         return ProductMeasure([_cdf_from_config(c) for c in cfg["cdfs"]])
     if kind == "restriction":
-        return RestrictionMeasure(OmegaRegion([(b[0], b[1]) for b in cfg["boxes"]]))
+        return RestrictionMeasure(OmegaRegion(cfg["boxes"]))
     if kind == "discrete":
         pts_path = Path(cfg["points"])
         if base_dir is not None and not pts_path.is_absolute():

@@ -75,6 +75,14 @@ PAPER_K_FACTOR = 2**26
 SAMPLE_BUDGET = 2**26
 
 
+def _whole(name, value):
+    """`value` as an int; refused, not truncated, unless it is an integer
+    >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConstructionConfig:
     """K policy and seed for a construction.
@@ -91,13 +99,9 @@ class ConstructionConfig:
         if self.k_policy == "paper":
             k = PAPER_K_FACTOR * d * n * n
         elif self.k_policy == "scaled":
-            k = self.scale_c * n * n
+            k = _whole("scale_c", self.scale_c) * n * n
         else:
-            k = self.k_policy
-            # an explicit K is refused, not truncated, unless it is an integer
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-                raise ValueError(f"explicit K must be an integer >= 1, got K={k!r}")
-            k = int(k)
+            k = _whole("K", self.k_policy)
         if n > math.isqrt(k):
             raise ValueError(f"K={k} violates N <= sqrt(K) for N={n}")
         return k

@@ -313,6 +313,30 @@ def test_exit_code_precondition(tmp_path, capsys):
         assert code == 2 and f"K={k}" in err and "isqrt" not in err
 
 
+def test_refused_scale_seeds_and_coordinate_free_region(tmp_path, capsys):
+    # each exits 2 with the option named, not with a traceback
+    code, _, err = run(capsys, "gen", "--measure", "uniform", "--d", "1", "--n", "2",
+                       "--scale-c", "-3", "--out", str(tmp_path / "g.csv"))
+    assert code == 2 and "scale_c=-3" in err and "isqrt" not in err
+    omega = tmp_path / "omega.json"
+    omega.write_text('{"boxes": [[[0.0], [0.5]]]}')
+    for seeds in ("0", "-2"):
+        code, _, err = run(capsys, "bench", "--measure-omega", str(omega), "--g", "const",
+                           "--n-list", "4", "--seeds", seeds, "--out", str(tmp_path / "b.csv"))
+        assert code == 2 and "--seeds" in err
+    pts = tmp_path / "p.csv"
+    np.savetxt(pts, [[0.25], [0.7]], delimiter=",")
+    for boxes in ("[[[], []]]", "[[[0.1]]]"):  # no coordinates; no hi corner
+        omega.write_text(f'{{"boxes": {boxes}}}')
+        code, _, err = run(capsys, "integrate", "--measure-omega", str(omega), "--g", "const",
+                           "--points", str(pts))
+        assert code == 2 and "coordinate" in err
+        code, _, err = run(capsys, "bench", "--measure-omega", str(omega), "--g", "const",
+                           "--n-list", "4", "--out", str(tmp_path / "b.csv"))
+        assert code == 2 and "coordinate" in err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):
     p = tmp_path / "p.csv"
     np.savetxt(p, np.random.default_rng(0).random((50, 2)), delimiter=",")

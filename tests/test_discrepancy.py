@@ -10,6 +10,7 @@ from conftest import naive_star_discrepancy
 from nuqmc import discrepancy
 from nuqmc.discrepancy import (
     BudgetExceededError,
+    _corner_counts,
     _count_blocks,
     _flat_ranks,
     _grid,
@@ -656,6 +657,43 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
             lower.append(-_subtract_lower(np.zeros_like(c), c, carry))
             carry = c[-1]
         assert np.array_equal(np.concatenate(lower), strict)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_corner_counts_match_brute_force(d, rows):
+    # the count at a corner is the number of points whose rank is at most
+    # the top on every axis: tied ranks, tops of -1, repeated tops, tops
+    # that stop before the axis's last corner or reach past it, on clouds
+    # of 700 or more points (bins read off a table) and on a few of the
+    # free points (bins searched)
+    rng = np.random.default_rng(40 + d)
+    tied = _grid(tied_points(rng, 600, d))[:2]
+    axes, ranks = _grid(rng.random((700, d)))[:2]
+    few = rng.random(700) < 0.05  # still in axis-0 order
+    clouds = [tied, (axes, ranks), (axes, [r[few] for r in ranks])]
+    for (axes, ranks), trial in itertools.product(clouds, range(6)):
+        tops = []
+        for ax in axes:
+            n = ax.size
+            kind = (trial + len(tops)) % 4
+            if kind == 0:
+                tops.append(np.arange(n))
+            elif kind == 1:
+                tops.append(np.sort(rng.integers(-1, n, size=6)))
+            elif kind == 2:
+                tops.append(np.array([-1, -1, 0, 0, n // 2, n // 2]))
+            else:
+                tops.append(np.array([n // 3, n // 3 + 1, n + 5]))
+        inside = np.ones((ranks[0].size, *(top.size for top in tops)), dtype=bool)
+        for s, (r, top) in enumerate(zip(ranks, tops)):
+            shape = [r.size] + [1] * d
+            shape[s + 1] = top.size
+            inside &= (r[:, None] <= top).reshape(shape)
+        expect = inside.sum(axis=0)
+        got = np.concatenate(list(_corner_counts(ranks, tops, rows)))
+        assert got.shape == tuple(top.size for top in tops)
+        assert np.array_equal(got, expect), (trial, [top.tolist() for top in tops])
 
 
 def test_atomless_scan_never_asks_for_the_open_mass(monkeypatch):

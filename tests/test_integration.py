@@ -248,6 +248,12 @@ def test_benchmark_rows_and_csv():
     assert len(text.splitlines()) == 1 + len(rows)
 
 
+def test_benchmark_refuses_an_empty_seed_list():
+    ig = Integrand(BUILTIN_INTEGRANDS["const"][0], L_SHAPE, name="const")
+    with pytest.raises(ValueError, match="seeds"):
+        benchmark(ig, [4], [])
+
+
 def test_builtin_registry():
     x = np.array([[0.5, 0.5]])
     assert BUILTIN_INTEGRANDS["const"][0](x)[0] == 1.0

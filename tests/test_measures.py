@@ -80,6 +80,17 @@ def test_mass_errors():
         box(-0.1)
 
 
+def test_region_without_coordinates_refused():
+    # a box with no coordinates is malformed, like a box without its hi corner
+    # or boxes of different dimensions
+    for boxes in ([([], [])], [([], []), ([], [])], [], [([0.1],)], [([0.1], [0.2]), ([], [])]):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            OmegaRegion(boxes)
+    for boxes in ([[[], []]], [[[0.1]]]):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            measure_from_config({"type": "restriction", "boxes": boxes})
+
+
 def test_nan_coordinates_refused():
     # every range check is a positive test, which NaN fails
     nan = float("nan")

@@ -228,6 +228,11 @@ def test_k_policies():
     for k in (16.7, 16.0, True, False, 0, -4, "16"):
         with pytest.raises(ValueError, match="K="):
             ConstructionConfig(k).resolve_k(1, 1)
+    # so is the scaled policy's constant, before any isqrt
+    for c in (1.5, 16.0, True, False, 0, -3, "16"):
+        with pytest.raises(ValueError, match="scale_c="):
+            ConstructionConfig("scaled", scale_c=c).resolve_k(1, 1)
+    assert ConstructionConfig("scaled", scale_c=np.int64(2)).resolve_k(1, 1) == 2
 
 
 def test_construct_determinism():

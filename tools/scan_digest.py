@@ -9,8 +9,11 @@ hashes everything a caller can read off its result, floats by their bytes:
              d = 1, 2, 3, on the L region and on a product extension;
   exact-*    exact_star_discrepancy: value, witness corner, closed flag and
              boxes scanned;
-  bracket-*  bracket_star_discrepancy: both ends, witness and grid;
-  select-*   discrete_discrepancy of random rows at d = 1, 2, 3;
+  bracket-*  bracket_star_discrepancy: both ends, witness and grid, and
+             at d = 1 on grids of several default blocks (`-wide`);
+  select-*   discrete_discrepancy of random rows at d = 1, 2, 3, and of
+             rows that hold each axis's lowest-ranked point and runs of
+             adjacent ranks (`-edges`);
   round-*    round_array at d = 1, 2, 3 and, above the 20000 variables
              from which the LP jump runs HiGHS's interior point method,
              at d = 2 N = 256 (about 3 s); beck_fiala_round on a general
@@ -20,6 +23,8 @@ hashes everything a caller can read off its result, floats by their bytes:
 The exact and bracket cases run at `_BLOCK_CELLS` 1, 7 and 65536 on clouds
 with ties and zeros, against measures with and without atoms, and at 65536
 on clouds whose grids span many blocks (free points and centred lattices).
+The select cases run at all three block sizes; the default's names carry
+no `-b` suffix.
 Two source trees that print the same lines give bitwise the same results
 on all of them: run the script under each tree's `src` and diff the
 outputs.
@@ -150,16 +155,38 @@ def cases():
 
             out.append((f"exact-{name}-b{cells}", exact))
             out.append((f"bracket-{name}-b{cells}", bracket))
+    for name, ps, mu, sizes in scans:
+        if name.startswith("d1-large-"):
+            def wide(ps=ps, mu=mu):
+                return _digest(*(_report(bracket_star_discrepancy(ps, mu, g)) for g in (None, 100_000)))
+
+            out.append((f"bracket-{name}-wide", wide))
+    for name, z, rows in _select_cases():
+        for cells in BLOCK_SIZES:
+            def select(z=z, rows=rows, cells=cells):
+                with _block_cells(cells):
+                    return _digest(np.array(discrete_discrepancy(z, rows)))
+
+            out.append((name if cells == BLOCK_SIZES[-1] else f"{name}-b{cells}", select))
+    out.extend(_round_cases())
+    return out
+
+
+def _select_cases():
+    """(name, cloud, rows) of the selection cases: random rows of clouds
+    with a quarter of k/8 coordinates, and rows that hold every axis's
+    lowest-ranked point and runs of adjacent ranks, so Q's slots start at
+    corner -1 and repeat tops."""
     rng = np.random.default_rng(7)
     for d, k, n in ((1, 4096, 64), (1, 300, 17), (2, 1024, 32), (3, 216, 6)):
         z = PointSet(np.concatenate([rng.random((k - k // 4, d)), rng.integers(0, 9, (k // 4, d)) / 8.0]))
-        rows = rng.choice(k, n, replace=False)
-        def select(z=z, rows=rows):
-            return _digest(np.array(discrete_discrepancy(z, rows)))
-
-        out.append((f"select-d{d}-K{k}-N{n}", select))
-    out.extend(_round_cases())
-    return out
+        yield f"select-d{d}-K{k}-N{n}", z, rng.choice(k, n, replace=False)
+    for d, k in ((1, 5000), (2, 1024), (3, 216)):
+        z = PointSet(rng.random((k, d)))
+        order = np.argsort(z.points, axis=0, kind="stable")
+        runs = np.concatenate([order[:3], order[k // 2:k // 2 + 4], order[-2:]]).ravel()
+        rows = np.unique(np.concatenate([runs, rng.choice(k, 8, replace=False)]))
+        yield f"select-d{d}-edges-K{k}-N{rows.size}", z, rows
 
 
 def _round_cases():
