@@ -12,7 +12,10 @@ from nuqmc.measures import AnchoredBox
 # The scipy version the pinned outputs were taken under.  Every construction
 # and every rounding with an active edge goes through a HiGHS LP jump, whose
 # optimal vertex is not unique, so the pinned hashes follow the HiGHS build
-# that this scipy ships.
+# that this scipy ships, and its solve path: the jump's objective drops its
+# constant 0.5 under an edge over every floating variable, which keeps the
+# optimal set but can move a build whose optimum is a near-tie.  The pinned
+# `lp_iterations` count follows the same build.
 PINNED_SCIPY = "1.17.1"
 
 

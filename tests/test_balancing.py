@@ -1,6 +1,7 @@
 """Beck-Fiala rounding: hard 2*Delta - 1 guarantee, zero preservation,
 determinism, and the engine's steps."""
 
+import functools
 import itertools
 import sys
 
@@ -328,44 +329,114 @@ def test_active_floating_matches_loop_oracle():
         assert list(zip(mat.row.tolist(), mat.col.tolist())) == [(int(r), int(c)) for r, c in pairs]
 
 
+@pytest.mark.parametrize(("d", "n_side"), [(1, 16), (2, 8), (3, 4)])
+def test_ones_over_the_floating_set_lie_in_the_kept_rows_span(d, n_side):
+    # whenever an edge is active, the root cell holds every floating
+    # variable and sum(x_f) is fixed by the kept rows: the all-ones vector
+    # over the floating set is a combination of them, whatever cells are
+    # zero and whatever variables are frozen
+    _, h = build_scheme(n_side, d)
+    rng = np.random.default_rng(40 + d)
+    checked = 0
+    for _ in range(40):
+        beta = rng.random(h.n) * (rng.random(h.n) >= rng.uniform(0.0, 0.5))
+        st = _EngineState(h, beta)
+        st.floating &= rng.random(h.n) >= rng.uniform(0.0, 0.6)
+        active = st.active_mask()
+        if not active.any():
+            continue
+        f = int(st.floating.sum())
+        assert np.any(h.edge_sums(st.floating.astype(np.int64)) == f)
+        rows = st.system(active & ~h.implied(active)).toarray()
+        w = np.linalg.lstsq(rows.T, np.ones(f), rcond=None)[0]
+        assert np.abs(rows.T @ w - 1.0).max() <= 1e-9
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("spanning", [False, True])
+def test_lp_objective_drops_the_half_only_under_a_spanning_edge(spanning, monkeypatch):
+    # a general hypergraph with no edge over every floating variable hands
+    # HiGHS the objective (0.5 - x_f) + wiggle bit for bit; one more edge
+    # over all vertices makes the 0.5 a constant, and it is dropped
+    edges = [range(0, 6), range(6, 12), range(0, 12, 2), range(1, 12, 2), [0, 1, 6, 7]]
+    if spanning:
+        edges.append(range(12))
+    h = Hypergraph(12, [list(e) for e in edges])
+    beta = np.random.default_rng(8).uniform(0.1, 0.9, 12)
+    seen, solve = [], balancing._lp_vertex
+
+    def spy(c, a_eq, b_eq):
+        seen.append(c)
+        return solve(c, a_eq, b_eq)
+
+    monkeypatch.setattr(balancing, "_lp_vertex", spy)
+    beck_fiala_round(h, beta)
+    wiggle = 1e-3 * np.cos(0.7 * np.arange(12) + 0.3)
+    assert seen and np.array_equal(seen[0], ((0.0 if spanning else 0.5) - beta) + wiggle)
+
+
 # --- LP solve -----------------------------------------------------------------
 
 L_REGION = OmegaRegion([([0.0, 0.0], [0.5, 1.0]), ([0.5, 0.0], [1.0, 0.5])])
 
 
-@pytest.mark.parametrize(
-    ("mu", "n"),
-    [
-        (ProductMeasure([PowerCdf(2.0)]), 64),
-        (ProductMeasure([PowerCdf(2.0)] * 2), 64),
-        (RestrictionMeasure(L_REGION), 64),
-        (ProductMeasure([PowerCdf(2.0)] * 3), 16),
-    ],
-    ids=["power-d1-N64", "power-d2-N64", "L-N64", "power-d3-N16"],
-)
-def test_lp_jump_solves_like_linprog_bitwise(mu, n, monkeypatch):
-    # the direct HiGHS call keeps linprog's model, options and result
-    # check: on the first two LP jumps of a construction it accepts exactly
-    # when linprog reports success, and then with bitwise linprog's x.  A
-    # scipy release that changes either front end fails here.
-    from scipy.optimize import linprog
+LP_CONSTRUCTIONS = {
+    "power-d1-N64": (ProductMeasure([PowerCdf(2.0)]), 64),
+    "power-d2-N64": (ProductMeasure([PowerCdf(2.0)] * 2), 64),
+    "L-N64": (RestrictionMeasure(L_REGION), 64),
+    "power-d3-N16": (ProductMeasure([PowerCdf(2.0)] * 3), 16),
+}
 
+
+@functools.cache
+def first_jumps(case):
+    """(c, a_eq, b_eq, (x, iterations)) of the first two LP jumps of the
+    seed-0 construction `case` of LP_CONSTRUCTIONS."""
     jumps, solve = [], balancing._lp_vertex
 
     def record(c, a_eq, b_eq):
         jumps.append((c, a_eq, b_eq, solve(c, a_eq, b_eq)))
         return jumps[-1][-1]
 
-    monkeypatch.setattr(balancing, "_lp_vertex", record)
-    construct_point_set(mu, n, ConstructionConfig(seed=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(balancing, "_lp_vertex", record)
+        construct_point_set(*LP_CONSTRUCTIONS[case], ConstructionConfig(seed=0))
     assert jumps
-    for c, a_eq, b_eq, x in jumps[:2]:
+    return jumps[:2]
+
+
+@pytest.mark.parametrize("case", LP_CONSTRUCTIONS)
+def test_lp_jump_solves_like_linprog_bitwise(case):
+    # the direct HiGHS call keeps linprog's model, options and result
+    # check: on the first two LP jumps of a construction it accepts exactly
+    # when linprog reports success, and then with bitwise linprog's x.  A
+    # scipy release that changes either front end fails here.
+    from scipy.optimize import linprog
+
+    jumps = first_jumps(case)
+    for c, a_eq, b_eq, (x, iterations) in jumps:
         ref = linprog(
             c, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0.0, 1.0), method="highs-ds",
             options={"presolve": False},
         )
         assert (x is not None) == (ref.status == 0)
-        assert x is None or np.array_equal(x, ref.x)
+        assert x is None or (np.array_equal(x, ref.x) and iterations == ref.nit)
+
+
+@pytest.mark.parametrize("case", LP_CONSTRUCTIONS)
+def test_lp_jump_without_the_half_reaches_the_same_vertex(case):
+    # every construction jump has an edge over all floating variables (the
+    # dyadic root cell), so its objective drops the 0.5 common to every
+    # column; putting it back changes every objective value by one
+    # constant, and the solve freezes the same variables at the same x
+    jumps = first_jumps(case)
+    for c, a_eq, b_eq, (x, _) in jumps:
+        x_half, _ = balancing._lp_vertex(c + 0.5, a_eq, b_eq)
+        assert x is not None and x_half is not None
+        frozen = (x <= 1e-9) | (x >= 1.0 - 1e-9)
+        assert np.array_equal(frozen, (x_half <= 1e-9) | (x_half >= 1.0 - 1e-9))
+        assert np.abs(x - x_half).max() <= 1e-9
 
 
 @pytest.mark.parametrize("fault", ["not optimal", "nan", "above one", "residual"])
@@ -377,14 +448,14 @@ def test_refused_lp_jump_is_followed_by_a_null_step(fault, monkeypatch):
     def faulty(c, a_eq, b_eq):
         if fault == "not optimal":
             return None
-        x, ax, objective = run(c, a_eq, b_eq)
+        x, ax, objective, iterations = run(c, a_eq, b_eq)
         if fault == "nan":
             x[3] = np.nan
         elif fault == "above one":
             x[3] = 1.0 + 2 * t
         else:
             ax[3] = b_eq[3] + 2 * t
-        return x, ax, objective
+        return x, ax, objective, iterations
 
     monkeypatch.setattr(balancing, "_run_highs", faulty)
     _, h = build_scheme(16, 2)
@@ -418,10 +489,11 @@ def test_lp_result_check_is_as_strict_as_linprogs():
         (x, np.array([np.nan]), False),
     ]
     for got, ax, accepted in cases:
-        run = lambda c, a, b, got=got, ax=ax: (got, ax, 0.0)  # noqa: E731
+        run = lambda c, a, b, got=got, ax=ax: (got, ax, 0.0, 1)  # noqa: E731
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(balancing, "_run_highs", run)
-            assert (balancing._lp_vertex(np.zeros(3), a_eq, b_eq) is not None) == accepted
+            x, iterations = balancing._lp_vertex(np.zeros(3), a_eq, b_eq)
+            assert (x is not None) == accepted and iterations == 1
 
 
 def test_lp_jump_without_the_highs_bindings_names_the_scipy_floor(monkeypatch):

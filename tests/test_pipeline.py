@@ -76,6 +76,9 @@ def test_construct_d2_engine_trace():
     # 769 active rows at the first jump and 17 at the second, 321 + 5 of
     # them the sum of their two halves' rows
     assert (trace["lp_rows"], trace["lp_implied_rows"]) == (460, 326)
+    # HiGHS's dual simplex iterations over both jumps, 510 + 9; the first
+    # jump takes 701 when its objective keeps the 0.5 common to every column
+    assert trace["lp_iterations"] == 519, pin_message("LP iterations")
     assert trace["lp_frozen"] + trace["null_frozen"] + trace["final_snapped"] == 64 * 64
 
 

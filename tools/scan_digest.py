@@ -16,9 +16,15 @@ hashes everything a caller can read off its result, floats by their bytes:
              adjacent ranks (`-edges`);
   round-*    round_array at d = 1, 2, 3 and, above the 20000 variables
              from which the LP jump runs HiGHS's interior point method,
-             at d = 2 N = 256 (about 3 s); beck_fiala_round on a general
-             Hypergraph (the `nuqmc round` path): b, the per-edge error
-             and the engine trace.
+             at d = 2 N = 256 (about 3 s); round_array of a construction's
+             beta, the L region's at N = 128 (a 993 x 14619 first jump)
+             and power(2)^3's at N = 32 (751 x 12824); beck_fiala_round on
+             a general Hypergraph (the `nuqmc round` path): b, the
+             per-edge error and the engine trace.
+
+A case hashes every field but the engine trace's `lp_iterations`: it
+counts the solver's work, not a result, and an objective that keeps the
+vertex may change it.
 
 The exact and bracket cases run at `_BLOCK_CELLS` 1, 7 and 65536 on clouds
 with ties and zeros, against measures with and without atoms, and at 65536
@@ -53,6 +59,7 @@ from nuqmc.measures import (
     uniform_measure,
 )
 from nuqmc.pipeline import ConstructionConfig, construct_point_set
+from nuqmc.selection import decompose
 
 BLOCK_SIZES = (1, 7, 1 << 16)
 L_REGION = [([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])]
@@ -64,8 +71,15 @@ def _digest(*parts) -> str:
         if isinstance(part, np.ndarray):
             h.update(part.dtype.str.encode() + repr(part.shape).encode() + part.tobytes())
         else:
-            h.update(json.dumps(part, sort_keys=True, default=repr).encode())
+            h.update(json.dumps(_without_lp_iterations(part), sort_keys=True, default=repr).encode())
     return h.hexdigest()[:16]
+
+
+def _without_lp_iterations(part):
+    """`part` without any `lp_iterations` entry of its nested dicts."""
+    if isinstance(part, dict):
+        return {k: _without_lp_iterations(v) for k, v in part.items() if k != "lp_iterations"}
+    return part
 
 
 def _report(rep):
@@ -191,8 +205,9 @@ def _select_cases():
 
 def _round_cases():
     """(name, thunk) of the rounding cases: seeded beta with a quarter of
-    zeros on the dyadic lattice, free beta at d=2 N=256, and a random
-    hypergraph of degree at most 6."""
+    zeros on the dyadic lattice, free beta at d=2 N=256, two
+    constructions' beta (the cloud of `ConstructionConfig(seed=...)`),
+    and a random hypergraph of degree at most 6."""
     rng = np.random.default_rng(11)
     out = []
     for d, n in ((1, 1024), (2, 64), (3, 16)):
@@ -200,6 +215,15 @@ def _round_cases():
         out.append((f"round-d{d}-N{n}", beta))
     out.append(("round-d2-N256-ipm", rng.random((256, 256))))
     table = [(name, lambda beta=beta: _digest(*round_array(beta))) for name, beta in out]
+    for name, mu, n, seed in (
+        ("round-build-L-N128", RestrictionMeasure(L_REGION), 128, 0),
+        ("round-build-d3-power-N32", ProductMeasure([PowerCdf(2.0)] * 3), 32, 3),
+    ):
+        def build_beta(mu=mu, n=n, seed=seed):
+            z = mu.sample(seed, ConstructionConfig().resolve_k(n, mu.dim))
+            return _digest(*round_array(decompose(z, n).beta))
+
+        table.append((name, build_beta))
 
     deg = np.zeros(300, dtype=int)
     edges = []
