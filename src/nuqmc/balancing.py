@@ -47,7 +47,7 @@ vectors to themselves, and is a pure function of its input.
 
 The engine reads a hypergraph through `n`, `max_degree` and three methods,
 none of which loops over edges in Python: `edge_sums` (per-edge sums of a
-vertex vector, for the active mask and the error), `members_of` (the
+vertex vector, for the floating counts and the error), `members_of` (the
 members of a set of edges, for the nonzeros of the kept system) and
 `implied` (the active rows left out of it).  Hypergraph below serves them
 from CSR arrays, (ptr, members), built from an edge list, as segmented
@@ -245,8 +245,9 @@ class _EngineState:
         _snap(self.x, self.floating)
         self.trace = dict.fromkeys(TRACE_KEYS, 0)
 
-    def active_mask(self):
-        return self.h.edge_sums(self.floating.astype(np.int64)) > self.h.max_degree
+    def floating_counts(self):
+        """The number of floating members of every edge."""
+        return self.h.edge_sums(self.floating.astype(np.int64))
 
     def system(self, edges):
         """The 0/1 matrix of the edges marked in the bool mask `edges` over
@@ -262,21 +263,23 @@ class _EngineState:
         return coo_matrix((np.ones(cols.size), (rows[keep], cols)), shape=shape).tocsc()
 
 
-def _step(st: _EngineState, active) -> None:
-    """One walk step on the active edges: an LP jump on the kept rows'
+def _step(st: _EngineState, counts) -> None:
+    """One walk step on the active edges, those whose floating counts
+    `counts` (`floating_counts`) exceed Delta: an LP jump on the kept rows'
     system, and a null step on the same matrix when the jump freezes
-    nothing.  The matrix dies with the step, before the next active mask."""
+    nothing.  The matrix dies with the step, before the next counts."""
+    active = counts > st.h.max_degree
     kept = active & ~st.h.implied(active)
     matrix = st.system(kept)
     st.trace["lp_rows"] += matrix.shape[0]
     st.trace["lp_implied_rows"] += int(np.count_nonzero(active)) - matrix.shape[0]
-    if not _lp_round(st, matrix):
+    if not _lp_round(st, matrix, np.any(counts == np.count_nonzero(st.floating))):
         _null_step(st, matrix)
 
 
-def _lp_round(st: _EngineState, a_eq) -> bool:
+def _lp_round(st: _EngineState, a_eq, spans) -> bool:
     """Jump to a vertex of the polytope of the system `a_eq`; returns True
-    on progress."""
+    on progress.  `spans` says that an edge holds every floating variable."""
     float_idx = np.flatnonzero(st.floating)
     xf = st.x[float_idx]
     b_eq = a_eq @ xf
@@ -285,7 +288,6 @@ def _lp_round(st: _EngineState, a_eq) -> bool:
     # fix sum(x_f) and the 0.5 common to every column adds only a constant
     # (module docstring, step (a)); it is dropped there, because HiGHS's
     # dual simplex spends about a third of its iterations on it.
-    spans = np.any(st.h.edge_sums(st.floating.astype(np.int64)) == float_idx.size)
     c = ((0.0 if spans else 0.5) - xf) + 1e-3 * np.cos(0.7 * float_idx + 0.3)
     x, iterations = _lp_vertex(c, a_eq, b_eq)
     st.trace["lp_jumps"] += 1
@@ -419,14 +421,14 @@ def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:
         guard += 1
         if guard > 4 * h.n + 16:
             raise RuntimeError("floating-colors walk failed to terminate")
-        active = st.active_mask()
-        if not active.any():
+        counts = st.floating_counts()
+        if not np.any(counts > h.max_degree):
             idx = np.flatnonzero(st.floating)
             st.x[idx] = np.where(st.x[idx] >= 0.5, 1.0, 0.0)
             st.floating[idx] = False
             st.trace["final_snapped"] = int(idx.size)
             break
-        _step(st, active)
+        _step(st, counts)
     b = st.x
     if not np.all((b == 0.0) | (b == 1.0)):
         raise RuntimeError("rounding left non-integral values")

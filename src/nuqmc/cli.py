@@ -4,10 +4,10 @@ Subcommands: gen, seq, disc, select, round, integrate, bench, verify,
 inverse-size.  Structured outputs are JSON, point sets are CSV (one row per
 point, no header unless --header).  Every command that writes files also
 writes a run manifest (<first output>.manifest.json) with the full argv, the
-seed, SHA-256 hashes of inputs and outputs, the python, numpy and scipy
-versions, and the wall time; identical argv + seed reproduce byte-identical
-outputs under the same numpy/scipy versions (the LP jump's vertex depends
-on the HiGHS build that scipy ships).
+seed, the scan budget in effect, SHA-256 hashes of inputs and outputs, the
+python, numpy and scipy versions, and the wall time; identical argv, seed and
+scan budget reproduce byte-identical outputs under the same numpy/scipy
+versions (the LP jump's vertex depends on the HiGHS build that scipy ships).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation (e.g. the
 selection hypothesis N <= sqrt(K)), 3 step/lattice budget exceeded.  The
@@ -32,7 +32,7 @@ import numpy as np
 from . import balancing, dyadic, integration, measures, pipeline, selection
 from .discrepancy import (
     BudgetExceededError,
-    _grid,
+    _resolve_budget,
     bracket_star_discrepancy,
     exact_star_discrepancy,
 )
@@ -62,6 +62,8 @@ def _write_manifest(args, inputs, outputs, t0):
         "command": args.command,
         "argv": sys.argv[1:],
         "seed": getattr(args, "seed", None),
+        # the scans' budget decides between a measured and a bracketed result
+        "scan_budget": _resolve_budget(getattr(args, "budget", None)),
         "inputs": {str(p): _sha256(p) for p in inputs if Path(p).exists()},
         "outputs": {str(p): _sha256(p) for p in outputs if Path(p).exists()},
         # read from package metadata, so that recording scipy's does not import it
@@ -141,11 +143,10 @@ def _cmd_disc(args):
     t0 = time.time()
     ps = measures.PointSet.from_csv(args.points, header=args.header)
     mu = _load_measure(args.measure, args.d if args.d else ps.dim)
-    grid = _grid(ps.points)  # one sort serves the exact scan and the bracket
     try:
-        rep = exact_star_discrepancy(ps, mu, budget=args.budget, _sorted=grid)
+        rep = exact_star_discrepancy(ps, mu, budget=args.budget)
     except BudgetExceededError:
-        rep = bracket_star_discrepancy(ps, mu, budget=args.budget, _sorted=grid)
+        rep = bracket_star_discrepancy(ps, mu, budget=args.budget)
     print(f"{rep.value:.17g}" + (f" {rep.upper:.17g}" if rep.mode == "bracket" else ""))
     if args.report:
         Path(args.report).write_text(json.dumps(rep.to_dict(), indent=2) + "\n")

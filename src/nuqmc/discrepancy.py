@@ -21,9 +21,10 @@ order whatever numpy's sort kind, and one of the column gives the axis.
 Coordinates must lie in [0, 1].  Ranks are listed in axis-0 sorted order,
 which the points keep from the sort to the last scan: axis 0's ranks are the
 sorted run indices, and every other axis costs one scatter and one gather.  A
-construction sorts its K-point cloud once: the orders give the rank-slab
-decomposition its slabs and representatives, the ranks serve both scans,
-and the selected points' ranks are the cloud's at their axis-0 positions.
+point set keeps its sort (`PointSet.critical_grid`), so a construction sorts
+its K-point cloud once: the orders give the rank-slab decomposition its
+slabs and representatives, the ranks serve both scans, and the selected
+points' ranks are the cloud's at their axis-0 positions.
 Coordinates of the mass side (atoms) are merged into the axes by one small
 np.unique of axis and atoms.
 
@@ -54,8 +55,8 @@ construction it evaluates the mass side on a few hundredths of the grid.
 The scan refuses to run when grid_cells * d exceeds a configurable step
 budget (default 1e8, overridable via the NUQMC_BUDGET environment variable).
 The budget is checked on the grid's size once the atoms are merged in,
-before any block is counted; without atoms, a refused scan on a shared sort
-sorts nothing.  Past the budget, `bracket_star_discrepancy` bounds the
+before any block is counted; a refused scan leaves the point set's sort to
+the bracket.  Past the budget, `bracket_star_discrepancy` bounds the
 discrepancy from both sides on G of every axis's corners, as many as fit.
 
 The discrete discrepancy of a selection against the set it was drawn from
@@ -556,20 +557,17 @@ def local_star_discrepancy(ps: PointSet, mu: BoxMeasure, box: AnchoredBox) -> fl
     return abs(cnt / ps.n - mu.mass(box))
 
 
-def exact_star_discrepancy(
-    ps: PointSet, mu: BoxMeasure, budget: int | None = None, *, _sorted=None
-) -> DiscrepancyReport:
+def exact_star_discrepancy(ps: PointSet, mu: BoxMeasure, budget: int | None = None) -> DiscrepancyReport:
     """Exact sup over anchored boxes of |empirical - mu| via the critical-grid
     scan; raises BudgetExceededError when the grid is too large.
 
     For measures with atoms the grid also carries the atom coordinates, since
-    the sup can sit at corners mixing point and atom positions.  `_sorted`
-    is `_grid(ps.points)` when the caller already has it."""
+    the sup can sit at corners mixing point and atom positions."""
     if ps.dim != mu.dim:
         raise DimensionMismatchError(
             f"point set dimension {ps.dim} != measure dimension {mu.dim}"
         )
-    axes, ranks, _ = _grid(ps.points) if _sorted is None else _sorted
+    axes, ranks, _ = ps.critical_grid
     val, witness, scanned = _scan_grid(
         axes, ranks, ps.n, mu.mass_on_grid, budget, extra_axes=mu.jump_coordinates()
     )
@@ -577,24 +575,24 @@ def exact_star_discrepancy(
 
 
 def bracket_star_discrepancy(
-    ps: PointSet, mu: BoxMeasure, g: int | None = None, budget: int | None = None, *, _sorted=None
+    ps: PointSet, mu: BoxMeasure, g: int | None = None, budget: int | None = None
 ) -> DiscrepancyReport:
     """Deterministic bracket lower <= D*(ps; mu) <= upper on a coarse grid
     (Thiemard, J. Complexity 17, 2001; Gnewuch, J. Complexity 24, 2008).
 
     Every axis keeps G evenly spaced corners of its critical grid, ending in
     1.0, with G the largest value that fits the budget, at most `g` and the
-    axis's length; a `g` below 1 is refused before anything is sorted.
+    axis's length; a `g` below 1, a bool or a non-integer is refused before
+    anything is sorted.
     `upper` is the largest bound of `_bound_blocks` over the coarse cells,
     max(C+/K - M-, M+ - C-/K), and `value` the largest |C+/K - M+|, at the
     closed box `witness`.  C+ is `_corner_counts` at the picks.  The
-    budget is checked before anything is counted.  `_sorted` starts with
-    `_grid(ps.points)`'s axes and ranks."""
-    if g is not None and g < 1:
-        raise ValueError(f"g must be >= 1, got {g}")
+    budget is checked before anything is counted."""
+    if g is not None and (isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1):
+        raise ValueError(f"g must be >= 1 and an integer, got g={g!r}")
     if ps.dim != mu.dim:
         raise DimensionMismatchError(f"point set dimension {ps.dim} != measure dimension {mu.dim}")
-    axes, ranks = (_grid(ps.points) if _sorted is None else _sorted)[:2]
+    axes, ranks, _ = ps.critical_grid
     d, budget = ps.dim, _resolve_budget(budget)
     side = max(1, int((max(budget, 0) / d) ** (1 / d)))
     side += (side + 1) ** d * d <= budget  # the float root may be one low
@@ -616,7 +614,7 @@ def bracket_star_discrepancy(
     return DiscrepancyReport(lower, AnchoredBox(witness, closed=True), "bracket", cells, upper, shape)
 
 
-def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _sorted=None) -> float:
+def discrete_discrepancy(full: PointSet, rows, budget: int | None = None) -> float:
     """max over anchored boxes of |#(Q in A) - (N/K) #(full in A)| on the
     unnormalized count scale, for Q the rows `rows` of full: N distinct
     integer indices in [0, K).
@@ -634,9 +632,7 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _so
 
     The rows are checked (a ValueError) before anything is sorted or
     counted, and the budget on Q's grid.  Q's ranks are full's, picked by a
-    K-long mark of the rows read in axis-0 order.  `_sorted` is
-    `_grid(full.points)[1:]`, the ranks and orders, when the caller already
-    has it."""
+    K-long mark of the rows read in axis-0 order."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
         raise ValueError("rows must be a non-empty vector of integer row indices")
@@ -646,7 +642,7 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None, *, _so
     chosen[rows] = True
     if np.count_nonzero(chosen) != rows.size:
         raise ValueError("rows may not repeat an index")
-    full_ranks, orders = _grid(full.points)[1:] if _sorted is None else _sorted
+    _, full_ranks, orders = full.critical_grid
     chosen = chosen[orders[0]]
     sub_ranks = [r[chosen] for r in full_ranks]
     del chosen  # the counts below need the K-long arrays of full only

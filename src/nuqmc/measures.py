@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -88,7 +89,11 @@ class AnchoredBox:
 @dataclass(frozen=True)
 class PointSet:
     """Ordered list of N points in [0,1]^d.  Duplicates are permitted
-    (multiset semantics)."""
+    (multiset semantics).
+
+    The first scan or rank-slab decomposition of a point set sorts it
+    (`critical_grid`) and keeps the sort for the next, so its points must
+    not be changed after one."""
 
     points: np.ndarray
 
@@ -111,6 +116,15 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def critical_grid(self):
+        """`discrepancy._grid(self.points)`: the critical grid's axes, every
+        point's ranks on them and the per-axis orders, computed when first
+        read and kept."""
+        from . import discrepancy  # here, as discrepancy imports this module
+
+        return discrepancy._grid(self.points)
 
     def to_csv(self, path) -> None:
         np.savetxt(path, self.points, delimiter=",", fmt="%.17g")

@@ -45,14 +45,12 @@ import numpy as np
 
 from .discrepancy import (
     BudgetExceededError,
-    _grid,
     bracket_star_discrepancy,
     discrete_discrepancy,
     exact_star_discrepancy,
 )
 from .dyadic import check_lattice
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
-from . import selection
 from .selection import select_subset
 
 __all__ = [
@@ -127,19 +125,15 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
             f"K*d = {k}*{d} coordinates exceeds the sample budget of {SAMPLE_BUDGET}"
         )
     z = mu.sample(cfg.seed, k)
-    # one `_grid` of z serves both scans and the decomposition; the
-    # rounding holds only the ranks and the axis-0 order the selection scan reads
-    axes, ranks, orders = _grid(z.points)
+    # z sorts itself at the first scan and keeps the sort for the bracket,
+    # the decomposition and the selection scan (PointSet.critical_grid)
     try:
-        sampling = exact_star_discrepancy(z, mu, _sorted=(axes, ranks, orders))
+        sampling = exact_star_discrepancy(z, mu)
     except BudgetExceededError:
-        sampling = bracket_star_discrepancy(z, mu, 2 * d * n, _sorted=(axes, ranks))
-    del axes
-    decomp = selection.decompose(z, n, _orders=orders)  # bench/spans.py wraps it there
-    del orders[1:]
-    sel = select_subset(z, n, _decomp=decomp)
+        sampling = bracket_star_discrepancy(z, mu, 2 * d * n)
+    sel = select_subset(z, n)
     try:
-        dd = discrete_discrepancy(z, sel.indices, _sorted=(ranks, orders))
+        dd = discrete_discrepancy(z, sel.indices)
     except BudgetExceededError:
         dd = None
     box_bound = sel.certificate["box_bound"]
@@ -285,6 +279,8 @@ def inverse_size(
         raise ValueError(f"unknown mode {mode!r}")
     if d > 2:
         raise ValueError("empirical mode is budgeted for d <= 2 only")
+    if mu is not None and mu.dim != d:
+        raise ValueError(f"mu has dimension {mu.dim}, not d={d}")
     from .measures import uniform_measure
 
     mu = mu or uniform_measure(d)

@@ -3,8 +3,8 @@
 Given z_1..z_K in [0,1]^d and N <= sqrt(K), the points are ranked per
 coordinate (stable sort, ties broken by original index) and the ranks are cut
 into N slabs per axis whose sizes differ from K/N by at most one.  The sort
-is the one the exact scans use (`discrepancy._grid`), so a construction
-sorts z once for the decomposition and both certificate scans;
+is the one the exact scans use and z keeps (`PointSet.critical_grid`), so a
+construction sorts z once for the decomposition and both certificate scans;
 cells are found in axis-0 order, with no (K, d) slab array.  At d=1 the
 cells are the slabs, and slab i is the stretch of axis-0 positions
 [iK//N, (i+1)K//N): its occupancy is the stretch's length and its
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _grid
 from .dyadic import reference_prefix_bound, round_array
 from .measures import PointSet
 
@@ -65,11 +64,8 @@ def _slab_of_rank(k: int, n: int) -> np.ndarray:
     return np.floor_divide(slab, k, out=slab)
 
 
-def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
-    """Rank-slab cell decomposition of z for a target size N <= sqrt(K).
-
-    `_orders` is `discrepancy._grid(z.points)[2]` when the caller already
-    has it."""
+def decompose(z: PointSet, n_target: int) -> CellDecomposition:
+    """Rank-slab cell decomposition of z for a target size N <= sqrt(K)."""
     k, d = z.n, z.dim
     if n_target < 1:
         raise ValueError("N must be >= 1")
@@ -77,29 +73,28 @@ def decompose(z: PointSet, n_target: int, *, _orders=None) -> CellDecomposition:
         raise ValueError(
             f"N={n_target} violates the selection hypothesis N <= sqrt(K) (K={k})"
         )
-    if _orders is None:
-        _orders = _grid(z.points)[2]
+    orders = z.critical_grid[2]
     shape = (n_target,) * d
     if d == 1:
         # slab i is the axis-0 positions [iK//N, (i+1)K//N), none empty
         # since K >= N^2
         bounds = np.arange(n_target + 1, dtype=np.intp) * k // n_target
         counts = np.diff(bounds)
-        first = np.minimum.reduceat(_orders[0], bounds[:-1]).astype(np.int64, copy=False)
+        first = np.minimum.reduceat(orders[0], bounds[:-1]).astype(np.int64, copy=False)
     else:
         # axis-0 position p has axis-0 rank p + 1; on axis s a sorted
         # position's slab goes to its point (scatter), then to its axis-0
         # position (gather)
         slab = _slab_of_rank(k, n_target)
         cell = slab.copy()
-        for order in _orders[1:]:
+        for order in orders[1:]:
             scattered = np.empty_like(slab)
             scattered[order] = slab
             cell *= n_target
-            cell += scattered[_orders[0]]
+            cell += scattered[orders[0]]
         counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
         first = np.full(counts.size, k, dtype=np.int64)
-        np.minimum.at(first, cell, _orders[0])
+        np.minimum.at(first, cell, orders[0])
     assert counts.sum() == k
 
     beta = counts * (n_target / (k + n_target))
@@ -125,13 +120,12 @@ class SelectionResult:
         }
 
 
-def select_subset(z: PointSet, n_target: int, *, _decomp=None) -> SelectionResult:
+def select_subset(z: PointSet, n_target: int) -> SelectionResult:
     """Select exactly N points of z tracking its anchored-box counts.
 
     Deterministic given (z order, N); the certificate is derived from the
-    rounding that actually ran.  `_decomp` is `decompose(z, n_target)` when
-    the caller already has it."""
-    decomp = decompose(z, n_target) if _decomp is None else _decomp
+    rounding that actually ran."""
+    decomp = decompose(z, n_target)
     k, d = z.n, z.dim
 
     b, round_cert = round_array(decomp.beta)

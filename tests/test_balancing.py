@@ -211,7 +211,7 @@ def test_null_step_preserves_active_sums():
     h = Hypergraph(5, ([0, 1, 2, 3, 4], [0, 1, 2], [2, 3, 4]))
     beta = np.array([0.5, 0.4, 0.6, 0.3, 0.7])
     st = _EngineState(h, beta)
-    active = st.active_mask()
+    active = st.floating_counts() > h.max_degree
     assert active.tolist() == [True, False, False]  # only the 5-edge exceeds Delta=3
     before = st.x[h.edges[0]].sum()
     n_floating = int(st.floating.sum())
@@ -230,7 +230,7 @@ def test_null_step_on_a_dyadic_system():
 
     _, h = build_scheme(64, 2)
     st = _EngineState(h, np.random.default_rng(5).uniform(0.1, 0.9, h.n))
-    active = st.active_mask()
+    active = st.floating_counts() > h.max_degree
     assert (int(st.floating.sum()), int(active.sum())) == (4096, 769)
     before = h.edge_sums(st.x)[active]
     _null_step(st, st.system(active))
@@ -262,14 +262,14 @@ def test_lp_jump_keeps_every_active_sum():
     beta = np.random.default_rng(3).random(h.n)
     beta[np.random.default_rng(4).random(h.n) < 0.3] = 0.0
     st = _EngineState(h, beta)
-    active = st.active_mask()
+    active = st.floating_counts() > h.max_degree
     h0, h1 = ref.halves.T
     split = active & (h0 >= 0)
     # the zeros leave some active edges with one active half: those keep their row
     assert np.any(split & (active[h0] != active[h1]))
     assert np.array_equal(h.implied(active), split & active[h0] & active[h1])
     sums = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
-    _step(st, active)
+    _step(st, st.floating_counts())
     # the jump made progress, so no null step followed
     assert (st.trace["lp_jumps"], st.trace["null_steps"]) == (1, 0) and st.trace["lp_frozen"] > 0
     after = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
@@ -289,7 +289,7 @@ def test_null_step_on_kept_rows_keeps_every_active_sum(n_side, d, n_active, n_ke
 
     _, h = build_scheme(n_side, d)
     st = _EngineState(h, np.random.default_rng(5).uniform(0.1, 0.9, h.n))
-    active = st.active_mask()
+    active = st.floating_counts() > h.max_degree
     kept = active & ~h.implied(active)
     assert (int(active.sum()), int(kept.sum())) == (n_active, n_kept)
     before = h.edge_sums(st.x)[active]
@@ -342,7 +342,7 @@ def test_ones_over_the_floating_set_lie_in_the_kept_rows_span(d, n_side):
         beta = rng.random(h.n) * (rng.random(h.n) >= rng.uniform(0.0, 0.5))
         st = _EngineState(h, beta)
         st.floating &= rng.random(h.n) >= rng.uniform(0.0, 0.6)
-        active = st.active_mask()
+        active = st.floating_counts() > h.max_degree
         if not active.any():
             continue
         f = int(st.floating.sum())
@@ -358,22 +358,31 @@ def test_ones_over_the_floating_set_lie_in_the_kept_rows_span(d, n_side):
 def test_lp_objective_drops_the_half_only_under_a_spanning_edge(spanning, monkeypatch):
     # a general hypergraph with no edge over every floating variable hands
     # HiGHS the objective (0.5 - x_f) + wiggle bit for bit; one more edge
-    # over all vertices makes the 0.5 a constant, and it is dropped
+    # over all vertices makes the 0.5 a constant, and it is dropped.  The
+    # jump reads the step's floating counts: edge sums are taken once per
+    # step, once more where the walk ends by snapping, and once for the
+    # error
     edges = [range(0, 6), range(6, 12), range(0, 12, 2), range(1, 12, 2), [0, 1, 6, 7]]
     if spanning:
         edges.append(range(12))
     h = Hypergraph(12, [list(e) for e in edges])
     beta = np.random.default_rng(8).uniform(0.1, 0.9, 12)
-    seen, solve = [], balancing._lp_vertex
+    seen, solve, sums, edge_sums = [], balancing._lp_vertex, [], h.edge_sums
 
     def spy(c, a_eq, b_eq):
         seen.append(c)
         return solve(c, a_eq, b_eq)
 
+    def counted(vals):
+        sums.append(vals)
+        return edge_sums(vals)
+
     monkeypatch.setattr(balancing, "_lp_vertex", spy)
-    beck_fiala_round(h, beta)
+    monkeypatch.setattr(h, "edge_sums", counted)
+    trace = beck_fiala_round(h, beta).details
     wiggle = 1e-3 * np.cos(0.7 * np.arange(12) + 0.3)
     assert seen and np.array_equal(seen[0], ((0.0 if spanning else 0.5) - beta) + wiggle)
+    assert len(sums) == trace["lp_jumps"] + (trace["final_snapped"] > 0) + 1
 
 
 # --- LP solve -----------------------------------------------------------------
@@ -461,14 +470,14 @@ def test_refused_lp_jump_is_followed_by_a_null_step(fault, monkeypatch):
     _, h = build_scheme(16, 2)
     beta = np.random.default_rng(3).uniform(0.1, 0.9, h.n)
     st = _EngineState(h, beta)
-    active = st.active_mask()
+    active = st.floating_counts() > h.max_degree
     x0 = st.x.copy()
-    assert not _lp_round(st, st.system(active & ~h.implied(active)))
+    assert not _lp_round(st, st.system(active & ~h.implied(active)), True)
     assert np.array_equal(st.x, x0) and (st.trace["lp_jumps"], st.trace["lp_frozen"]) == (1, 0)
 
     st = _EngineState(h, beta)
     before = h.edge_sums(st.x)[active]
-    _step(st, active)
+    _step(st, st.floating_counts())
     assert (st.trace["lp_jumps"], st.trace["null_steps"]) == (1, 1) and st.trace["null_frozen"] > 0
     assert np.abs(h.edge_sums(st.x)[active] - before).max() <= 1e-9
 

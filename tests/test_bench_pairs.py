@@ -56,6 +56,11 @@ def test_summary_wins_gain_and_bounds():
     # a parent spread wider than the bound leaves a small slow-down unresolved
     noisy = [({"wall_s": 1.0 + 0.6 * (i % 2)}, {"wall_s": 1.05 + 0.6 * (i % 2)}) for i in range(10)]
     assert bench_pairs.summarize(noisy, SPEC)[0]["verdict"] == "unresolved"
+    # and a median gap beyond the bound too: the spread is tested first
+    slower = [({"wall_s": 1.0 + 0.6 * (i % 2)}, {"wall_s": 1.4 + 0.6 * (i % 2)}) for i in range(10)]
+    row = bench_pairs.summarize(slower, SPEC)[0]
+    assert row["change"][1] - row["parent"][1] > 0.25 * row["parent"][1]
+    assert row["verdict"] == "unresolved"
     # higher is better: a change below the parent in every run is worse
     fewer = [({"hits": 10.0 + i % 2}, {"hits": 5.0}) for i in range(10)]
     assert bench_pairs.summarize(fewer, SPEC)[0]["verdict"] == "WORSE"

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from conftest import pin_message
-from nuqmc import cli
+from nuqmc import cli, discrepancy
 from nuqmc.balancing import TRACE_KEYS
 from nuqmc.cli import main
 
@@ -46,7 +46,7 @@ def test_disc_refuses_nan_coordinates(tmp_path, capsys):
     assert (code, out) == (2, "") and "[0,1]" in err
 
 
-def test_disc_bracket_mode(tmp_path, capsys):
+def test_disc_bracket_mode(tmp_path, capsys, monkeypatch):
     # over the budget the exact scan is refused, and disc prints the
     # bracket "lower upper" on the largest grid the budget holds
     p = tmp_path / "p.csv"
@@ -56,14 +56,23 @@ def test_disc_bracket_mode(tmp_path, capsys):
                              "--d", "2")
     assert code == 0
     report = tmp_path / "r.json"
+    # the refused exact scan leaves its sort to the bracket
+    sorts, grid = [], discrepancy._grid
+
+    def counted(points):
+        sorts.append(points.shape)
+        return grid(points)
+
+    monkeypatch.setattr(discrepancy, "_grid", counted)
     code, out, _ = run(capsys, "disc", "--points", str(p), "--measure", "uniform",
                        "--d", "2", "--budget", "200", "--report", str(report))
-    assert code == 0
+    assert code == 0 and sorts == [(40, 2)]
     lower, upper = map(float, out.split())
     assert lower <= float(exact_out.strip()) <= upper
     rep = json.loads(report.read_text())
     assert rep["mode"] == "bracket" and rep["grid"] == [10, 10]
     assert (rep["value"], rep["upper"]) == (lower, upper)
+    assert json.loads((tmp_path / "r.json.manifest.json").read_text())["scan_budget"] == 200
 
 
 def test_disc_manifest_times_the_scan(tmp_path, capsys, monkeypatch):
@@ -126,6 +135,22 @@ def test_manifest_reproducibility(tmp_path, capsys):
         assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
         hashes.append(sha(out_csv))
     assert hashes[0] == hashes[1]
+
+
+def test_manifest_records_the_scan_budget(tmp_path, capsys, monkeypatch):
+    # the same argv certifies a measured sampling term under one scan budget
+    # and a bracketed one under a smaller: the manifest tells them apart
+    modes = {}
+    for budget in (10**8, 10**6):
+        monkeypatch.setenv("NUQMC_BUDGET", str(budget))
+        out_csv, cert = tmp_path / f"pts_{budget}.csv", tmp_path / f"cert_{budget}.json"
+        code, _, _ = run(capsys, "gen", "--measure", "uniform", "--d", "2", "--n", "16",
+                         "--seed", "0", "--out", str(out_csv), "--certificate", str(cert))
+        assert code == 0
+        manifest = json.loads((tmp_path / f"pts_{budget}.csv.manifest.json").read_text())
+        assert manifest["scan_budget"] == budget
+        modes[budget] = json.loads(cert.read_text())["sampling_mode"]
+    assert modes == {10**8: "measured", 10**6: "bracket"}
 
 
 def test_seq_command(tmp_path, capsys):

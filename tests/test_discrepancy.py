@@ -1,6 +1,7 @@
 """Exact scan, deterministic bracket, and discrete two-set discrepancy."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -222,15 +223,16 @@ def test_bracket_refused_before_any_mass():
 
 
 def test_bracket_refuses_g_below_one(monkeypatch):
-    # g=0 used to drop the cap (a 51-corner grid for 50 points) and g=-1 to
-    # raise IndexError; both are refused before the points are sorted
+    # g=0 used to drop the cap (a 51-corner grid for 50 points), g=-1 to
+    # raise IndexError and g=2.5 a TypeError from numpy; a bool is no count
+    # either.  All are refused, by name, before the points are sorted
     def no_sort(*args):
         raise AssertionError("points sorted before g was checked")
 
     monkeypatch.setattr(discrepancy, "_grid", no_sort)
     ps = PointSet(np.random.default_rng(3).random((50, 2)))
-    for g in (0, -1):
-        with pytest.raises(ValueError, match="g must be >= 1"):
+    for g in (0, -1, 2.5, True, np.float64(4.0)):
+        with pytest.raises(ValueError, match=re.escape(f"g must be >= 1 and an integer, got g={g!r}")):
             bracket_star_discrepancy(ps, uniform_measure(2), g)
 
 
@@ -383,6 +385,7 @@ def test_discrete_discrepancy_rows_before_budget(monkeypatch):
         raise AssertionError("sorted before the rows were checked")
 
     monkeypatch.setattr(discrepancy, "_grid", no_sort)
+    z = PointSet(z.points)  # z above keeps its sort; this one has none yet
     for rows in ([3, 3], [50], [0.5]):
         with pytest.raises(ValueError):
             discrete_discrepancy(z, rows, budget=1)

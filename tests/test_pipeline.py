@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import pin_message
+from nuqmc import discrepancy
 from nuqmc.discrepancy import discrete_discrepancy, exact_star_discrepancy
 from nuqmc.measures import (
     DiscreteMeasure,
@@ -202,6 +203,26 @@ def test_selection_discrepancy_measured_past_the_cloud_grid_budget(case):
     assert cert["achieved_bound"] < cert["bound"]
 
 
+@pytest.mark.parametrize("budget", [None, 10**6])
+def test_construction_sorts_its_cloud_once(budget, monkeypatch):
+    # the cloud keeps the sort of its first scan: a measured build and a
+    # bracketed one (the exact scan refused first) sort it once for both
+    # scans and the decomposition
+    calls, grid = [], discrepancy._grid
+
+    def counted(points):
+        calls.append(points.shape)
+        return grid(points)
+
+    monkeypatch.setattr(discrepancy, "_grid", counted)
+    if budget is not None:
+        monkeypatch.setenv("NUQMC_BUDGET", str(budget))
+    _, cert = construct_point_set(ProductMeasure([PowerCdf(2.0)] * 2), 16, ConstructionConfig(seed=1))
+    assert cert["sampling_mode"] == ("measured" if budget is None else "bracket")
+    assert cert["selection_dd"] is not None
+    assert calls == [(4096, 2)]
+
+
 def test_bracketed_certificate_bounds_the_exact_values(monkeypatch):
     # the same N=16 L-region build, once with the cloud's 4097^2 grid scanned
     # exactly and once with the budget below it: same points, and the
@@ -384,6 +405,9 @@ def test_inverse_size_empirical_d1():
 def test_inverse_size_empirical_rejects_high_dim():
     with pytest.raises(ValueError):
         inverse_size(3, 0.5, mode="empirical")
+    # a measure of another dimension than d is refused, not searched
+    with pytest.raises(ValueError, match="dimension 2, not d=1"):
+        inverse_size(1, 0.5, mode="empirical", mu=uniform_measure(2))
 
 
 # --- alexander bound ----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import prefix_count
-from nuqmc.discrepancy import _grid, discrete_discrepancy
+from nuqmc.discrepancy import discrete_discrepancy
 from nuqmc.measures import PointSet, PowerCdf, ProductMeasure, uniform_measure
 from nuqmc import selection
 from nuqmc.selection import _slab_of_rank, decompose, select_subset
@@ -62,9 +62,10 @@ def test_decompose_slabs_match_boundary_search():
 
 def test_decompose_byte_equal_to_stable_argsort():
     # slabs from the shared sort equal slabs from kind="stable" on tie-heavy
-    # clouds (a k/8 grid with 0.0 and 1.0, duplicate rows), whether the
-    # orders are passed in or computed by decompose itself: every point lands
-    # in its stable-argsort cell, which fixes the counts and representatives
+    # clouds (a k/8 grid with 0.0 and 1.0, duplicate rows), whether
+    # decompose sorts z or reads the sort z kept from the call before: every
+    # point lands in its stable-argsort cell, which fixes the counts and
+    # representatives
     # At d=1 the slabs are read off stretches of axis-0 positions: K not a
     # multiple of N, K = N^2, N = 1 and tied coordinates
     rng = np.random.default_rng(8)
@@ -84,7 +85,7 @@ def test_decompose_byte_equal_to_stable_argsort():
         cells = stable_cells(pts, n)
         first = np.full((n,) * d, k, dtype=np.int64)
         np.minimum.at(first, tuple(cells.T), np.arange(k))
-        for dc in (decompose(z, n), decompose(z, n, _orders=_grid(pts)[2])):
+        for dc in (decompose(z, n), decompose(z, n)):
             assert dc.first.tobytes() == first.tobytes()
             counts = np.bincount(
                 np.ravel_multi_index(tuple(cells.T), (n,) * d), minlength=n**d

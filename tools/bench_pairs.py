@@ -71,10 +71,10 @@ def summarize(pairs, spec):
         gap = sign * (p_q[1] - c_q[1])  # > 0: the change's median is better
         if max(sign * v for v in change) < min(sign * v for v in parent):
             verdict = "ok"  # every run of the change is better
-        elif -gap > bound * abs(p_q[1]):
-            verdict = "WORSE"
         elif iqr > bound * abs(p_q[1]):
             verdict = "unresolved"
+        elif -gap > bound * abs(p_q[1]):
+            verdict = "WORSE"
         else:
             verdict = "ok"
         rows.append({
