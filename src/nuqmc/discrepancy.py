@@ -14,17 +14,21 @@ variant pairs the strict count with the closed mass; for discrete measures
 the mass side honours the strict limit as well (otherwise e.g. the
 discrepancy of a point set against its own empirical measure would not be 0).
 
-Two in-place sorts per axis give the grid, the ranks and the orders
-(`_grid`), so no point is searched for: one of 8-byte keys that pack each
+One in-place sort per axis gives the grid, the ranks and the orders
+(`_grid`), so no point is searched for: a sort of 8-byte keys that pack each
 coordinate's fixed-point fraction above the point's index gives the stable
-order whatever numpy's sort kind, and one of the column gives the axis.
-Coordinates must lie in [0, 1].  Ranks are listed in axis-0 sorted order,
-which the points keep from the sort to the last scan: axis 0's ranks are the
-sorted run indices, and every other axis costs one scatter and one gather.  A
-point set keeps its sort (`PointSet.critical_grid`), so a construction sorts
-its K-point cloud once: the orders give the rank-slab decomposition its
-slabs and representatives, the ranks serve both scans, and the selected
-points' ranks are the cloud's at their axis-0 positions.
+order whatever numpy's sort kind.  Equal coordinates are found among the
+neighbours that share a fraction, and the axis is read through the order
+(`_Axis`): no sorted copy of a column is made, and a scan reads coordinates
+only at the corners it visits (a d=1 scan of a construction's cloud, a few
+hundredths of them).  Coordinates must lie in [0, 1].  Ranks are listed in
+axis-0 sorted order, which the points keep from the sort to the last scan:
+axis 0's ranks are the sorted run indices, and every other axis costs one
+scatter and one gather.  A point set keeps its sort
+(`PointSet.critical_grid`), so a construction sorts its K-point cloud once:
+the orders give the rank-slab decomposition its slabs and representatives,
+the ranks serve both scans, and the selected points' ranks are the cloud's
+at their axis-0 positions.
 Coordinates of the mass side (atoms) are merged into the axes by one small
 np.unique of axis and atoms.
 
@@ -126,27 +130,72 @@ class DiscrepancyReport:
         }
 
 
+class _Axis:
+    """One axis of a critical grid, read through its sort: corner j below
+    `runs` is `col[order[starts[j]]]`, the coordinate of run j's first point
+    in sorted order (`starts` is None when every point is its own run), and
+    a last corner 1.0 follows unless the largest coordinate is 1.0.
+
+    An int, a slice or an integer array gathers the corners it names, so a
+    scan reads coordinates only at the corners it visits; np.asarray gives
+    the whole axis."""
+
+    __slots__ = ("col", "order", "starts", "runs", "size")
+
+    def __init__(self, col, order, starts, top):
+        self.col, self.order, self.starts = col, order, starts
+        self.runs = col.size if starts is None else starts.size
+        self.size = self.runs + top
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            j = np.arange(*j.indices(self.size))
+        elif np.ndim(j) == 0:
+            return self[np.array([j])][0]
+        j = np.asarray(j)
+        j = np.where(j < 0, j + self.size, j)
+        if j.size and not (j.min() >= 0 and j.max() < self.size):
+            raise IndexError(f"corner index out of range for an axis of {self.size} corners")
+        inner = j < self.runs
+        pos = j[inner] if self.starts is None else self.starts[j[inner]]
+        out = np.ones(j.shape)
+        out[inner] = self.col[self.order[pos]]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:].astype(dtype or float, copy=False)
+
+
 def _grid(points: np.ndarray):
     """Critical grid axes, every point's rank on them and the per-axis
-    orders, from two sorts per axis; returns (axes, ranks, orders).
+    orders, from one sort per axis; returns (axes, ranks, orders).
 
     The coordinates must lie in [0, 1] (a PointSet's do); -0.0 counts as 0.
     `orders[s]` is the argsort of column s with kind="stable", read off one
     in-place sort of unique 8-byte keys: the coordinate as a fixed-point
     fraction x * 2**(63-b) in the high bits and the point's index in the
     low b = bit_length(K-1).  The power-of-two scale is exact and keeps 1.0
-    within 64 bits.  Distinct coordinates whose fractions tie (closer than
-    2**-(63-b)) come out in index order; each run of such keys is sorted
-    again by (value, index).  That repair is exact, but slow when most of
-    the cloud falls into such runs: 300k points spaced 2**-50 apart take
-    0.10 s, nine times an argsort with its ties put in index order (one
-    core of an x86-64 host with AVX-512).  Axis s holds the distinct
-    coordinates of column s, read off a second sort of the column itself,
-    then 1.0; a zero on it has the sign of the lowest-index zero.  A
-    point's index on the axis is its closed rank (the first corner whose
-    closed box holds it) and the index plus one its strict rank.  Ranks are
-    listed in axis-0 order (`ranks[s][i]` is point `orders[0][i]`'s), so
-    axis 0's are the sorted run indices."""
+    within 64 bits.  The fraction rises with the value, so only neighbours
+    whose keys share their fraction can hold equal values: only those pairs
+    are read through the order and compared, or, when they are most of the
+    cloud, the whole column in order, which is then dropped.  Distinct
+    coordinates whose fractions tie (closer than 2**-(63-b)) come out in
+    index order; each run of such keys is sorted again by (value, index).
+    That repair is exact, but slow when most of the cloud falls into such
+    runs: 300k points spaced 2**-50 apart take 0.10 s, nine times an argsort
+    with its ties put in index order (one core of an x86-64 host with
+    AVX-512).  Axis s (`_Axis`) is read through the order: a run of equal
+    coordinates is one corner, the first point of the run gives it (so a
+    zero on it has the sign of the lowest-index zero), and 1.0 follows
+    unless the largest coordinate is 1.0.  Only an axis with a repeated
+    value keeps its runs' start positions.  A point's index on the axis is
+    its closed rank (the first corner whose closed box holds it) and the
+    index plus one its strict rank.  Ranks are listed in axis-0 order
+    (`ranks[s][i]` is point `orders[0][i]`'s), so axis 0's are the sorted
+    run indices."""
     k = points.shape[0]
     b = max(k - 1, 0).bit_length()
     low = np.uint64((1 << b) - 1)  # the index bits of a key
@@ -158,47 +207,44 @@ def _grid(points: np.ndarray):
         key <<= np.uint64(b)
         key |= np.arange(k, dtype=np.uint64)
         key.sort()
-        # the sorted column, then 1.0: the axis itself when its values are
-        # distinct and below 1.0
-        values = np.empty(k + 1)
-        values[:k] = col
-        values[:k].sort()
-        values[k] = 1.0
-        keep = np.ones(k + 1, dtype=bool)  # where a new value starts
-        np.not_equal(values[1:], values[:-1], out=keep[1:])
-        # fraction and value order place each fraction's points at the same
-        # positions, so a tie of fractions between distinct values shows
-        # as neighbours with equal high bits where the sorted values differ
-        same = np.bitwise_xor(key[1:], key[:-1]) <= low
-        clash = same & keep[1:k]
+        same = np.bitwise_xor(key[1:], key[:-1]) <= low  # p and p + 1 share a fraction
         key &= low
         order = key.view(np.intp)
-        if clash.any():
-            pairs = np.flatnonzero(same)  # positions p and p + 1 share a fraction
-            starts = np.flatnonzero(np.diff(pairs, prepend=-2) != 1)  # each run's first pair
-            hit = np.logical_or.reduceat(clash[pairs], starts)
-            pairs = pairs[np.repeat(hit, np.diff(starts, append=pairs.size))]
+        pairs = np.flatnonzero(same)
+        # tie: p and p + 1 hold equal values, which only a shared fraction
+        # allows; those pairs are read, or the whole column in order when
+        # they are most of it (two gathers a pair against one a point)
+        if 4 * pairs.size < k:
+            tie = np.zeros_like(same)
+            tie[pairs] = col[order[pairs]] == col[order[pairs + 1]]
+        else:
+            tie = col[order]
+            tie = tie[1:] == tie[:-1]
+        if (same != tie).any():  # a fraction shared by distinct values
+            first = np.flatnonzero(np.diff(pairs, prepend=-2) != 1)  # each run's first pair
+            hit = np.logical_or.reduceat(~tie[pairs], first)
+            fix = pairs[np.repeat(hit, np.diff(first, append=pairs.size))]
             mark = np.zeros(k, dtype=bool)
-            mark[pairs] = mark[pairs + 1] = True
+            mark[fix] = mark[fix + 1] = True
             pos = np.flatnonzero(mark)
             idx = order[pos]
             order[pos] = idx[np.lexsort((idx, col[idx]))]
-        del same, clash  # freed before the ranks are allocated: a lower peak
-        if k:
-            values[0] = col[order[0]]  # the lowest-index zero's sign
-        if keep.all():  # distinct values below 1.0: every point its own run
-            run = np.arange(k, dtype=np.intp)
-            ax = values
-        else:
-            run = keep[:k].astype(np.intp)
+            tie[fix] = col[order[fix]] == col[order[fix + 1]]
+        del same, pairs  # freed before the ranks are allocated: a lower peak
+        if tie.any():
+            new = np.ones(k, dtype=bool)  # where a new value starts
+            np.logical_not(tie, out=new[1:])
+            starts = np.flatnonzero(new)
+            run = new.astype(np.intp)
             np.cumsum(run, out=run)
             run -= 1
-            ax = values[keep]
+        else:  # distinct values: every point its own run
+            starts, run = None, np.arange(k, dtype=np.intp)
+        axes.append(_Axis(col, order, starts, not (k and col[order[-1]] == 1.0)))
         if s:
             scattered = np.empty_like(run)
             scattered[order] = run
             np.take(scattered, orders[0], out=run, mode="clip")
-        axes.append(ax)
         ranks.append(run)
         orders.append(order)
     return axes, ranks, orders
@@ -213,10 +259,10 @@ def _merge_axes(axes, ranks, extra=None):
     merged_axes, merged_ranks = [], []
     for ax, rank, tail in zip(axes, ranks, extra):
         merged, inv = np.unique(
-            np.concatenate([ax, np.asarray(tail, dtype=float)]), return_inverse=True
+            np.concatenate([np.asarray(ax), np.asarray(tail, dtype=float)]), return_inverse=True
         )
         merged_axes.append(merged)
-        merged_ranks.append(inv[: ax.size][rank])
+        merged_ranks.append(inv[: len(ax)][rank])
     return merged_axes, merged_ranks
 
 

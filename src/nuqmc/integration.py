@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discrepancy import _grid, _scan_grid
+from .discrepancy import _scan_grid
 from .measures import OmegaRegion, PointSet, RestrictionMeasure
 from .pipeline import ConstructionConfig, construct_point_set
 
@@ -74,7 +74,11 @@ def omega_discrepancy(
         if isinstance(n_override, bool) or not isinstance(n_override, (int, np.integer)) or n_override < n:
             raise ValueError(f"n_override must be an integer >= ps.n = {n}, got n_override={n_override!r}")
         n = int(n_override)
-    axes, ranks, _ = _grid(ps.points[omega.contains(ps.points)])
+    inside = ps.points[omega.contains(ps.points)]
+    if inside.size:
+        axes, ranks, _ = PointSet(inside).critical_grid
+    else:  # no point in Omega: the grid is the corner (1, ..., 1)
+        axes, ranks = [np.ones(1)] * ps.dim, [np.zeros(0, dtype=np.intp)] * ps.dim
 
     def mass_provider(axes, closed):
         return omega.intersection_volume_grid(axes)

@@ -120,8 +120,10 @@ class PointSet:
     @cached_property
     def critical_grid(self):
         """`discrepancy._grid(self.points)`: the critical grid's axes, every
-        point's ranks on them and the per-axis orders, computed when first
-        read and kept."""
+        point's ranks on them and the per-axis orders, from one sort per
+        axis, computed when first read and kept.  An axis is a read-only
+        view that reads the points through the order (np.asarray gives it
+        whole), so it holds no copy of a coordinate column."""
         from . import discrepancy  # here, as discrepancy imports this module
 
         return discrepancy._grid(self.points)
@@ -151,11 +153,12 @@ class UniformCdf:
 
 
 class PowerCdf:
-    """F(t) = t**theta for theta > 0."""
+    """F(t) = t**theta for a finite theta > 0."""
 
     def __init__(self, theta: float):
-        if not theta > 0:
-            raise ValueError("theta must be positive")
+        # theta = inf would sample every point at 1.0 and give F(t) = 0 below 1
+        if not 0 < theta < math.inf:
+            raise ValueError(f"theta must be positive and finite, got theta={theta!r}")
         self.theta = float(theta)
 
     def __call__(self, t):

@@ -61,6 +61,13 @@ def test_summary_wins_gain_and_bounds():
     row = bench_pairs.summarize(slower, SPEC)[0]
     assert row["change"][1] - row["parent"][1] > 0.25 * row["parent"][1]
     assert row["verdict"] == "unresolved"
+    # equal in every pair reads ok, although the seeds spread the parent's
+    # quartiles far beyond the bound
+    seeds = [0.70, 0.96, 0.72, 0.94, 0.71, 0.95, 0.73, 0.96, 0.70, 0.93]
+    equal = [({"disc_star": v}, {"disc_star": v}) for v in seeds]
+    row = bench_pairs.summarize(equal, SPEC)[0]
+    assert row["parent"][2] - row["parent"][0] > 0.25 * row["parent"][1]
+    assert (row["wins"], row["losses"], row["gain"], row["verdict"]) == (0, 0, False, "ok")
     # higher is better: a change below the parent in every run is worse
     fewer = [({"hits": 10.0 + i % 2}, {"hits": 5.0}) for i in range(10)]
     assert bench_pairs.summarize(fewer, SPEC)[0]["verdict"] == "WORSE"

@@ -119,6 +119,15 @@ def test_gen_disc_roundtrip(tmp_path, capsys):
     assert value <= bound
 
 
+def test_gen_refuses_infinite_theta(tmp_path, capsys):
+    # JSON's Infinity parses to a float; the measure is refused with exit 2
+    cfg = tmp_path / "m.json"
+    cfg.write_text('{"type": "product", "cdfs": [{"type": "power", "theta": Infinity}]}')
+    out_csv = tmp_path / "pts.csv"
+    code, _, err = run(capsys, "gen", "--measure", str(cfg), "--n", "4", "--out", str(out_csv))
+    assert code == 2 and "theta" in err and not out_csv.exists()
+
+
 def test_manifest_reproducibility(tmp_path, capsys):
     cfg = tmp_path / "m.json"
     cfg.write_text('{"type": "uniform", "d": 1}')

@@ -444,11 +444,18 @@ def _tie_heavy_clouds():
         tiny[rng.random(k) < 0.1] = -0.0
         ends = rng.choice([0.0, -0.0, 0.25, 1.0], k)
         clouds.append(np.column_stack([near, tiny, ends]))
-    # all distinct below 1.0 on axes 0 and 1 (ranks from np.arange); axis 2
-    # holds 1.0 once, and a lone 1.0 is K = 1 with a run index cumulated
+    # all distinct below 1.0 on axes 0 and 1, and axis 2 holds 1.0 once:
+    # ranks from np.arange on all three, the 1.0 merged into the top corner
+    # on axis 2; a lone 1.0 is K = 1 on an axis with no appended corner
     distinct = rng.random((300, 3))
     distinct[17, 2] = 1.0
     clouds += [distinct, np.ones((1, 1)), np.full((1, 2), 0.3)]
+    # few neighbours share a fraction, so only those pairs are read: a few
+    # repeated values on axis 0, two distinct values of one fraction on axis 1
+    sparse = rng.random((4000, 2))
+    sparse[:10, 0] = sparse[10:20, 0]
+    sparse[20:22, 1] = 2.0**-59, 2.0**-60
+    clouds.append(sparse)
     return clouds
 
 
@@ -465,14 +472,14 @@ def _fraction_clashes(col):
     _tie_heavy_clouds(),
     ids=[
         "grid8", "dup", "ends", "free", "one", "empty", "negzero", "clash-2^14", "clash-2^14+1",
-        "distinct", "lone-1.0", "lone-0.3",
+        "distinct", "lone-1.0", "lone-0.3", "sparse",
     ],
 )
 def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
     # one sort of unique keys per axis, with the runs of tied fractions
     # repaired, is the stable argsort, and the grid read off it is np.unique's
     # axis and inverse; a zero on the axis keeps the lowest-index zero's sign.
-    # Only an axis with a repeated value or a 1.0 cumulates its run index
+    # Only an axis with a repeated value cumulates its run index
     real, lexsorts = np.lexsort, []
     monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or real(keys))
     real_cumsum, cumsums = np.cumsum, []
@@ -481,24 +488,69 @@ def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
     monkeypatch.undo()
     assert len(axes) == len(ranks) == len(orders) == cloud.shape[1]
     assert len(lexsorts) == sum(_fraction_clashes(cloud[:, s]) for s in range(cloud.shape[1]))
-    assert len(cumsums) == sum(
-        np.unique(col).size < col.size or bool((col == 1.0).any()) for col in cloud.T
-    )
+    assert len(cumsums) == sum(np.unique(col).size < col.size for col in cloud.T)
     for s in range(cloud.shape[1]):
         col = cloud[:, s]
         ax, inv = np.unique(np.concatenate([col, [1.0]]), return_inverse=True)
         stable = np.argsort(col, kind="stable")
         assert np.array_equal(orders[s], stable)
-        assert np.array_equal(axes[s], ax)
+        axis = np.asarray(axes[s])
+        assert len(axes[s]) == axes[s].size == ax.size
+        assert np.array_equal(axis, ax)
         # ranks are listed in axis-0 order
         assert np.array_equal(ranks[s], inv[: col.size][orders[0]])
         # bitwise, the signs of zeros included: the stably sorted column's
         # first value of every run
         values = np.concatenate([col[stable], [1.0]])
         first = np.concatenate([[True], values[1:] != values[:-1]])
-        assert axes[s].tobytes() == values[first].tobytes()
-        assert np.array_equal(np.signbit(axes[s]), np.signbit(values[first]))
+        assert axis.tobytes() == values[first].tobytes()
+        assert np.array_equal(np.signbit(axis), np.signbit(values[first]))
+        # an int, a slice and an index array read the same corners, bitwise
+        picks = np.arange(axis.size)[::-3]
+        assert axes[s][picks].tobytes() == axis[picks].tobytes()
+        assert axes[s][1::2].tobytes() == axis[1::2].tobytes()
+        assert [axes[s][j].tobytes() for j in (0, -1)] == [axis[0].tobytes(), axis[-1].tobytes()]
+        with pytest.raises(IndexError):
+            axes[s][axis.size]
         assert orders[s].dtype == ranks[s].dtype == np.intp
+
+
+def test_grid_holds_two_cloud_long_arrays():
+    # a distinct d=1 cloud: the order and the ranks are all _grid keeps, and
+    # its peak adds only the one-byte mask of neighbours that share a fraction
+    k = 1 << 20
+    cloud = np.random.default_rng(3).random((k, 1))
+    tracemalloc.start()
+    try:
+        axes, ranks, orders = _grid(cloud)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 16  # small arrays and objects
+    assert live <= 2 * 8 * k + slack
+    assert peak <= 2 * 8 * k + k + slack
+    assert len(axes[0]) == k + 1
+
+
+def test_d1_scan_reads_few_axis_corners(monkeypatch):
+    # the exact scan of a 2**20-point cloud reads the coordinates of the
+    # tile tops and of the tiles it counts, not of the whole axis
+    read = []
+    index = discrepancy._Axis.__getitem__
+
+    def counting(self, j):
+        out = index(self, j)
+        if isinstance(out, np.ndarray):
+            read.append(out.size)
+        return out
+
+    monkeypatch.setattr(discrepancy._Axis, "__getitem__", counting)
+    mu = ProductMeasure([PowerCdf(2.0)])
+    ps = mu.sample(11, 1 << 20)
+    rep = exact_star_discrepancy(ps, mu)
+    corners = ps.n + 1
+    assert rep.boxes_scanned == 2 * corners
+    assert 0 < sum(read) < 0.05 * corners
 
 
 def test_tie_heavy_clouds_take_the_fraction_repair():

@@ -91,6 +91,16 @@ def test_region_without_coordinates_refused():
             measure_from_config({"type": "restriction", "boxes": boxes})
 
 
+@pytest.mark.parametrize("theta", [0.0, -2.0, float("inf"), float("nan")])
+def test_power_cdf_refuses_theta_not_positive_and_finite(theta):
+    # theta = inf would sample every point at 1.0, where a scan against the
+    # measure reads 1.0 for a true discrepancy of 0
+    with pytest.raises(ValueError, match="positive and finite"):
+        PowerCdf(theta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        measure_from_config({"type": "product", "cdfs": [{"type": "power", "theta": theta}]})
+
+
 def test_nan_coordinates_refused():
     # every range check is a positive test, which NaN fails
     nan = float("nan")

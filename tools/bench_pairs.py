@@ -18,8 +18,8 @@ quartiles and the change's wins (ties count for neither), and checks
   bound  the change's median is no worse than the parent's by more than the
          metric's bound, a fraction of the parent's median.  Where the
          parent's own interquartile range is wider than the bound the metric
-         reads "unresolved", unless every run of the change is better than
-         every run of the parent.
+         reads "unresolved", unless the two sides are equal in every pair or
+         every run of the change is better than every run of the parent.
 
 Each pair's line names the end-to-end metrics whose values are equal on
 both sides.  It also prints the failed share of operations on each side.
@@ -69,7 +69,9 @@ def summarize(pairs, spec):
         p_q, c_q = quartiles(parent), quartiles(change)
         iqr = p_q[2] - p_q[0]
         gap = sign * (p_q[1] - c_q[1])  # > 0: the change's median is better
-        if max(sign * v for v in change) < min(sign * v for v in parent):
+        if change == parent:
+            verdict = "ok"  # equal in every pair, however the seeds spread it
+        elif max(sign * v for v in change) < min(sign * v for v in parent):
             verdict = "ok"  # every run of the change is better
         elif iqr > bound * abs(p_q[1]):
             verdict = "unresolved"

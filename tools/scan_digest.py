@@ -27,8 +27,9 @@ counts the solver's work, not a result, and an objective that keeps the
 vertex may change it.
 
 The exact and bracket cases run at `_BLOCK_CELLS` 1, 7 and 65536 on clouds
-with ties and zeros, against measures with and without atoms, and at 65536
-on clouds whose grids span many blocks (free points and centred lattices).
+with ties and zeros and on distinct clouds that reach 1.0 and hold a -0.0
+(`-edge-`), against measures with and without atoms, and at 65536 on clouds
+whose grids span many blocks (free points and centred lattices).
 The select cases run at all three block sizes; the default's names carry
 no `-b` suffix.
 Two source trees that print the same lines give bitwise the same results
@@ -123,12 +124,27 @@ def _large_clouds(d, rng):
     return {"large": PointSet(rng.random((n, d))), "lattice": PointSet(lattice)}
 
 
+def _edge_cloud(d):
+    """A cloud of distinct coordinates whose largest is exactly 1.0 on every
+    axis, with a -0.0 and a neighbour 2**-61 above it: their sort keys share
+    a fraction while their values differ.  It draws on its own generator, so
+    the other clouds stay as they were."""
+    points = np.random.default_rng(d).random(({1: 3000, 2: 120, 3: 24}[d], d))
+    points[:3] = np.array([-0.0, 2.0**-61, 1.0])[:, None]
+    return {"edge": PointSet(points)}
+
+
 def _scan_cases():
     """(name, point set, measure, block sizes) of every scan case."""
     rng = np.random.default_rng(2024)
     for d in (1, 2, 3):
         measures = _measures(d, rng)
-        for sizes, clouds in ((BLOCK_SIZES, _clouds(d, rng)), (BLOCK_SIZES[-1:], _large_clouds(d, rng))):
+        groups = (
+            (BLOCK_SIZES, _clouds(d, rng)),
+            (BLOCK_SIZES[-1:], _large_clouds(d, rng)),
+            (BLOCK_SIZES, _edge_cloud(d)),
+        )
+        for sizes, clouds in groups:
             for cname, ps in clouds.items():
                 for mname, mu in measures.items():
                     yield f"d{d}-{cname}-{mname}", ps, mu, sizes
