@@ -18,29 +18,28 @@ the floating variables.  An active edge that the hypergraph names as the
 disjoint union of two other active edges (`implied`) has the sum of their
 rows as its row, and recursively of kept rows, so the kept rows -- the
 active ones not so implied -- span the whole active system.  The step then
-moves in that system's null space in one of two ways:
-(a) a batched jump to a vertex of {x : A_kept x = A_kept x_cur,
-    0 <= x <= 1} via an LP solver -- a vertex is reached by a sequence of
-    null-space moves, and at a vertex the floating count is at most the
-    number of kept edges, so the floating set shrinks geometrically.
-    Leaving the implied rows out leaves the polytope unchanged.  The
-    objective is (0.5 - x_f) + 1e-3 cos(0.7 i + 0.3) over the floating
-    variables x_f (with i their vertex ids): move little, with a
-    deterministic tiebreak.  Where one edge holds every floating variable
-    the 0.5 is dropped, and that is exact: the edge has f > Delta
-    floating variables, so it is active, and its row is a kept row or a
-    sum of kept rows; sum(x_f) is then the same at every point of the
-    polytope, and the 0.5 adds one constant to every objective value.
-    The minimisers stay the same, and HiGHS's dual simplex takes about a
-    third fewer iterations.  The dyadic root cell always spans; a general
-    Hypergraph keeps the 0.5 unless one of its edges does.  HiGHS
-    takes the system as its CSC arrays and runs without presolve, with
-    linprog's model, options and result check (`_lp_vertex`) but without
-    its Python front end; a refused result counts as no progress;
-(b) a single explicit null-space step as a progress guard, when a jump
-    freezes nothing: a probe vector minus its least-squares projection
-    onto the kept rows' span (sparse lsqr), so no dense matrix of the
-    system is ever formed.
+jumps, via an LP solver, to a vertex of {x : A_kept x = A_kept x_cur,
+0 <= x <= 1}: a vertex is reached by a sequence of null-space moves, and at
+a vertex the floating count is at most the number of kept edges.  Every
+floating variable lies in at most Delta edges and every active edge holds
+more than Delta of them, so there are fewer active edges, and fewer kept
+rows, than floating variables, and every vertex freezes at least one.
+Leaving the implied rows out leaves the polytope unchanged.  The
+objective is (0.5 - x_f) + 1e-3 cos(0.7 i + 0.3) over the floating
+variables x_f (with i their vertex ids): move little, with a deterministic
+tiebreak.  Where one edge holds every floating variable the 0.5 is
+dropped, and that is exact: the edge has f > Delta floating variables, so
+it is active, and its row is a kept row or a sum of kept rows; sum(x_f) is
+then the same at every point of the polytope, and the 0.5 adds one
+constant to every objective value.  The minimisers stay the same, and
+HiGHS's dual simplex takes about a third fewer iterations.  The dyadic
+root cell always spans; a general Hypergraph keeps the 0.5 unless one of
+its edges does.  HiGHS takes the system as its CSC arrays and runs without
+presolve, with linprog's model, options and result check (`_lp_vertex`)
+but without its Python front end: the dual simplex, or the interior point
+method above 20000 floating variables.  A result that the check refuses,
+or a vertex that freezes nothing, is solved once more from the current x
+with the other method, and a second failure raises RuntimeError.
 
 The engine preserves zeros (beta_i = 0 implies b_i = 0), rounds integral
 vectors to themselves, and is a pure function of its input.
@@ -57,10 +56,10 @@ lattice without storing any member.
 beck_fiala_round counts its steps and the variables each froze in
 RoundingResult.details.
 
-scipy is imported by the system build (scipy.sparse), the LP jump (its
+scipy is imported by the system build (scipy.sparse) and the LP jump (its
 HiGHS bindings, scipy.optimize._highspy._core, which first ship with scipy
-1.15) and the null step (lsqr), not by this module, so `import nuqmc` loads
-numpy only, and so do the measures, the scans and the integration layer.
+1.15), not by this module, so `import nuqmc` loads numpy only, and so do
+the measures, the scans and the integration layer.
 Every rounding with an active edge, d=1 constructions included, reaches an
 LP jump and pays scipy's import, about 0.6 s, once.
 """
@@ -77,13 +76,13 @@ __all__ = ["Hypergraph", "RoundingResult", "beck_fiala_round", "edge_error"]
 _BOUND_SNAP = 1e-9
 # scipy's feasibility tolerance on a linprog result: 10 * sqrt(tol), tol = 1e-9
 _CHECK_TOL = 10 * np.sqrt(1e-9)
-# Beck-Fiala step counters: how often each step ran and how many variables
-# it froze.  "lp_rows" sums the kept rows of every step's system (each step
-# makes one LP jump), and "lp_implied_rows" the active rows left out of it
-# as sums of two other active ones.  "lp_iterations" sums HiGHS's simplex
-# and interior point iterations over the jumps.
+# Beck-Fiala step counters: how many LP jumps ran, a retry on the other
+# HiGHS method included, and how many variables they froze.  "lp_rows" sums
+# the kept rows of every step's system, and "lp_implied_rows" the active
+# rows left out of it as sums of two other active ones.  "lp_iterations"
+# sums HiGHS's simplex and interior point iterations over the jumps.
 # "final_snapped" counts the variables of the unconstrained last step, so
-# the three frozen counts add up to the variables left floating by the
+# the two frozen counts add up to the variables left floating by the
 # initial snap.
 TRACE_KEYS = (
     "lp_jumps",
@@ -91,8 +90,6 @@ TRACE_KEYS = (
     "lp_rows",
     "lp_implied_rows",
     "lp_iterations",
-    "null_steps",
-    "null_frozen",
     "final_snapped",
 )
 
@@ -266,52 +263,53 @@ class _EngineState:
 def _step(st: _EngineState, counts) -> None:
     """One walk step on the active edges, those whose floating counts
     `counts` (`floating_counts`) exceed Delta: an LP jump on the kept rows'
-    system, and a null step on the same matrix when the jump freezes
-    nothing.  The matrix dies with the step, before the next counts."""
+    system, solved once more from the current x with HiGHS's other method
+    when its result is refused or freezes nothing.  Raises RuntimeError
+    when the second run fails too.  The matrix dies with the step, before
+    the next counts."""
     active = counts > st.h.max_degree
-    kept = active & ~st.h.implied(active)
-    matrix = st.system(kept)
-    st.trace["lp_rows"] += matrix.shape[0]
-    st.trace["lp_implied_rows"] += int(np.count_nonzero(active)) - matrix.shape[0]
-    if not _lp_round(st, matrix, np.any(counts == np.count_nonzero(st.floating))):
-        _null_step(st, matrix)
-
-
-def _lp_round(st: _EngineState, a_eq, spans) -> bool:
-    """Jump to a vertex of the polytope of the system `a_eq`; returns True
-    on progress.  `spans` says that an edge holds every floating variable."""
+    a_eq = st.system(active & ~st.h.implied(active))
+    st.trace["lp_rows"] += a_eq.shape[0]
+    st.trace["lp_implied_rows"] += int(np.count_nonzero(active)) - a_eq.shape[0]
     float_idx = np.flatnonzero(st.floating)
-    xf = st.x[float_idx]
-    b_eq = a_eq @ xf
-    # movement-minimizing-ish objective with a deterministic tiebreak wiggle.
+    f = float_idx.size
     # An edge that holds every floating variable is active, so the kept rows
     # fix sum(x_f) and the 0.5 common to every column adds only a constant
-    # (module docstring, step (a)); it is dropped there, because HiGHS's
-    # dual simplex spends about a third of its iterations on it.
-    c = ((0.0 if spans else 0.5) - xf) + 1e-3 * np.cos(0.7 * float_idx + 0.3)
-    x, iterations = _lp_vertex(c, a_eq, b_eq)
-    st.trace["lp_jumps"] += 1
-    st.trace["lp_iterations"] += iterations
-    if x is None:
-        return False
-    st.x[float_idx] = x
-    before = int(st.floating.sum())
-    _snap(st.x, st.floating)
-    frozen = before - int(st.floating.sum())
-    st.trace["lp_frozen"] += frozen
-    return frozen > 0
+    # (module docstring); it is dropped there, because HiGHS's dual simplex
+    # spends about a third of its iterations on it.
+    half = 0.0 if np.any(counts == f) else 0.5
+    wiggle = 1e-3 * np.cos(0.7 * float_idx + 0.3)
+    methods = ("simplex", "ipm") if f <= 20000 else ("ipm", "simplex")
+    for method in methods:
+        xf = st.x[float_idx]
+        x, iterations = _lp_vertex((half - xf) + wiggle, a_eq, a_eq @ xf, method)
+        st.trace["lp_jumps"] += 1
+        st.trace["lp_iterations"] += iterations
+        if x is None:
+            continue
+        st.x[float_idx] = x
+        _snap(st.x, st.floating)
+        frozen = f - int(np.count_nonzero(st.floating))
+        st.trace["lp_frozen"] += frozen
+        if frozen:
+            return
+    raise RuntimeError(
+        f"LP jump froze no variable on either HiGHS method: {a_eq.shape[0]} kept rows "
+        f"over {f} floating variables"
+    )
 
 
-def _lp_vertex(c, a_eq, b_eq):
+def _lp_vertex(c, a_eq, b_eq, method):
     """(x, iterations): the solution x of min c.x subject to a_eq x = b_eq,
-    0 <= x <= 1, or None where linprog would report a failure (status !=
-    0), and the iterations HiGHS reports for an optimal run (else 0).
+    0 <= x <= 1, by HiGHS's `method` ("simplex" or "ipm"), or None where
+    linprog would report a failure (status != 0), and the iterations HiGHS
+    reports for an optimal run (else 0).
 
     It is linprog(method="highs-ds" or "highs-ipm", options={"presolve":
     False})'s model and result check without its front end: x is taken only
     from an optimal run, and refused for a NaN, an entry outside [-t, 1+t]
     or a row residual above t, with scipy's t = 10 * sqrt(1e-9)."""
-    run = _run_highs(c, a_eq, b_eq)
+    run = _run_highs(c, a_eq, b_eq, method)
     if run is None:
         return None, 0
     x, ax, objective, iterations = run
@@ -323,15 +321,15 @@ def _lp_vertex(c, a_eq, b_eq):
     return x, iterations
 
 
-def _run_highs(c, a_eq, b_eq):
+def _run_highs(c, a_eq, b_eq, method):
     """One HiGHS run on min c.x subject to a_eq x = b_eq, 0 <= x <= 1, for
     the CSC matrix `a_eq`: (x, a_eq x, objective, simplex plus interior
     point iterations) as HiGHS reports them, or None unless the run ends
     optimal.
 
     The model goes in as numpy arrays, and the options are linprog's for
-    highs-ds (highs-ipm above 20000 variables) without presolve; its
-    other setting, highs_debug_level 0, is the HiGHS default."""
+    highs-ds (`method` "simplex") or highs-ipm ("ipm") without presolve;
+    its other setting, highs_debug_level 0, is the HiGHS default."""
     try:
         from scipy.optimize._highspy import _core as highs
     except ImportError as exc:
@@ -345,7 +343,7 @@ def _run_highs(c, a_eq, b_eq):
     solver.setOptionValue("output_flag", False)
     solver.setOptionValue("log_to_console", False)
     solver.setOptionValue("presolve", "off")
-    solver.setOptionValue("solver", "simplex" if n <= 20000 else "ipm")
+    solver.setOptionValue("solver", method)
     solver.setOptionValue("simplex_strategy", 1)  # dual
     loaded = solver.passModel(
         n, m, a_eq.nnz, 1, 1, 0.0,  # column-wise, minimise, no offset
@@ -366,47 +364,6 @@ def _run_highs(c, a_eq, b_eq):
         solver.getObjectiveValue(),
         int(info.simplex_iteration_count) + int(info.ipm_iteration_count),
     )
-
-
-def _null_step(st: _EngineState, mat) -> None:
-    """One explicit null-space move of the system `mat`; freezes at least
-    one variable.
-
-    The direction is a probe vector minus its least-squares fit by the
-    rows of `mat` (lsqr on the sparse system), the first probe that leaves
-    a nonzero residual.  No dense matrix is formed: a dense null-space
-    basis of a 65536-variable dyadic system would need a 65536^2 matrix."""
-    from scipy.sparse.linalg import lsqr
-
-    st.trace["null_steps"] += 1
-    float_idx = np.flatnonzero(st.floating)
-    f = float_idx.size
-    v = None
-    for probe in range(min(f, 32)):
-        g = np.cos(0.31 * np.arange(f) + probe)
-        w = lsqr(mat.T, g, atol=1e-14, btol=1e-14)[0]
-        cand = g - mat.T @ w
-        if np.abs(mat @ cand).max() <= 1e-9 and np.abs(cand).max() > 1e-9:
-            v = cand
-            break
-    if v is None:
-        raise RuntimeError("failed to find a sparse null direction")
-    v = v / np.abs(v).max()
-    xf = st.x[float_idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(v > 1e-14, (1.0 - xf) / v, np.inf)
-        dn = np.where(v < -1e-14, xf / (-v), np.inf)
-    t = min(up.min(), dn.min())
-    if not np.isfinite(t):
-        raise RuntimeError("degenerate null direction")
-    st.x[float_idx] = np.clip(xf + t * v, 0.0, 1.0)
-    _snap(st.x, st.floating)
-    if int(st.floating.sum()) >= f:
-        # force the closest-to-bound variable out (guards fp stalemates)
-        j = float_idx[int(np.argmin(np.minimum(st.x[float_idx], 1.0 - st.x[float_idx])))]
-        st.x[j] = 1.0 if st.x[j] >= 0.5 else 0.0
-        st.floating[j] = False
-    st.trace["null_frozen"] += f - int(st.floating.sum())
 
 
 def beck_fiala_round(h: Hypergraph, beta) -> RoundingResult:

@@ -151,21 +151,21 @@ class DyadicHypergraph:
         """(row, vertex) of every member of the cells marked in the bool
         mask `edges`, cell after cell and each cell's members ascending: row
         r is the r-th marked cell.  A cell's members are its lowest vertex
-        plus the lattice's first cell of its shape, both read off an
-        n-long arange of the lattice."""
+        plus the lattice's first cell of its shape, both raveled from
+        per-axis indices: apart from the result, no array is longer than
+        the largest marked cell."""
         picked = np.flatnonzero(edges)
         # the marked cells of level k are picked[cuts[k]:cuts[k + 1]]
         cuts = np.searchsorted(picked, self._level_starts)
         rows = np.repeat(np.arange(picked.size), np.repeat(self._cell_sizes, np.diff(cuts)))
         members = np.empty(rows.size, dtype=np.int64)
-        lattice = np.arange(self.n).reshape(self._shape)
         start = 0
         for (first, blocks, cell, _, _), a, b in zip(self._levels, cuts, cuts[1:]):
             if a == b:
                 continue
-            corners = lattice[tuple(slice(None, None, c) for c in cell)]
-            corners = corners[np.unravel_index(picked[a:b] - first, blocks)]
-            inner = lattice[tuple(slice(c) for c in cell)].ravel()
+            block = np.unravel_index(picked[a:b] - first, blocks)
+            corners = np.ravel_multi_index(tuple(j * c for j, c in zip(block, cell)), self._shape)
+            inner = np.ravel_multi_index(np.indices(cell, sparse=True), self._shape).ravel()
             stop = start + corners.size * inner.size
             np.add(corners[:, None], inner, out=members[start:stop].reshape(-1, inner.size))
             start = stop

@@ -69,7 +69,10 @@ __all__ = [
 
 PAPER_K_FACTOR = 2**26
 # coordinates (K*d) of the K-point cloud a construction may sample: 512 MB of
-# float64, before its per-axis sort orders
+# float64.  A build's tracemalloc peak was 3.25x the cloud's bytes at d=1
+# N=1024 (416 MB for a 128 MB cloud) and 5x at d=2 N=128, with the sort
+# orders and the scans' work arrays, so a build at the budget needs about
+# 1.7-2.6 GB.
 SAMPLE_BUDGET = 2**26
 
 
@@ -111,10 +114,11 @@ def construct_point_set(mu: BoxMeasure, n: int, cfg: ConstructionConfig | None =
     The certificate's `bound` field is box_bound/N + sampling term, and its
     `achieved_bound` the measured selection_dd/N + sampling term; its
     `sampling_mode` records whether the sampling term was measured exactly or
-    is the upper end of a bracket (see the module docstring)."""
+    is the upper end of a bracket (see the module docstring).  N is an
+    integer >= 1, a numpy integer included; a bool or a float is refused,
+    not truncated."""
     cfg = cfg or ConstructionConfig()
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    n = _whole("N", n)
     d = mu.dim
     k = cfg.resolve_k(n, d)
     # refuse the N^d lattice the selection rounds over, and the cloud, before

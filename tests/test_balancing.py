@@ -13,7 +13,6 @@ from nuqmc.balancing import (
     TRACE_KEYS,
     Hypergraph,
     _EngineState,
-    _lp_round,
     _step,
     beck_fiala_round,
     edge_error,
@@ -161,7 +160,7 @@ def test_beck_fiala_trace_accounts_for_every_variable():
         beta[rng.random(h.n) < 0.25] = 0.0
         trace = beck_fiala_round(h, beta).details
         assert tuple(trace) == TRACE_KEYS
-        frozen = trace["lp_frozen"] + trace["null_frozen"] + trace["final_snapped"]
+        frozen = trace["lp_frozen"] + trace["final_snapped"]
         assert frozen == np.count_nonzero((beta > 1e-9) & (beta < 1.0 - 1e-9))
 
 
@@ -204,42 +203,6 @@ def test_edgeless_bound_clamped():
     assert res.guaranteed_bound == 0.0
 
 
-def test_null_step_preserves_active_sums():
-    # white-box check of the progress-guard path: one explicit null move
-    from nuqmc.balancing import _EngineState, _null_step
-
-    h = Hypergraph(5, ([0, 1, 2, 3, 4], [0, 1, 2], [2, 3, 4]))
-    beta = np.array([0.5, 0.4, 0.6, 0.3, 0.7])
-    st = _EngineState(h, beta)
-    active = st.floating_counts() > h.max_degree
-    assert active.tolist() == [True, False, False]  # only the 5-edge exceeds Delta=3
-    before = st.x[h.edges[0]].sum()
-    n_floating = int(st.floating.sum())
-    _null_step(st, st.system(active))
-    assert st.x[h.edges[0]].sum() == pytest.approx(before, abs=1e-9)
-    assert int(st.floating.sum()) < n_floating
-    assert st.trace["null_steps"] == 1
-    assert st.trace["null_frozen"] == n_floating - int(st.floating.sum())
-
-
-def test_null_step_on_a_dyadic_system():
-    # the sparse null step at scale: the initial state of the d=2 N=64
-    # dyadic system has 4096 floating variables and 769 active rows
-    from nuqmc.balancing import _EngineState, _null_step
-    from nuqmc.dyadic import build_scheme
-
-    _, h = build_scheme(64, 2)
-    st = _EngineState(h, np.random.default_rng(5).uniform(0.1, 0.9, h.n))
-    active = st.floating_counts() > h.max_degree
-    assert (int(st.floating.sum()), int(active.sum())) == (4096, 769)
-    before = h.edge_sums(st.x)[active]
-    _null_step(st, st.system(active))
-    after = h.edge_sums(st.x)[active]
-    assert np.abs(after - before).max() <= 1e-9
-    assert int(st.floating.sum()) < 4096
-    assert st.trace["null_frozen"] == 4096 - int(st.floating.sum())
-
-
 def test_empty_edges_degenerate():
     h = Hypergraph(3, ([], [0, 1, 2]))
     res = beck_fiala_round(h, [0.4, 0.5, 0.6])
@@ -270,32 +233,57 @@ def test_lp_jump_keeps_every_active_sum():
     assert np.array_equal(h.implied(active), split & active[h0] & active[h1])
     sums = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
     _step(st, st.floating_counts())
-    # the jump made progress, so no null step followed
-    assert (st.trace["lp_jumps"], st.trace["null_steps"]) == (1, 0) and st.trace["lp_frozen"] > 0
+    # the jump made progress, so it was not retried
+    assert st.trace["lp_jumps"] == 1 and st.trace["lp_frozen"] > 0
     after = np.add.reduceat(st.x[ref.members], ref.ptr[:-1])
     assert np.abs(after - sums)[active].max() <= 1e-9
     assert st.trace["lp_implied_rows"] == np.count_nonzero(split & active[h0] & active[h1]) > 0
     assert st.trace["lp_rows"] + st.trace["lp_implied_rows"] == np.count_nonzero(active)
 
 
-@pytest.mark.parametrize(
-    ("n_side", "d", "n_active", "n_kept"), [(64, 2, 769, 448), (16, 3, 927, 576)]
-)
-def test_null_step_on_kept_rows_keeps_every_active_sum(n_side, d, n_active, n_kept):
-    # the implied rows are sums of kept rows, so a null step of the kept
-    # system alone holds every active sum, the implied ones included
-    from nuqmc.balancing import _EngineState, _null_step
-    from nuqmc.dyadic import build_scheme
+def walk_steps(h, beta):
+    """Walks beck_fiala_round's loop on (h, beta) one step at a time and
+    returns the number of steps.  Before every jump the kept rows are fewer
+    than the floating variables, so the jump's vertex freezes at least one:
+    every step is one jump, freezes a variable and holds every active
+    edge's sum, the implied ones included."""
+    st = _EngineState(h, beta)
+    steps = 0
+    while True:
+        counts = st.floating_counts()
+        active = counts > h.max_degree
+        if not active.any():
+            return steps
+        f = int(st.floating.sum())
+        assert np.count_nonzero(active & ~h.implied(active)) < f
+        before, jumps = h.edge_sums(st.x)[active], st.trace["lp_jumps"]
+        _step(st, counts)
+        assert st.trace["lp_jumps"] == jumps + 1 and int(st.floating.sum()) < f
+        assert np.abs(h.edge_sums(st.x)[active] - before).max() <= 1e-9
+        steps += 1
 
+
+def test_every_jump_freezes_a_variable_on_random_hypergraphs():
+    # empty edges, and edges repeated: a repeat counts twice in Delta and in
+    # the rows, so the kept rows still stay below the floating count
+    rng = np.random.default_rng(26)
+    steps = 0
+    for _ in range(40):
+        h = random_hypergraph(rng, n_max=80, m_max=120)
+        repeats = h.edges[: int(rng.integers(1, h.m + 1))]
+        h = Hypergraph(h.n, h.edges + (np.zeros(0, dtype=np.int64),) + repeats)
+        beta = rng.random(h.n)
+        beta[rng.random(h.n) < 0.25] = 0.0
+        steps += walk_steps(h, beta)
+    assert steps >= 20
+
+
+@pytest.mark.parametrize(("d", "n_side"), [(1, 256), (2, 64), (3, 16)])
+def test_every_jump_freezes_a_variable_on_dyadic_systems(d, n_side):
     _, h = build_scheme(n_side, d)
-    st = _EngineState(h, np.random.default_rng(5).uniform(0.1, 0.9, h.n))
-    active = st.floating_counts() > h.max_degree
-    kept = active & ~h.implied(active)
-    assert (int(active.sum()), int(kept.sum())) == (n_active, n_kept)
-    before = h.edge_sums(st.x)[active]
-    _null_step(st, st.system(kept))
-    assert np.abs(h.edge_sums(st.x)[active] - before).max() <= 1e-9
-    assert 0 < st.trace["null_frozen"] == h.n - int(st.floating.sum())
+    for seed in range(3):
+        rng = np.random.default_rng((d, seed))
+        assert walk_steps(h, rng.random(h.n) * (rng.random(h.n) >= 0.3)) >= 1
 
 
 def test_active_floating_matches_loop_oracle():
@@ -369,9 +357,9 @@ def test_lp_objective_drops_the_half_only_under_a_spanning_edge(spanning, monkey
     beta = np.random.default_rng(8).uniform(0.1, 0.9, 12)
     seen, solve, sums, edge_sums = [], balancing._lp_vertex, [], h.edge_sums
 
-    def spy(c, a_eq, b_eq):
+    def spy(c, a_eq, b_eq, method):
         seen.append(c)
-        return solve(c, a_eq, b_eq)
+        return solve(c, a_eq, b_eq, method)
 
     def counted(vals):
         sums.append(vals)
@@ -400,12 +388,12 @@ LP_CONSTRUCTIONS = {
 
 @functools.cache
 def first_jumps(case):
-    """(c, a_eq, b_eq, (x, iterations)) of the first two LP jumps of the
-    seed-0 construction `case` of LP_CONSTRUCTIONS."""
+    """(c, a_eq, b_eq, method, (x, iterations)) of the first two LP jumps
+    of the seed-0 construction `case` of LP_CONSTRUCTIONS."""
     jumps, solve = [], balancing._lp_vertex
 
-    def record(c, a_eq, b_eq):
-        jumps.append((c, a_eq, b_eq, solve(c, a_eq, b_eq)))
+    def record(c, a_eq, b_eq, method):
+        jumps.append((c, a_eq, b_eq, method, solve(c, a_eq, b_eq, method)))
         return jumps[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -424,7 +412,8 @@ def test_lp_jump_solves_like_linprog_bitwise(case):
     from scipy.optimize import linprog
 
     jumps = first_jumps(case)
-    for c, a_eq, b_eq, (x, iterations) in jumps:
+    for c, a_eq, b_eq, method, (x, iterations) in jumps:
+        assert method == "simplex"
         ref = linprog(
             c, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0.0, 1.0), method="highs-ds",
             options={"presolve": False},
@@ -440,46 +429,59 @@ def test_lp_jump_without_the_half_reaches_the_same_vertex(case):
     # column; putting it back changes every objective value by one
     # constant, and the solve freezes the same variables at the same x
     jumps = first_jumps(case)
-    for c, a_eq, b_eq, (x, _) in jumps:
-        x_half, _ = balancing._lp_vertex(c + 0.5, a_eq, b_eq)
+    for c, a_eq, b_eq, method, (x, _) in jumps:
+        x_half, _ = balancing._lp_vertex(c + 0.5, a_eq, b_eq, method)
         assert x is not None and x_half is not None
         frozen = (x <= 1e-9) | (x >= 1.0 - 1e-9)
         assert np.array_equal(frozen, (x_half <= 1e-9) | (x_half >= 1.0 - 1e-9))
         assert np.abs(x - x_half).max() <= 1e-9
 
 
-@pytest.mark.parametrize("fault", ["not optimal", "nan", "above one", "residual"])
-def test_refused_lp_jump_is_followed_by_a_null_step(fault, monkeypatch):
-    # a run that linprog would report as failed leaves x alone and counts
-    # the jump; the step then takes a null step, which keeps every active sum
+@pytest.mark.parametrize("fault", ["not optimal", "nan", "above one", "residual", "no progress"])
+def test_refused_lp_jump_is_retried_once_on_the_other_method(fault, monkeypatch):
+    # a run that linprog would report as failed, or a vertex that freezes
+    # nothing, is solved once more from the current x by HiGHS's other
+    # method, and the jump counts both runs; when that run fails too, the
+    # step raises and names the system's size
     t, run = balancing._CHECK_TOL, balancing._run_highs
+    methods = []
 
-    def faulty(c, a_eq, b_eq):
+    def faulty(c, a_eq, b_eq, method):
+        methods.append(method)
+        if len(methods) > faults:
+            return run(c, a_eq, b_eq, method)
         if fault == "not optimal":
             return None
-        x, ax, objective, iterations = run(c, a_eq, b_eq)
+        x, ax, objective, iterations = run(c, a_eq, b_eq, method)
         if fault == "nan":
             x[3] = np.nan
         elif fault == "above one":
             x[3] = 1.0 + 2 * t
-        else:
+        elif fault == "residual":
             ax[3] = b_eq[3] + 2 * t
+        else:  # the start point: accepted, and nothing freezes
+            x = st.x[st.floating]
+            ax = a_eq @ x
         return x, ax, objective, iterations
 
     monkeypatch.setattr(balancing, "_run_highs", faulty)
     _, h = build_scheme(16, 2)
     beta = np.random.default_rng(3).uniform(0.1, 0.9, h.n)
-    st = _EngineState(h, beta)
-    active = st.floating_counts() > h.max_degree
-    x0 = st.x.copy()
-    assert not _lp_round(st, st.system(active & ~h.implied(active)), True)
-    assert np.array_equal(st.x, x0) and (st.trace["lp_jumps"], st.trace["lp_frozen"]) == (1, 0)
-
-    st = _EngineState(h, beta)
-    before = h.edge_sums(st.x)[active]
-    _step(st, st.floating_counts())
-    assert (st.trace["lp_jumps"], st.trace["null_steps"]) == (1, 1) and st.trace["null_frozen"] > 0
-    assert np.abs(h.edge_sums(st.x)[active] - before).max() <= 1e-9
+    for faults in (1, 2):
+        methods.clear()
+        st = _EngineState(h, beta)
+        active = st.floating_counts() > h.max_degree
+        kept = int(np.count_nonzero(active & ~h.implied(active)))
+        x0 = st.x.copy()
+        if faults == 1:
+            _step(st, st.floating_counts())
+            assert 0 < st.trace["lp_frozen"] == h.n - int(st.floating.sum())
+            assert np.abs(h.edge_sums(st.x - x0)[active]).max() <= 1e-9
+        else:
+            with pytest.raises(RuntimeError, match=f"{kept} kept rows over {h.n} floating"):
+                _step(st, st.floating_counts())
+            assert np.array_equal(st.x, x0) and st.trace["lp_frozen"] == 0
+        assert methods == ["simplex", "ipm"] and st.trace["lp_jumps"] == 2
 
 
 def test_lp_result_check_is_as_strict_as_linprogs():
@@ -498,10 +500,10 @@ def test_lp_result_check_is_as_strict_as_linprogs():
         (x, np.array([np.nan]), False),
     ]
     for got, ax, accepted in cases:
-        run = lambda c, a, b, got=got, ax=ax: (got, ax, 0.0, 1)  # noqa: E731
+        run = lambda c, a, b, method, got=got, ax=ax: (got, ax, 0.0, 1)  # noqa: E731
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(balancing, "_run_highs", run)
-            x, iterations = balancing._lp_vertex(np.zeros(3), a_eq, b_eq)
+            x, iterations = balancing._lp_vertex(np.zeros(3), a_eq, b_eq, "simplex")
             assert (x is not None) == accepted and iterations == 1
 
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from conftest import pin_message
 from nuqmc import cli, discrepancy
-from nuqmc.balancing import TRACE_KEYS
 from nuqmc.cli import main
 
 
@@ -217,8 +216,12 @@ def test_round_command_output_unchanged(tmp_path, capsys):
                      "--out", str(out))
     assert code == 0
     res = json.loads(out.read_text())
-    trace = {k: res.pop(k) for k in TRACE_KEYS}
+    # the engine counters end the output, and their frozen counts add up to
+    # the ten fractional entries of beta
+    keys = ["lp_jumps", "lp_frozen", "lp_rows", "lp_implied_rows", "lp_iterations", "final_snapped"]
+    trace = {k: res.pop(k) for k in keys}
     assert all(isinstance(v, int) for v in trace.values())
+    assert trace["lp_frozen"] + trace["final_snapped"] == 10
     expected = {
         "b": [0, 0, 1, 0, 1, 0, 1, 1, 0, 1],
         "achieved_error": 0.875,

@@ -73,14 +73,14 @@ def test_construct_d2_engine_trace():
     digest = "b74d60ed9fdecd33f8f3c9a29d767ce50090d9fc719e0033e83e703b6cf09d8a"
     assert hashlib.sha256(pts.points.tobytes()).hexdigest() == digest, pin_message("points")
     trace = cert["selection"]["rounding"]["engine_trace"]
-    assert (trace["lp_jumps"], trace["lp_frozen"], trace["null_steps"]) == (2, 4089, 0)
+    assert (trace["lp_jumps"], trace["lp_frozen"]) == (2, 4089)
     # 769 active rows at the first jump and 17 at the second, 321 + 5 of
     # them the sum of their two halves' rows
     assert (trace["lp_rows"], trace["lp_implied_rows"]) == (460, 326)
     # HiGHS's dual simplex iterations over both jumps, 510 + 9; the first
     # jump takes 701 when its objective keeps the 0.5 common to every column
     assert trace["lp_iterations"] == 519, pin_message("LP iterations")
-    assert trace["lp_frozen"] + trace["null_frozen"] + trace["final_snapped"] == 64 * 64
+    assert trace["lp_frozen"] + trace["final_snapped"] == 64 * 64
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -257,6 +257,19 @@ def test_k_policies():
         with pytest.raises(ValueError, match="scale_c="):
             ConstructionConfig("scaled", scale_c=c).resolve_k(1, 1)
     assert ConstructionConfig("scaled", scale_c=np.int64(2)).resolve_k(1, 1) == 2
+
+
+def test_construct_takes_n_as_it_takes_k():
+    # a numpy integer N builds the same points as the int, and N is refused,
+    # not truncated, unless it is an integer >= 1
+    mu = uniform_measure(1)
+    a, cert = construct_point_set(mu, np.int64(16))
+    b, _ = construct_point_set(mu, 16)
+    assert hashlib.sha256(a.points.tobytes()).digest() == hashlib.sha256(b.points.tobytes()).digest()
+    assert type(cert["n"]) is int
+    for n in (16.0, True, False, 0, -4, "16"):
+        with pytest.raises(ValueError, match="N="):
+            construct_point_set(mu, n)
 
 
 def test_construct_determinism():

@@ -19,3 +19,10 @@ def test_two_cases_digest_stably_and_restore_the_block_size():
     assert all(re.fullmatch(r"\S+ [0-9a-f]{16}", line) for line in lines)
     assert scan_digest.digest_lines(names) == lines
     assert discrepancy._BLOCK_CELLS == 1 << 16
+
+
+def test_build_and_round_lines_hash_the_result_and_the_certificate_apart():
+    names = ["build-d1-power-N64", "round-d1-N1024"]  # in print order
+    lines = scan_digest.digest_lines(names)
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{16} [0-9a-f]{16}", line) for line in lines)
+    assert [line.split()[0] for line in lines] == names

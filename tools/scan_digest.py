@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python3 tools/scan_digest.py [CASE ...]
 
-Prints `name sha256-prefix` for every case, or for the named ones.  A case
-hashes everything a caller can read off its result, floats by their bytes:
+Prints `name sha256-prefix` for every case, or for the named ones; the
+build and round cases print two prefixes, `name result certificate`.  A
+case hashes everything a caller can read off its result, floats by their
+bytes:
 
-  build-*    construct_point_set: the points and the certificate JSON, at
+  build-*    construct_point_set: the points, then the certificate JSON, at
              d = 1, 2, 3, on the L region and on a product extension;
   exact-*    exact_star_discrepancy: value, witness corner, closed flag and
              boxes scanned;
@@ -19,8 +21,9 @@ hashes everything a caller can read off its result, floats by their bytes:
              at d = 2 N = 256 (about 3 s); round_array of a construction's
              beta, the L region's at N = 128 (a 993 x 14619 first jump)
              and power(2)^3's at N = 32 (751 x 12824); beck_fiala_round on
-             a general Hypergraph (the `nuqmc round` path): b, the
-             per-edge error and the engine trace.
+             a general Hypergraph (the `nuqmc round` path): b, then
+             its serialized result (b, the per-edge error and the
+             engine trace).
 
 A case hashes every field but the engine trace's `lp_iterations`: it
 counts the solver's work, not a result, and an objective that keeps the
@@ -34,7 +37,9 @@ The select cases run at all three block sizes; the default's names carry
 no `-b` suffix.
 Two source trees that print the same lines give bitwise the same results
 on all of them: run the script under each tree's `src` and diff the
-outputs.
+outputs.  A build or round line whose first hash is equal and whose second
+differs has bitwise the same points or b; only the certificate changed, as
+when a field is added to it or dropped from the engine trace.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ def _digest(*parts) -> str:
         else:
             h.update(json.dumps(_without_lp_iterations(part), sort_keys=True, default=repr).encode())
     return h.hexdigest()[:16]
+
+
+def _apart(result, certificate) -> str:
+    """The digests of a result and of its certificate, as two fields."""
+    return f"{_digest(result)} {_digest(certificate)}"
 
 
 def _without_lp_iterations(part):
@@ -167,7 +177,7 @@ def cases():
     for name, mu, n, seed in _build_cases():
         def build(mu=mu, n=n, seed=seed):
             pts, cert = construct_point_set(mu, n, ConstructionConfig(seed=seed))
-            return _digest(pts.points, cert)
+            return _apart(pts.points, cert)
 
         out.append((name, build))
     scans = list(_scan_cases())
@@ -230,14 +240,14 @@ def _round_cases():
         beta = rng.random((n,) * d) * (rng.random((n,) * d) >= 0.25)
         out.append((f"round-d{d}-N{n}", beta))
     out.append(("round-d2-N256-ipm", rng.random((256, 256))))
-    table = [(name, lambda beta=beta: _digest(*round_array(beta))) for name, beta in out]
+    table = [(name, lambda beta=beta: _apart(*round_array(beta))) for name, beta in out]
     for name, mu, n, seed in (
         ("round-build-L-N128", RestrictionMeasure(L_REGION), 128, 0),
         ("round-build-d3-power-N32", ProductMeasure([PowerCdf(2.0)] * 3), 32, 3),
     ):
         def build_beta(mu=mu, n=n, seed=seed):
             z = mu.sample(seed, ConstructionConfig().resolve_k(n, mu.dim))
-            return _digest(*round_array(decompose(z, n).beta))
+            return _apart(*round_array(decompose(z, n).beta))
 
         table.append((name, build_beta))
 
@@ -253,7 +263,7 @@ def _round_cases():
 
     def hypergraph():
         res = beck_fiala_round(h, beta)
-        return _digest(res.b, res.to_dict())
+        return _apart(res.b, res.to_dict())
 
     table.append(("round-hypergraph-n300", hypergraph))
     return table
