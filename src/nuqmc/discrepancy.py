@@ -21,10 +21,13 @@ order whatever numpy's sort kind.  Equal coordinates are found among the
 neighbours that share a fraction, and the axis is read through the order
 (`_Axis`): no sorted copy of a column is made, and a scan reads coordinates
 only at the corners it visits (a d=1 scan of a construction's cloud, a few
-hundredths of them).  Coordinates must lie in [0, 1].  Ranks are listed in
-axis-0 sorted order, which the points keep from the sort to the last scan:
-axis 0's ranks are the sorted run indices, and every other axis costs one
-scatter and one gather.  A point set keeps its sort
+hundredths of them).  Coordinates must lie in [0, 1].  The keys are built
+and compared in stretches of `_BLOCK_CELLS` points, so sorting an axis of
+distinct values makes one K-long array, its keys, which become the order.  Ranks
+are listed in axis-0 sorted order, which the points keep from the sort to
+the last scan: axis 0's ranks are the sorted run indices, which for distinct
+values are the positions 0..K-1, held as two numbers (`_Positions`), and
+every other axis costs one scatter and one gather.  A point set keeps its sort
 (`PointSet.critical_grid`), so a construction sorts its K-point cloud once:
 the orders give the rank-slab decomposition its slabs and representatives,
 the ranks serve both scans, and the selected points' ranks are the cloud's
@@ -169,6 +172,59 @@ class _Axis:
         return self[:].astype(dtype or float, copy=False)
 
 
+class _Positions:
+    """The intp ranks lo, lo + 1, ..., lo + size - 1, held as two numbers:
+    the ranks of an axis 0 with no repeated value, listed in axis-0 order
+    (`_grid`), are its positions 0..K-1.
+
+    It answers what the scans ask of a rank array: `searchsorted`, a slice
+    of step 1 (another `_Positions`), a boolean mask, an integer gather,
+    len, size and dtype; np.asarray gives the whole array, and any other
+    index reads through it.  Every answer is bitwise np.arange's."""
+
+    __slots__ = ("lo", "size")
+    dtype = np.dtype(np.intp)
+
+    def __init__(self, size, lo=0):
+        self.size, self.lo = size, lo
+
+    @property
+    def shape(self):
+        return (self.size,)
+
+    def __len__(self):
+        return self.size
+
+    def searchsorted(self, v, side="left"):
+        """The insertion points of integers `v`, as np.searchsorted's: the
+        ranks below v (at or below v on the right side), v - lo (+ 1),
+        clipped to [0, size]."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        v = np.asarray(v)
+        if not np.issubdtype(v.dtype, np.integer):
+            return np.asarray(self).searchsorted(v, side)
+        return np.clip(v.astype(np.intp, copy=False) - (self.lo - (side == "right")), 0, self.size)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            start, stop, step = j.indices(self.size)
+            if step == 1:
+                return _Positions(max(stop - start, 0), self.lo + start)
+        elif not isinstance(j, tuple):
+            at = np.asarray(j)
+            if at.dtype == bool and at.shape == self.shape:
+                return np.flatnonzero(at) + self.lo
+            if np.issubdtype(at.dtype, np.integer):
+                if at.size and not (at.min() >= -self.size and at.max() < self.size):
+                    raise IndexError(f"index out of range for {self.size} ranks")
+                return (at % max(self.size, 1)).astype(np.intp, copy=False) + self.lo
+        return np.asarray(self)[j]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.arange(self.lo, self.lo + self.size, dtype=np.intp).astype(dtype or np.intp, copy=False)
+
+
 def _grid(points: np.ndarray):
     """Critical grid axes, every point's rank on them and the per-axis
     orders, from one sort per axis; returns (axes, ranks, orders).
@@ -181,7 +237,10 @@ def _grid(points: np.ndarray):
     within 64 bits.  The fraction rises with the value, so only neighbours
     whose keys share their fraction can hold equal values: only those pairs
     are read through the order and compared, or, when they are most of the
-    cloud, the whole column in order, which is then dropped.  Distinct
+    cloud, the whole column in order, which is then dropped.  The keys are
+    built, and the neighbours compared, in stretches of `_BLOCK_CELLS`
+    points, so no temporary is K long, and the ties are kept at the pairs
+    that share a fraction only.  Distinct
     coordinates whose fractions tie (closer than 2**-(63-b)) come out in
     index order; each run of such keys is sorted again by (value, index).
     That repair is exact, but slow when most of the cloud falls into such
@@ -195,7 +254,8 @@ def _grid(points: np.ndarray):
     its closed rank (the first corner whose closed box holds it) and the
     index plus one its strict rank.  Ranks are listed in axis-0 order
     (`ranks[s][i]` is point `orders[0][i]`'s), so axis 0's are the sorted
-    run indices."""
+    run indices: with no repeated value, its positions 0..K-1, which a
+    `_Positions` gives without an array."""
     k = points.shape[0]
     b = max(k - 1, 0).bit_length()
     low = np.uint64((1 << b) - 1)  # the index bits of a key
@@ -203,43 +263,51 @@ def _grid(points: np.ndarray):
     for s in range(points.shape[1]):
         col = points[:, s]
         key = np.empty(k, dtype=np.uint64)
-        np.multiply(col, 2.0 ** (63 - b), out=key, casting="unsafe")  # truncated to an integer
-        key <<= np.uint64(b)
-        key |= np.arange(k, dtype=np.uint64)
+        for lo in range(0, k, _BLOCK_CELLS):  # in stretches, so no temporary is K long
+            part = key[lo:lo + _BLOCK_CELLS]
+            np.multiply(col[lo:lo + part.size], 2.0 ** (63 - b), out=part, casting="unsafe")  # truncated
+            part <<= np.uint64(b)
+            part |= np.arange(lo, lo + part.size, dtype=np.uint64)
         key.sort()
-        same = np.bitwise_xor(key[1:], key[:-1]) <= low  # p and p + 1 share a fraction
+        # the pairs p, p + 1 whose keys share a fraction, stretch by stretch
+        pairs = [np.zeros(0, dtype=np.intp)]
+        for lo in range(0, k - 1, _BLOCK_CELLS):
+            hi = min(lo + _BLOCK_CELLS, k - 1)
+            pairs.append(np.flatnonzero(np.bitwise_xor(key[lo + 1:hi + 1], key[lo:hi]) <= low) + lo)
+        pairs = np.concatenate(pairs)
         key &= low
         order = key.view(np.intp)
-        pairs = np.flatnonzero(same)
-        # tie: p and p + 1 hold equal values, which only a shared fraction
-        # allows; those pairs are read, or the whole column in order when
-        # they are most of it (two gathers a pair against one a point)
+        # tie[i]: pair i's points hold equal values, which only a shared
+        # fraction allows; its points are read, or the whole column in order
+        # when the pairs are most of it (two gathers a pair against one a point)
         if 4 * pairs.size < k:
-            tie = np.zeros_like(same)
-            tie[pairs] = col[order[pairs]] == col[order[pairs + 1]]
+            tie = col[order[pairs]] == col[order[pairs + 1]]
         else:
             tie = col[order]
-            tie = tie[1:] == tie[:-1]
-        if (same != tie).any():  # a fraction shared by distinct values
+            tie = tie[pairs] == tie[pairs + 1]
+        if not tie.all():  # a fraction shared by distinct values
             first = np.flatnonzero(np.diff(pairs, prepend=-2) != 1)  # each run's first pair
-            hit = np.logical_or.reduceat(~tie[pairs], first)
-            fix = pairs[np.repeat(hit, np.diff(first, append=pairs.size))]
+            hit = np.logical_or.reduceat(~tie, first)
+            hit = np.repeat(hit, np.diff(first, append=pairs.size))  # the pairs of a run to repair
+            fix = pairs[hit]
             mark = np.zeros(k, dtype=bool)
             mark[fix] = mark[fix + 1] = True
             pos = np.flatnonzero(mark)
             idx = order[pos]
             order[pos] = idx[np.lexsort((idx, col[idx]))]
-            tie[fix] = col[order[fix]] == col[order[fix + 1]]
-        del same, pairs  # freed before the ranks are allocated: a lower peak
+            tie[hit] = col[order[fix]] == col[order[fix + 1]]
         if tie.any():
             new = np.ones(k, dtype=bool)  # where a new value starts
-            np.logical_not(tie, out=new[1:])
+            new[pairs[tie] + 1] = False
+            del pairs, tie  # freed before the ranks are allocated: a lower peak
             starts = np.flatnonzero(new)
             run = new.astype(np.intp)
             np.cumsum(run, out=run)
             run -= 1
-        else:  # distinct values: every point its own run
+        elif s:  # distinct values: every point its own run
             starts, run = None, np.arange(k, dtype=np.intp)
+        else:  # axis 0's ranks are its positions
+            starts, run = None, _Positions(k)
         axes.append(_Axis(col, order, starts, not (k and col[order[-1]] == 1.0)))
         if s:
             scattered = np.empty_like(run)

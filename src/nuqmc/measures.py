@@ -398,10 +398,12 @@ class RestrictionMeasure(BoxMeasure):
         cum = np.cumsum(self.omega.cell_vol) / self.omega.volume
         which = np.searchsorted(cum, rng.random(count), side="right")
         which = np.minimum(which, len(cum) - 1)
+        # each point's cell corner and width are gathered once, and the
+        # draws scaled and shifted in place: lo + u * (hi - lo), bitwise
         u = rng.random((count, self.dim))
-        lo = self.omega.cell_lo[which]
-        hi = self.omega.cell_hi[which]
-        return PointSet(lo + u * (hi - lo))
+        u *= np.take(self.omega.cell_hi - self.omega.cell_lo, which, axis=0)
+        u += np.take(self.omega.cell_lo, which, axis=0)
+        return PointSet(u)
 
 
 class DiscreteMeasure(BoxMeasure):

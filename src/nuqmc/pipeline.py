@@ -51,7 +51,7 @@ from .discrepancy import (
 )
 from .dyadic import check_lattice
 from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
-from .selection import select_subset
+from .selection import _whole, select_subset
 
 __all__ = [
     "ConstructionConfig",
@@ -69,19 +69,11 @@ __all__ = [
 
 PAPER_K_FACTOR = 2**26
 # coordinates (K*d) of the K-point cloud a construction may sample: 512 MB of
-# float64.  A build's tracemalloc peak was 3.25x the cloud's bytes at d=1
-# N=1024 (416 MB for a 128 MB cloud) and 5x at d=2 N=128, with the sort
-# orders and the scans' work arrays, so a build at the budget needs about
-# 1.7-2.6 GB.
+# float64.  A build's tracemalloc peak was 2.25x the cloud's bytes at d=1
+# N=1024 (288 MB for a 128 MB cloud) and 4.5x at d=2 N=128, with the sort
+# orders, the ranks of axes 1 to d-1 and the scans' work arrays, so a build
+# at the budget needs about 1.2-2.3 GB.
 SAMPLE_BUDGET = 2**26
-
-
-def _whole(name, value):
-    """`value` as an int; refused, not truncated, unless it is an integer
-    >= 1 (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,14 @@ class CellDecomposition:
     first: np.ndarray         # (N,)*d lowest index of a cell's points, K if none
 
 
+def _whole(name, value):
+    """`value` as an int; refused, not truncated, unless it is an integer
+    >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
+    return int(value)
+
+
 def _slab_of_rank(k: int, n: int) -> np.ndarray:
     """Slab of every rank r = 1..K: boundaries[i] < r <= boundaries[i+1] for
     i = ceil(r*N/K) - 1 = (r*N - 1)//K, with boundaries[i] = floor(i*K/N)."""
@@ -65,10 +73,11 @@ def _slab_of_rank(k: int, n: int) -> np.ndarray:
 
 
 def decompose(z: PointSet, n_target: int) -> CellDecomposition:
-    """Rank-slab cell decomposition of z for a target size N <= sqrt(K)."""
+    """Rank-slab cell decomposition of z for a target size N <= sqrt(K).
+    N is an integer >= 1, a numpy integer included; a bool, a float or a
+    string is refused, not truncated."""
     k, d = z.n, z.dim
-    if n_target < 1:
-        raise ValueError("N must be >= 1")
+    n_target = _whole("N", n_target)
     if n_target > math.isqrt(k):
         raise ValueError(
             f"N={n_target} violates the selection hypothesis N <= sqrt(K) (K={k})"
@@ -124,7 +133,8 @@ def select_subset(z: PointSet, n_target: int) -> SelectionResult:
     """Select exactly N points of z tracking its anchored-box counts.
 
     Deterministic given (z order, N); the certificate is derived from the
-    rounding that actually ran."""
+    rounding that actually ran.  N is checked as `decompose` checks it."""
+    n_target = _whole("N", n_target)
     decomp = decompose(z, n_target)
     k, d = z.n, z.dim
 

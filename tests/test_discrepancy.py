@@ -487,6 +487,9 @@ def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
     axes, ranks, orders = _grid(cloud)
     monkeypatch.undo()
     assert len(axes) == len(ranks) == len(orders) == cloud.shape[1]
+    # only an axis 0 with no repeated value has its positions for ranks
+    assert isinstance(ranks[0], discrepancy._Positions) == (np.unique(cloud[:, 0]).size == len(cloud))
+    assert all(isinstance(r, np.ndarray) for r in ranks[1:])
     assert len(lexsorts) == sum(_fraction_clashes(cloud[:, s]) for s in range(cloud.shape[1]))
     assert len(cumsums) == sum(np.unique(col).size < col.size for col in cloud.T)
     for s in range(cloud.shape[1]):
@@ -498,7 +501,7 @@ def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
         assert len(axes[s]) == axes[s].size == ax.size
         assert np.array_equal(axis, ax)
         # ranks are listed in axis-0 order
-        assert np.array_equal(ranks[s], inv[: col.size][orders[0]])
+        assert np.array_equal(np.asarray(ranks[s]), inv[: col.size][orders[0]])
         # bitwise, the signs of zeros included: the stably sorted column's
         # first value of every run
         values = np.concatenate([col[stable], [1.0]])
@@ -516,8 +519,9 @@ def test_shared_sort_matches_stable_argsort_and_unique(cloud, monkeypatch):
 
 
 def test_grid_holds_two_cloud_long_arrays():
-    # a distinct d=1 cloud: the order and the ranks are all _grid keeps, and
-    # its peak adds only the one-byte mask of neighbours that share a fraction
+    # a distinct d=1 cloud next to its order: axis 0's ranks are its
+    # positions, held as two numbers, and the keys are built and compared in
+    # stretches, so the peak adds to the order at most 4 bytes a point
     k = 1 << 20
     cloud = np.random.default_rng(3).random((k, 1))
     tracemalloc.start()
@@ -527,9 +531,27 @@ def test_grid_holds_two_cloud_long_arrays():
     finally:
         tracemalloc.stop()
     slack = 1 << 16  # small arrays and objects
-    assert live <= 2 * 8 * k + slack
-    assert peak <= 2 * 8 * k + k + slack
+    assert live <= 8 * k + slack
+    assert peak <= 8 * k + 4 * k + slack
     assert len(axes[0]) == k + 1
+    assert isinstance(ranks[0], discrepancy._Positions)
+
+
+def test_grid_holds_two_orders_and_one_rank_array_at_d2():
+    # a distinct d=2 cloud: the orders of both axes and axis 1's ranks stay;
+    # the peak adds the scatter that moves axis 1's ranks to axis-0 order
+    k = 1 << 18
+    cloud = np.random.default_rng(4).random((k, 2))
+    tracemalloc.start()
+    try:
+        axes, ranks, orders = _grid(cloud)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 16
+    assert live <= 3 * 8 * k + slack
+    assert peak <= 4 * 8 * k + 4 * k + slack
+    assert isinstance(ranks[0], discrepancy._Positions) and isinstance(ranks[1], np.ndarray)
 
 
 def test_d1_scan_reads_few_axis_corners(monkeypatch):
@@ -567,6 +589,125 @@ def test_merge_axes_adds_atoms_and_moves_ranks():
         ax, inv = np.unique(np.concatenate([cloud[:, s], [1.0], extra[s]]), return_inverse=True)
         assert np.array_equal(axes[s], ax)
         assert np.array_equal(ranks[s], inv[: len(cloud)][orders[0]])
+
+
+def test_positions_answer_as_arange():
+    # every question the scans ask of a rank array, and any other index,
+    # gets np.arange's answer, bitwise
+    rng = np.random.default_rng(23)
+    for size in (0, 1, 5, 700):
+        view, ref = discrepancy._Positions(size), np.arange(size, dtype=np.intp)
+        assert len(view) == view.size == size and view.dtype == ref.dtype and view.shape == ref.shape
+        assert np.asarray(view).tobytes() == ref.tobytes() and np.asarray(view).dtype == np.intp
+        values = [np.arange(-3, size + 4), rng.integers(-2, size + 3, 9).astype(np.int32), np.int64(size // 2), -1]
+        for v, side in itertools.product(values, ("left", "right")):
+            got, expect = view.searchsorted(v, side), ref.searchsorted(v, side)
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes() and np.shape(got) == np.shape(expect)
+        halves = np.array([0.5, size - 0.5])
+        assert np.array_equal(view.searchsorted(halves, "right"), ref.searchsorted(halves, "right"))
+        for piece in (slice(None), slice(1, None), slice(2, -1), slice(size + 3, None), slice(None, None, 3),
+                      slice(None, None, -2)):
+            got = view[piece]
+            assert np.asarray(got).tobytes() == ref[piece].tobytes()
+            if piece.step is None:
+                assert isinstance(got, discrepancy._Positions)
+                assert np.array_equal(got.searchsorted(ref, "right"), ref[piece].searchsorted(ref, "right"))
+        mask = rng.random(size) < 0.3
+        picks = rng.integers(-size, size, 11) if size else np.zeros(0, dtype=np.intp)
+        for j in (mask, picks, picks.astype(np.int32), picks.reshape(-1, 1), (slice(None), None), list(picks)):
+            assert view[j].tobytes() == ref[j].tobytes() and view[j].shape == ref[j].shape
+            assert view[j].dtype == ref[j].dtype
+        for j in (size, -size - 1, [size]):
+            with pytest.raises(IndexError):
+                view[j]
+        if size:
+            assert [view[0], view[-1]] == [ref[0], ref[-1]] and type(view[0]) is type(ref[0])
+            assert np.asarray(view[1:][2:4]).tobytes() == ref[1:][2:4].tobytes()
+            assert np.array_equal(np.arange(10.0 * size)[view], np.arange(10.0 * size)[ref])
+
+
+def _materialised(grid):
+    """`_grid` with np.arange in place of axis 0's implicit ranks."""
+    def run(points):
+        axes, ranks, orders = grid(points)
+        if isinstance(ranks[0], discrepancy._Positions):
+            ranks[0] = np.arange(ranks[0].size, dtype=np.intp)
+        return axes, ranks, orders
+
+    return run
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_implicit_ranks_count_as_stored_ones(d, rows):
+    # the corner counts of a distinct cloud, with axis 0's ranks implicit
+    # and with them stored: tops of -1, repeated tops, tops past the last
+    # rank, and a subset's ranks picked by a mask
+    rng = np.random.default_rng(50 + d)
+    axes, ranks, _ = _grid(rng.random((700, d)))
+    assert isinstance(ranks[0], discrepancy._Positions)
+    stored = [np.arange(700, dtype=np.intp), *ranks[1:]]
+    few = rng.random(700) < 0.05
+    for trial in range(8):
+        tops = []
+        for ax in axes:
+            n = ax.size
+            kind = (trial + len(tops)) % 4
+            tops.append([
+                np.arange(n), np.sort(rng.integers(-1, n, size=6)),
+                np.array([-1, -1, 0, 0, n // 2, n // 2]), np.array([-1, n // 3, n // 3 + 1, n + 5]),
+            ][kind])
+        for a, b in ((ranks, stored), ([r[few] for r in ranks], [r[few] for r in stored])):
+            got = list(_corner_counts(a, tops, rows))
+            expect = list(_corner_counts(b, tops, rows))
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in expect]
+
+
+def test_implicit_ranks_merge_as_stored_ones():
+    # atoms merged into a distinct axis 0 (and into axis 1) move its
+    # implicit ranks as they move stored ones
+    rng = np.random.default_rng(24)
+    cloud = rng.random((500, 2))
+    extra = [np.concatenate([cloud[rng.integers(0, 500, 5), 0], [0.0, 0.5, 1.0]]), np.array([0.25, 0.3])]
+    axes, ranks, orders = _grid(cloud)
+    got = _merge_axes(axes, ranks, extra)
+    expect = _merge_axes(axes, [np.arange(500, dtype=np.intp), ranks[1]], extra)
+    for g, e in zip(got, expect):
+        assert [a.tobytes() for a in g] == [np.asarray(a).tobytes() for a in e]
+    ax, inv = np.unique(np.concatenate([cloud[:, 0], [1.0], extra[0]]), return_inverse=True)
+    assert np.array_equal(got[1][0], inv[:500][orders[0]])
+
+
+def test_implicit_ranks_scan_select_and_decompose_as_stored_ones(monkeypatch):
+    # the scans, the selection scan and the decomposition of distinct
+    # clouds, once with axis 0's ranks implicit and once stored, bitwise
+    from nuqmc.integration import omega_discrepancy
+    from nuqmc.selection import decompose
+
+    rng = np.random.default_rng(25)
+    omega = OmegaRegion([([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])])
+    atoms = DiscreteMeasure(PointSet(rng.integers(0, 5, size=(9, 2)) / 4.0))
+    clouds = {d: rng.random((k, d)) for d, k in ((1, 5000), (2, 1600), (3, 216))}
+
+    def run():
+        out = []
+        for d, cloud in clouds.items():
+            rows = rng.choice(len(cloud), int(len(cloud) ** 0.5), replace=False)
+            out.append(discrete_discrepancy(PointSet(cloud), rows))
+            dc = decompose(PointSet(cloud), 6)
+            out += [dc.counts.tobytes(), dc.first.tobytes()]
+            mu = ProductMeasure([PowerCdf(2.0)] * d)
+            for rep in (exact_star_discrepancy(PointSet(cloud), mu), bracket_star_discrepancy(PointSet(cloud), mu, 40)):
+                out.append((rep.value, rep.upper, rep.witness.corner.tobytes(), rep.witness.closed))
+        out.append(exact_star_discrepancy(PointSet(clouds[2]), atoms).to_dict())
+        out.append(omega_discrepancy(PointSet(clouds[2]), omega))
+        return out
+
+    state = rng.bit_generator.state
+    implicit = run()
+    rng.bit_generator.state = state
+    monkeypatch.setattr(discrepancy, "_grid", _materialised(discrepancy._grid))
+    assert run() == implicit
 
 
 def strict_count_scan(ps, mu):

@@ -168,6 +168,28 @@ def test_sample_restriction_stays_inside():
     assert omega.contains(pts.points).all()
 
 
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [([0.0, 0.0], [1.0, 0.5]), ([0.0, 0.5], [0.5, 1.0])],  # the L region
+        [([0.0, 0.0], [0.5, 1.0]), ([0.25, 0.25], [0.75, 0.75]), ([0.5, 0.0], [1.0, 0.5])],  # overlapping
+    ],
+    ids=["L", "overlapping"],
+)
+def test_sample_restriction_is_the_cell_formula_bitwise(boxes):
+    # each point is its cell's lower corner plus the uniform draw times the
+    # cell's width, the cell drawn by volume, bitwise
+    omega = OmegaRegion(boxes)
+    for seed, count in ((0, 1), (3, 1000), (4, 70_000)):
+        rng = np.random.default_rng(seed)
+        cum = np.cumsum(omega.cell_vol) / omega.volume
+        which = np.minimum(np.searchsorted(cum, rng.random(count), side="right"), len(cum) - 1)
+        u = rng.random((count, 2))
+        lo, hi = omega.cell_lo[which], omega.cell_hi[which]
+        expect = lo + u * (hi - lo)
+        assert RestrictionMeasure(omega).sample(seed, count).points.tobytes() == expect.tobytes()
+
+
 def test_sample_deterministic_given_seed():
     mu = ProductMeasure([PowerCdf(2.0), UniformCdf()])
     a = mu.sample(seed=9, count=64).points

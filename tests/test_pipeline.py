@@ -178,7 +178,25 @@ def test_construction_scans_stream_below_a_sixteenth_of_a_grid():
     assert peak < grid_bytes / 16
 
 
-@pytest.mark.parametrize("case", ["power2-d2-64", "L-region-128"])
+def test_d1_build_peaks_below_three_clouds():
+    # a d=1 N=256 build holds its cloud (8 MB), one order, and the scans'
+    # and the selection's work arrays: axis 0's ranks are its positions, so
+    # the peak stays below 2.75 times the cloud's bytes.  A small build
+    # first loads the LP solver, whose import tracemalloc would count
+    mu = ProductMeasure([PowerCdf(2.0)])
+    construct_point_set(mu, 16, ConstructionConfig(seed=1))
+    tracemalloc.start()
+    try:
+        _, cert = construct_point_set(mu, 256, ConstructionConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cloud_bytes = 8 * cert["k"] * cert["d"]
+    assert cert["sampling_mode"] == "measured" and cert["selection_dd"] is not None
+    assert peak < 2.75 * cloud_bytes
+
+
+@pytest.mark.parametrize("case",["power2-d2-64", "L-region-128"])
 def test_selection_discrepancy_measured_past_the_cloud_grid_budget(case):
     # the clouds' grids (65537^2 and 262145^2 cells) are over the scan budget,
     # the subsets' grids (at most 129^2 and 257^2 cells) are not

@@ -26,3 +26,13 @@ def test_build_and_round_lines_hash_the_result_and_the_certificate_apart():
     lines = scan_digest.digest_lines(names)
     assert all(re.fullmatch(r"\S+ [0-9a-f]{16} [0-9a-f]{16}", line) for line in lines)
     assert [line.split()[0] for line in lines] == names
+
+
+def test_grid_lines_read_alike_at_every_block_size():
+    # the sort keys are built in stretches of the block size, and the grid
+    # does not depend on where the stretches are cut
+    names = [f"grid-d2-{cloud}-b{cells}" for cloud in ("clash", "edge") for cells in scan_digest.BLOCK_SIZES]
+    lines = scan_digest.digest_lines(names)
+    assert [line.split()[0] for line in lines] == names
+    assert len({line.split()[1] for line in lines[:3]}) == len({line.split()[1] for line in lines[3:]}) == 1
+    assert discrepancy._BLOCK_CELLS == 1 << 16

@@ -125,6 +125,19 @@ def test_decompose_hypothesis_enforced():
     decompose(z, 3)  # 3 <= sqrt(10)
 
 
+def test_selection_takes_n_as_the_construction_does():
+    # N is refused, not truncated or cast, unless it is an integer >= 1; a
+    # numpy integer selects the rows an int does
+    z = uniform_measure(2).sample(3, 4096)
+    for n in (16.0, True, False, 0, -4, "16"):
+        for call in (select_subset, decompose):
+            with pytest.raises(ValueError, match="N="):
+                call(z, n)
+    a, b = select_subset(z, np.int64(16)), select_subset(z, 16)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.certificate == b.certificate and type(a.certificate["n"]) is int
+
+
 def test_scaled_occupancy_in_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(10):

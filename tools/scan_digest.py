@@ -16,6 +16,10 @@ bytes:
   select-*   discrete_discrepancy of random rows at d = 1, 2, 3, and of
              rows that hold each axis's lowest-ranked point and runs of
              adjacent ranks (`-edges`);
+  grid-*     discrepancy._grid: every axis, rank and order it returns,
+             read whole, of distinct, tie-heavy and `-edge-` clouds at
+             d = 1, 2, 3, at the three block sizes, by whose stretches
+             the sort keys are built;
   round-*    round_array at d = 1, 2, 3 and, above the 20000 variables
              from which the LP jump runs HiGHS's interior point method,
              at d = 2 N = 256 (about 3 s); round_array of a construction's
@@ -208,8 +212,38 @@ def cases():
                     return _digest(np.array(discrete_discrepancy(z, rows)))
 
             out.append((name if cells == BLOCK_SIZES[-1] else f"{name}-b{cells}", select))
+    for name, points, sizes in _grid_cases():
+        for cells in sizes:
+            def grid(points=points, cells=cells):
+                with _block_cells(cells):
+                    axes, ranks, orders = discrepancy._grid(points)
+                return _digest(*(np.asarray(a) for a in (*axes, *ranks, *orders)))
+
+            out.append((f"{name}-b{cells}", grid))
     out.extend(_round_cases())
     return out
+
+
+def _grid_cases():
+    """(name, points, block sizes) of the critical-grid cases: distinct
+    clouds, one over several default stretches; tie-heavy ones, with
+    repeated rows and k/8 coordinates, and with distinct values whose sort
+    keys share a fraction; and the `-edge-` clouds.  They draw on their own
+    generator, so the other cases' clouds stay as they were."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        n = {1: 3000, 2: 1200, 3: 300}[d]
+        tied = rng.integers(0, 9, size=(n, d)) / 8.0
+        near = rng.integers(0, n // 2, (n, d)) * 2.0**-62  # fractions shared by distinct values
+        clouds = {
+            "distinct": rng.random((n, d)),
+            "tied": np.concatenate([tied, tied[: n // 3]]),
+            "clash": np.where(rng.random((n, d)) < 0.5, near, rng.random((n, d))),
+            "edge": _edge_cloud(d)["edge"].points,
+        }
+        for cname, points in clouds.items():
+            yield f"grid-d{d}-{cname}", points, BLOCK_SIZES
+        yield f"grid-d{d}-large", rng.random((150_000 // d, d)), BLOCK_SIZES[-1:]
 
 
 def _select_cases():
