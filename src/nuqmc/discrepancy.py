@@ -23,7 +23,8 @@ neighbours that share a fraction, and the axis is read through the order
 only at the corners it visits (a d=1 scan of a construction's cloud, a few
 hundredths of them).  Coordinates must lie in [0, 1].  The keys are built
 and compared in stretches of `_BLOCK_CELLS` points, so sorting an axis of
-distinct values makes one K-long array, its keys, which become the order.  Ranks
+distinct values makes one 8-byte K-long array, its keys, which become the
+order, and a one-byte mask of the neighbours that share a fraction.  Ranks
 are listed in axis-0 sorted order, which the points keep from the sort to
 the last scan: axis 0's ranks are the sorted run indices, which for distinct
 values are the positions 0..K-1, held as two numbers (`_Positions`), and
@@ -177,10 +178,11 @@ class _Positions:
     the ranks of an axis 0 with no repeated value, listed in axis-0 order
     (`_grid`), are its positions 0..K-1.
 
-    It answers what the scans ask of a rank array: `searchsorted`, a slice
-    of step 1 (another `_Positions`), a boolean mask, an integer gather,
-    len, size and dtype; np.asarray gives the whole array, and any other
-    index reads through it.  Every answer is bitwise np.arange's."""
+    It answers what the scans ask of axis 0's ranks: `searchsorted`, a
+    slice of step 1 (another `_Positions`), a boolean mask of every rank,
+    len, size and dtype.  np.asarray gives the whole array, and any other
+    index (an integer gather, say) reads through it.  Every answer is
+    bitwise np.arange's."""
 
     __slots__ = ("lo", "size")
     dtype = np.dtype(np.intp)
@@ -211,14 +213,8 @@ class _Positions:
             start, stop, step = j.indices(self.size)
             if step == 1:
                 return _Positions(max(stop - start, 0), self.lo + start)
-        elif not isinstance(j, tuple):
-            at = np.asarray(j)
-            if at.dtype == bool and at.shape == self.shape:
-                return np.flatnonzero(at) + self.lo
-            if np.issubdtype(at.dtype, np.integer):
-                if at.size and not (at.min() >= -self.size and at.max() < self.size):
-                    raise IndexError(f"index out of range for {self.size} ranks")
-                return (at % max(self.size, 1)).astype(np.intp, copy=False) + self.lo
+        elif isinstance(j, np.ndarray) and j.dtype == bool and j.shape == self.shape:
+            return np.flatnonzero(j) + self.lo
         return np.asarray(self)[j]
 
     def __array__(self, dtype=None, copy=None):
@@ -239,8 +235,8 @@ def _grid(points: np.ndarray):
     are read through the order and compared, or, when they are most of the
     cloud, the whole column in order, which is then dropped.  The keys are
     built, and the neighbours compared, in stretches of `_BLOCK_CELLS`
-    points, so no temporary is K long, and the ties are kept at the pairs
-    that share a fraction only.  Distinct
+    points, so the only other K-long array is a one-byte mask of the pairs
+    that share a fraction, and the ties are kept at those pairs.  Distinct
     coordinates whose fractions tie (closer than 2**-(63-b)) come out in
     index order; each run of such keys is sorted again by (value, index).
     That repair is exact, but slow when most of the cloud falls into such
@@ -269,12 +265,12 @@ def _grid(points: np.ndarray):
             part <<= np.uint64(b)
             part |= np.arange(lo, lo + part.size, dtype=np.uint64)
         key.sort()
-        # the pairs p, p + 1 whose keys share a fraction, stretch by stretch
-        pairs = [np.zeros(0, dtype=np.intp)]
+        same = np.empty(max(k - 1, 0), dtype=bool)  # p and p + 1 share a fraction
         for lo in range(0, k - 1, _BLOCK_CELLS):
             hi = min(lo + _BLOCK_CELLS, k - 1)
-            pairs.append(np.flatnonzero(np.bitwise_xor(key[lo + 1:hi + 1], key[lo:hi]) <= low) + lo)
-        pairs = np.concatenate(pairs)
+            np.less_equal(np.bitwise_xor(key[lo + 1:hi + 1], key[lo:hi]), low, out=same[lo:hi])
+        pairs = np.flatnonzero(same)
+        del same
         key &= low
         order = key.view(np.intp)
         # tie[i]: pair i's points hold equal values, which only a shared
@@ -284,7 +280,7 @@ def _grid(points: np.ndarray):
             tie = col[order[pairs]] == col[order[pairs + 1]]
         else:
             tie = col[order]
-            tie = tie[pairs] == tie[pairs + 1]
+            tie = (tie[1:] == tie[:-1])[pairs]
         if not tie.all():  # a fraction shared by distinct values
             first = np.flatnonzero(np.diff(pairs, prepend=-2) != 1)  # each run's first pair
             hit = np.logical_or.reduceat(~tie, first)
@@ -296,10 +292,13 @@ def _grid(points: np.ndarray):
             idx = order[pos]
             order[pos] = idx[np.lexsort((idx, col[idx]))]
             tie[hit] = col[order[fix]] == col[order[fix + 1]]
-        if tie.any():
+        later = pairs[tie]  # the second point of each pair of equal values
+        later += 1
+        del pairs, tie  # freed before the ranks are allocated: a lower peak
+        if later.size:
             new = np.ones(k, dtype=bool)  # where a new value starts
-            new[pairs[tie] + 1] = False
-            del pairs, tie  # freed before the ranks are allocated: a lower peak
+            new[later] = False
+            del later
             starts = np.flatnonzero(new)
             run = new.astype(np.intp)
             np.cumsum(run, out=run)

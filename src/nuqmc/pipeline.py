@@ -72,7 +72,9 @@ PAPER_K_FACTOR = 2**26
 # float64.  A build's tracemalloc peak was 2.25x the cloud's bytes at d=1
 # N=1024 (288 MB for a 128 MB cloud) and 4.5x at d=2 N=128, with the sort
 # orders, the ranks of axes 1 to d-1 and the scans' work arrays, so a build
-# at the budget needs about 1.2-2.3 GB.
+# at the budget needs about 1.2-2.3 GB.  Those clouds' values are distinct; a
+# discrete measure's repeat, and its builds peaked at 4.25-4.9x at d=1 N=256
+# and 7.1x at d=2 N=128 (about 2.2-3.6 GB at the budget).
 SAMPLE_BUDGET = 2**26
 
 

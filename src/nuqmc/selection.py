@@ -134,8 +134,8 @@ def select_subset(z: PointSet, n_target: int) -> SelectionResult:
 
     Deterministic given (z order, N); the certificate is derived from the
     rounding that actually ran.  N is checked as `decompose` checks it."""
-    n_target = _whole("N", n_target)
     decomp = decompose(z, n_target)
+    n_target = int(n_target)  # decompose refused all but an integer >= 1
     k, d = z.n, z.dim
 
     b, round_cert = round_array(decomp.beta)

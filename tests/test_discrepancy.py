@@ -537,6 +537,26 @@ def test_grid_holds_two_cloud_long_arrays():
     assert isinstance(ranks[0], discrepancy._Positions)
 
 
+@pytest.mark.parametrize("values", [1 << 17, 1 << 4])
+def test_grid_of_a_tie_heavy_cloud_peaks_at_26_bytes_a_point(values):
+    # every point of a d=1 cloud of few values repeats one, so nearly every
+    # neighbour pair shares a fraction: the peak is the order, the pairs,
+    # the column read in order and two one-byte masks; the order, the run
+    # starts and the ranks stay
+    k = 1 << 20
+    cloud = np.random.default_rng(6).integers(0, values, (k, 1)) / values
+    tracemalloc.start()
+    try:
+        axes, ranks, orders = _grid(cloud)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 16
+    assert live <= 2 * 8 * k + 8 * values + slack
+    assert peak <= 26 * k + slack
+    assert len(axes[0]) == np.unique(cloud).size + 1 and isinstance(ranks[0], np.ndarray)
+
+
 def test_grid_holds_two_orders_and_one_rank_array_at_d2():
     # a distinct d=2 cloud: the orders of both axes and axis 1's ranks stay;
     # the peak adds the scatter that moves axis 1's ranks to axis-0 order

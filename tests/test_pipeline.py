@@ -196,7 +196,7 @@ def test_d1_build_peaks_below_three_clouds():
     assert peak < 2.75 * cloud_bytes
 
 
-@pytest.mark.parametrize("case",["power2-d2-64", "L-region-128"])
+@pytest.mark.parametrize("case", ["power2-d2-64", "L-region-128"])
 def test_selection_discrepancy_measured_past_the_cloud_grid_budget(case):
     # the clouds' grids (65537^2 and 262145^2 cells) are over the scan budget,
     # the subsets' grids (at most 129^2 and 257^2 cells) are not
