@@ -38,18 +38,21 @@ np.unique of axis and atoms.
 
 The scans stream their grids in blocks of whole rows of axis 0, about
 `_BLOCK_CELLS` cells each (one row when a row is larger), so no grid-sized
-array is allocated.  Every count comes from one routine, `_corner_counts`:
-the closed counts at chosen corners of each axis (a band's rows and kept
-columns, the tile tops of the coarse pass, the bracket's picks, the
-selection's slots), each point binned at the first chosen corner at or
-above its rank on every axis.  At d=1 they are one search of the sorted
-ranks.  Otherwise, in axis-0 order, the points that start counting in a
-block are one stretch: one bincount of it, cumulative sums along the other
-axes, and a cumulative sum along axis 0 carried over from the block before
-give the block's closed counts; the mass side is evaluated on the same
-rows.  A strict count is the closed count one corner lower on every axis:
-the exact scan and the bracket subtract the block's quotient count/N
-shifted that way (`_subtract_lower`), so no strict block is built.
+array is allocated.  Every count comes from one routine, `_corner_counts`,
+which sizes the blocks and yields each with its first row: the closed
+counts at chosen corners of each axis (a band's rows and kept columns, the
+tile tops of the coarse pass, the bracket's picks, the selection's slots),
+each point binned at the first chosen corner at or above its rank on every
+axis.  A discrete measure's masses are its atoms' counts from the same
+routine, on the atoms' own sort (`DiscreteMeasure.mass_on_grid`).  At d=1
+the counts are one search of the sorted ranks.  Otherwise, in axis-0
+order, the points that start counting in a block are one stretch: one
+bincount of it, cumulative sums along the other axes, and a cumulative sum
+along axis 0 carried over from the block before give the block's closed
+counts; the mass side is evaluated on the same rows.  A strict count is
+the closed count one corner lower on every axis: the exact scan and the
+bracket subtract the block's quotient count/N shifted that way
+(`_subtract_lower`), so no strict block is built.
 
 The exact scan counts in two levels (`_scan_grid`).  A grid of more than
 one block is cut into tiles of a few corners per axis; the counts and
@@ -69,7 +72,7 @@ discrepancy from both sides on G of every axis's corners, as many as fit.
 
 The discrete discrepancy of a selection against the set it was drawn from
 (`discrete_discrepancy`) takes the selection as distinct row indices of
-that set, so its ranks are the set's, read off one mark of the rows; both
+that set, so its ranks are the set's, read at its axis-0 positions; both
 are counted on the selection's own grid: at most 2N+1 slots per axis,
 whatever the size of the full set.  The slots are the chosen corners of
 `_corner_counts` for both sets, and only closed counts are read.
@@ -141,8 +144,8 @@ class _Axis:
     a last corner 1.0 follows unless the largest coordinate is 1.0.
 
     An int, a slice or an integer array gathers the corners it names, so a
-    scan reads coordinates only at the corners it visits; np.asarray gives
-    the whole axis."""
+    scan reads coordinates only at the corners it visits (a step-1 slice of
+    runs with no index array); np.asarray gives the whole axis."""
 
     __slots__ = ("col", "order", "starts", "runs", "size")
 
@@ -156,7 +159,11 @@ class _Axis:
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            j = np.arange(*j.indices(self.size))
+            start, stop, step = j.indices(self.size)
+            if step == 1 and stop <= self.runs:
+                run = slice(start, stop)
+                return self.col[self.order[run] if self.starts is None else self.order[self.starts[run]]]
+            j = np.arange(start, stop, step)
         elif np.ndim(j) == 0:
             return self[np.array([j])][0]
         j = np.asarray(j)
@@ -179,10 +186,10 @@ class _Positions:
     (`_grid`), are its positions 0..K-1.
 
     It answers what the scans ask of axis 0's ranks: `searchsorted`, a
-    slice of step 1 (another `_Positions`), a boolean mask of every rank,
-    len, size and dtype.  np.asarray gives the whole array, and any other
-    index (an integer gather, say) reads through it.  Every answer is
-    bitwise np.arange's."""
+    slice of step 1 (another `_Positions`), an integer gather of positions
+    in [0, size) (j + lo), len, size and dtype.  np.asarray gives the whole
+    array, and any other index (a boolean mask, a negative position) reads
+    through it.  Every answer is bitwise np.arange's."""
 
     __slots__ = ("lo", "size")
     dtype = np.dtype(np.intp)
@@ -213,8 +220,9 @@ class _Positions:
             start, stop, step = j.indices(self.size)
             if step == 1:
                 return _Positions(max(stop - start, 0), self.lo + start)
-        elif isinstance(j, np.ndarray) and j.dtype == bool and j.shape == self.shape:
-            return np.flatnonzero(j) + self.lo
+        elif isinstance(j, np.ndarray) and j.dtype.kind in "iu":
+            if not j.size or 0 <= j.min() <= j.max() < self.size:  # positions of its own range
+                return np.add(j, self.lo, dtype=np.intp)
         return np.asarray(self)[j]
 
     def __array__(self, dtype=None, copy=None):
@@ -347,7 +355,7 @@ def _flat_ranks(ranks, shape):
 
 def _count_blocks(flat, shape, rows):
     """Counts of the points inside [0, corner] for every corner of the grid,
-    yielded in blocks of `rows` rows of axis 0.
+    yielded as (first row, block) in blocks of `rows` rows of axis 0.
 
     `flat` holds every point's first corner as a C-order flat index, in
     axis-0 row order (`_flat_ranks`).  The points whose first corner lies in
@@ -376,13 +384,14 @@ def _count_blocks(flat, shape, rows):
         else:
             np.cumsum(block, axis=0, out=block)
         carry = block[-1]
-        yield block
+        yield lo, block
 
 
-def _corner_counts(ranks, tops, rows):
+def _corner_counts(ranks, tops):
     """Closed counts of the points at the corners `tops[0] x ... x
-    tops[d-1]` of their critical grid, yielded in blocks of `rows` rows of
-    axis 0.
+    tops[d-1]` of their critical grid, yielded as (first row, block) in
+    blocks of whole rows of axis 0, about `_BLOCK_CELLS` cells each (one row
+    when a row is larger); nothing when an axis has no corner.
 
     `ranks` are the points' ranks, listed in axis-0 order (`_grid`), and
     `tops[s]` non-decreasing corner indices of axis s, -1 for a corner below
@@ -398,11 +407,14 @@ def _corner_counts(ranks, tops, rows):
     through `_flat_ranks` and `_count_blocks`, whose blocks a caller must
     not write to."""
     shape = tuple(top.size for top in tops)
+    if not all(shape):
+        return
+    rows = max(1, _BLOCK_CELLS // math.prod(shape[1:]))
     if len(shape) == 1:
         for lo in range(0, shape[0], rows):
             top = tops[0][lo:lo + rows]
             a, b = ranks[0].searchsorted(top[[0, -1]], "right")  # the stretch the block's tops cut
-            yield ranks[0][a:b].searchsorted(top, "right") + a
+            yield lo, ranks[0][a:b].searchsorted(top, "right") + a
         return
     cuts = ranks[0].searchsorted(tops[0], "right")
     bins, past = [], []  # past: per axis whose ranks reach past its last top, the points past it
@@ -448,13 +460,13 @@ def _check_budget(shape, budget):
     return cells
 
 
-def _bound_blocks(axes, tops, ranks, normalizer, mass_provider, rows):
-    """Both ends of the deviation on every cell of a coarse grid, in blocks
-    of `rows` rows of axis 0; yields (bound, dev) per block.
+def _bound_blocks(axes, tops, ranks, normalizer, mass_provider):
+    """Both ends of the deviation on every cell of a coarse grid, in the row
+    blocks of `_corner_counts`; yields (first row, bound, dev) per block.
 
     The coarse grid's corners are `axes[s][tops[s]]`, for increasing corner
     indices `tops[s]` of the fine grid, and the closed counts C+ at them are
-    `_corner_counts(ranks, tops, rows)`.  A box, closed or open, whose
+    `_corner_counts(ranks, tops)`.  A box, closed or open, whose
     corner lies above coarse corner j-1 and at or below corner j on every
     axis sits between the closed boxes at j-1 (empty where j is 0) and j, so
     for any measure its count and mass lie between theirs, C- <= C+ and
@@ -467,16 +479,15 @@ def _bound_blocks(axes, tops, ranks, normalizer, mass_provider, rows):
     corners = [ax[top] for ax, top in zip(axes, tops)]
     m_carry = np.zeros(tuple(c.size for c in corners[1:]))  # M+ of the row before the block
     q_carry = m_carry  # C+/K of the row before the block
-    counts = _corner_counts(ranks, tops, rows)
-    for lo, c in zip(range(0, corners[0].size, rows), counts):
-        m = mass_provider([corners[0][lo:lo + rows], *corners[1:]], True)
+    for lo, c in _corner_counts(ranks, tops):
+        m = mass_provider([corners[0][lo:lo + len(c)], *corners[1:]], True)
         q = c / float(normalizer)
         bound = _subtract_lower(q.copy(), m, m_carry)  # C+/K - M-
         dev = _subtract_lower(m.copy(), q, q_carry)  # M+ - C-/K
         np.maximum(bound, dev, out=bound)
         m_carry, q_carry = m[-1], q[-1]
         np.subtract(q, m, out=dev)
-        yield bound, np.abs(dev, out=dev)
+        yield lo, bound, np.abs(dev, out=dev)
 
 
 def _tile_side(d):
@@ -490,11 +501,10 @@ class _Scan:
     """The running maximum of an exact scan over bands of its grid.
 
     `band(r0, r1, keep)` scans rows [r0, r1) of axis 0 at the corners of
-    every other axis s that `keep[s-1]` marks (all of them when `keep` is
-    None), and folds their values into the maximum; the masses come from
-    `mass_provider(block_axes, closed)` on those rows and columns, plus,
-    per marked corner, the one below it, which gives the open variant its
-    strict counts.  Each variant keeps its first maximum in global C order,
+    every other axis s that `keep[s-1]` marks, and folds their values into
+    the maximum; the masses come from `mass_provider(block_axes, closed)`
+    on those rows and columns, plus, per marked corner, the one below it,
+    which gives the open variant its strict counts.  Each variant keeps its first maximum in global C order,
     whatever the order of the bands."""
 
     def __init__(self, axes, ranks, normalizer, mass_provider, atoms):
@@ -507,26 +517,22 @@ class _Scan:
         """The largest value found so far in either variant, -1.0 before any."""
         return max((v for v, _ in self.best.values()), default=-1.0)
 
-    def band(self, r0, r1, keep=None):
+    def band(self, r0, r1, keep):
         axes, shape = self.axes, self.shape
-        if keep is None:  # every column
-            cols, added = [np.arange(n) for n in shape[1:]], ()
-        else:
-            # every marked corner and the one below it: the open variant
-            # reads a marked corner's strict count in the column before it
-            cols = [np.flatnonzero(k | np.append(k[1:], False)) for k in keep]
-            # the open values of an added column are not scanned: the
-            # column below it is not there
-            added = [~k[c] for k, c in zip(keep, cols)]
-        rows = max(1, _BLOCK_CELLS // math.prod(c.size for c in cols))
+        # every marked corner and the one below it: the open variant reads a
+        # marked corner's strict count in the column before it
+        cols = [np.flatnonzero(k | np.append(k[1:], False)) for k in keep]
+        # the open values of an added column are not scanned: the column
+        # below it is not there
+        added = [~k[c] for k, c in zip(keep, cols)]
         others = [ax[c] for ax, c in zip(axes[1:], cols)]
-        # the row before the band comes first: the open variant's carry
-        counts = _corner_counts(self.ranks, [np.arange(r0 - 1, r1), *cols], rows)
-        lo, q_carry = r0, None  # the row of the block, the quotients of the row before it
-        for count in counts:
-            q = count / self.normalizer
+        # the row before the band comes first (top r0 - 1): the open
+        # variant's carry, the quotients of the row before a block
+        q_carry = None
+        for first, count in _corner_counts(self.ranks, [np.arange(r0 - 1, r1), *cols]):
+            q, lo = count / self.normalizer, r0 - 1 + first  # lo: the block's first row
             if q_carry is None:
-                q_carry, q = q[0], q[1:]
+                q_carry, q, lo = q[0], q[1:], r0
                 if not len(q):
                     continue
             block_axes = [axes[0][lo:lo + len(q)], *others]
@@ -551,7 +557,7 @@ class _Scan:
                 at = int(np.ravel_multi_index((lo + i[0], *(c[x] for c, x in zip(cols, i[1:]))), shape))
                 if closed not in self.best or (v, -at) > (self.best[closed][0], -self.best[closed][1]):
                     self.best[closed] = (v, at)
-            lo, q_carry = lo + len(q), q[-1]
+            q_carry = q[-1]
 
     def result(self):
         """(value, witness) of the whole grid: closed wins a tie."""
@@ -613,18 +619,16 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     cells = _check_budget(shape, budget)
     scan = _Scan(axes, ranks, normalizer, mass_provider, extra_axes is not None)
     if cells <= _BLOCK_CELLS:
-        scan.band(0, shape[0])
+        scan.band(0, shape[0], [np.ones(n, dtype=bool) for n in shape[1:]])
         return (*scan.result(), 2 * cells)
 
     t = _tile_side(d)
     tiles = tuple(-(-n // t) for n in shape)
     tops = [np.minimum(np.arange(1, g + 1) * t, n) - 1 for g, n in zip(tiles, shape)]
-    rows = max(1, _BLOCK_CELLS * tiles[0] // math.prod(tiles))
     bounds = np.empty(tiles)
     lower = 0.0  # a closed value at a real corner
-    coarse = _bound_blocks(axes, tops, ranks, normalizer, mass_provider, rows)
-    for lo, (bound, dev) in zip(range(0, tiles[0], rows), coarse):
-        bounds[lo:lo + rows] = bound
+    for lo, bound, dev in _bound_blocks(axes, tops, ranks, normalizer, mass_provider):
+        bounds[lo:lo + len(bound)] = bound
         lower = max(lower, float(dev.max()))
 
     def tile_rows(first, last):
@@ -632,10 +636,7 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
         return first * t, min(last * t + t, shape[0])
 
     def keep(hit):
-        """The fine corners of every other axis in a hit tile of the row;
-        None when every tile is hit."""
-        if hit.all():
-            return None
+        """The fine corners of every other axis in a hit tile of the row."""
         every = tuple(range(d - 1))
         return [np.repeat(hit.any(axis=every[:s] + every[s + 1:]), t)[:n] for s, n in enumerate(shape[1:])]
 
@@ -649,7 +650,7 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
         hit = np.flatnonzero(bounds >= max(lower, scan.running()))
         for run in np.split(hit, np.flatnonzero(np.diff(hit) > 1) + 1):
             if run.size and bounds[run].max() >= max(lower, scan.running()):
-                scan.band(*tile_rows(run[0], run[-1]))
+                scan.band(*tile_rows(run[0], run[-1]), [])
     else:
         for i, row in enumerate(bounds):
             reach = max(lower, scan.running())
@@ -714,10 +715,8 @@ def bracket_star_discrepancy(
     cells = _check_budget(shape, budget)
 
     picks = [(np.arange(1, size + 1) * ax.size) // size - 1 for ax, size in zip(axes, shape)]
-    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
     upper, lower, at = 0.0, -1.0, 0
-    bounds = _bound_blocks(axes, picks, ranks, ps.n, mu.mass_on_grid, block_rows)
-    for lo, (bound, dev) in zip(range(0, shape[0], block_rows), bounds):
+    for lo, bound, dev in _bound_blocks(axes, picks, ranks, ps.n, mu.mass_on_grid):
         upper = max(upper, float(bound.max()))
         dev = dev.ravel()
         j = int(np.argmax(dev))
@@ -744,8 +743,9 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None) -> flo
     and every corner is a box.
 
     The rows are checked (a ValueError) before anything is sorted or
-    counted, and the budget on Q's grid.  Q's ranks are full's, picked by a
-    K-long mark of the rows read in axis-0 order."""
+    counted, and the budget on Q's grid.  Q's ranks are full's at Q's
+    axis-0 positions, which a K-long mark of the rows, read through the
+    axis-0 order in stretches of `_BLOCK_CELLS` points, gives."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
         raise ValueError("rows must be a non-empty vector of integer row indices")
@@ -756,19 +756,18 @@ def discrete_discrepancy(full: PointSet, rows, budget: int | None = None) -> flo
     if np.count_nonzero(chosen) != rows.size:
         raise ValueError("rows may not repeat an index")
     _, full_ranks, orders = full.critical_grid
-    chosen = chosen[orders[0]]
-    sub_ranks = [r[chosen] for r in full_ranks]
+    at = np.concatenate([  # in stretches, so no other mask is K long
+        np.flatnonzero(chosen[orders[0][lo:lo + _BLOCK_CELLS]]) + lo for lo in range(0, full.n, _BLOCK_CELLS)
+    ])
     del chosen  # the counts below need the K-long arrays of full only
+    sub_ranks = [r[at] for r in full_ranks]
 
     tops = [np.append(np.column_stack([q - 1, q]).ravel(), full.n) for q in map(np.unique, sub_ranks)]
-    shape = tuple(top.size for top in tops)
-    cells = _check_budget(shape, budget)
-    block_rows = max(1, _BLOCK_CELLS * shape[0] // cells)
+    _check_budget(tuple(top.size for top in tops), budget)
 
     ratio = rows.size / full.n
     best = 0.0
-    counts = zip(_corner_counts(full_ranks, tops, block_rows), _corner_counts(sub_ranks, tops, block_rows))
-    for c, c_sub in counts:
+    for (_, c), (_, c_sub) in zip(_corner_counts(full_ranks, tops), _corner_counts(sub_ranks, tops)):
         vals = ratio * c
         vals -= c_sub
         best = max(best, float(np.abs(vals, out=vals).max()))

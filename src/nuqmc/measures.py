@@ -249,7 +249,10 @@ class BoxMeasure:
         of its grid with bounds that rest on these orders, so a measure
         that breaks them may get a different maximum than a scan of every
         corner.  The result is a fresh, writable array: the scans overwrite
-        it in place."""
+        it in place.  A DiscreteMeasure's masses are its atoms' closed
+        counts at the last atom run at or below (closed) or below (open)
+        each corner, from the count routine of the scans
+        (`discrepancy._corner_counts`), over K."""
         raise NotImplementedError
 
     def jump_coordinates(self):
@@ -326,28 +329,18 @@ class OmegaRegion:
             raise ValueError("boxes must satisfy 0 <= lo <= hi <= 1")
         self.lo, self.hi = lo, hi
         self.dim = lo.shape[1]
-        # disjoint cells on the endpoint grid
+        # the disjoint cells of the endpoint grid (strictly increasing on
+        # every axis), in C order; those whose midpoint lies in a box are kept
         grids = [np.unique(np.concatenate([lo[:, s], hi[:, s]])) for s in range(self.dim)]
-        cell_lo, cell_hi = [], []
-        mesh = np.meshgrid(*[np.arange(len(g) - 1) for g in grids], indexing="ij")
-        idx = np.stack([m.ravel() for m in mesh], axis=1)
-        for ix in idx:
-            clo = np.array([grids[s][ix[s]] for s in range(self.dim)])
-            chi = np.array([grids[s][ix[s] + 1] for s in range(self.dim)])
-            if np.any(chi <= clo):
-                continue
-            mid = 0.5 * (clo + chi)
-            inside = np.any(np.all((lo <= mid) & (mid <= hi), axis=1))
-            if inside:
-                cell_lo.append(clo)
-                cell_hi.append(chi)
-        if not cell_lo:
-            raise ValueError("region has zero volume")
-        self.cell_lo = np.array(cell_lo)
-        self.cell_hi = np.array(cell_hi)
+        cell_lo, cell_hi = (
+            np.stack([m.ravel() for m in np.meshgrid(*[g[part] for g in grids], indexing="ij")], axis=1)
+            for part in (slice(None, -1), slice(1, None))
+        )
+        inside = self.contains(0.5 * (cell_lo + cell_hi))
+        self.cell_lo, self.cell_hi = cell_lo[inside], cell_hi[inside]
         self.cell_vol = np.prod(self.cell_hi - self.cell_lo, axis=1)
         self.volume = float(self.cell_vol.sum())
-        if not self.volume > 0:
+        if not self.volume > 0:  # no cell, or cells too thin for a float
             raise ValueError("region has zero volume")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -420,22 +413,18 @@ class DiscreteMeasure(BoxMeasure):
 
     def mass_on_grid(self, axes, closed=True):
         self._check_axes(axes)
-        shape = tuple(len(np.asarray(a)) for a in axes)
-        # atom contributes to corner j iff atom coord <=/< axes[s][j_s] for all s;
-        # first eligible index per axis, then a suffix-box increment via cumsum
-        first = []
-        ok = np.ones(self.k, dtype=bool)
-        for s in range(self.dim):
-            ax = np.asarray(axes[s], dtype=float)
-            f = np.searchsorted(ax, self.atoms.points[:, s], side="left" if closed else "right")
-            # closed: first j with ax[j] >= coord ; open: first j with ax[j] > coord
-            first.append(f)
-            ok &= f < len(ax)
-        flat = np.ravel_multi_index([f[ok] for f in first], shape)
-        counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-        for axis in range(self.dim):
-            np.cumsum(counts, axis=axis, out=counts)
-        return counts / float(self.k)
+        # an atom of run r on axis s lies in the closed (open) box up to a
+        # corner iff r is at most the last run at or below (below) it, so the
+        # masses are the atoms' corner counts at those tops, over K
+        from .discrepancy import _corner_counts  # here, as discrepancy imports this module
+
+        grid, ranks, _ = self.atoms.critical_grid
+        side = "right" if closed else "left"
+        tops = [ax[:ax.runs].searchsorted(np.asarray(a, dtype=float), side) - 1 for ax, a in zip(grid, axes)]
+        out = np.empty(tuple(top.size for top in tops))
+        for lo, counts in _corner_counts(ranks, tops):
+            np.divide(counts, float(self.k), out=out[lo:lo + len(counts)])
+        return out
 
     def sample(self, seed: int, count: int) -> PointSet:
         if count < 1:

@@ -74,7 +74,7 @@ PAPER_K_FACTOR = 2**26
 # orders, the ranks of axes 1 to d-1 and the scans' work arrays, so a build
 # at the budget needs about 1.2-2.3 GB.  Those clouds' values are distinct; a
 # discrete measure's repeat, and its builds peaked at 4.25-4.9x at d=1 N=256
-# and 7.1x at d=2 N=128 (about 2.2-3.6 GB at the budget).
+# and 6.7x at d=2 N=128 (about 2.2-3.4 GB at the budget).
 SAMPLE_BUDGET = 2**26
 
 
@@ -211,10 +211,11 @@ def next_point(state: SequenceState, mu: BoxMeasure, cfg: ConstructionConfig | N
 
 
 def take_sequence(mu: BoxMeasure, count: int, cfg: ConstructionConfig | None = None):
-    """First `count` points plus the state (with per-block certificates)."""
+    """First `count` points plus the state (with per-block certificates);
+    `count` is checked as N is."""
     state = SequenceState()
     pts = []
-    for _ in range(count):
+    for _ in range(_whole("count", count)):
         p, state = next_point(state, mu, cfg)
         pts.append(p)
     return PointSet(np.array(pts)), state

@@ -175,6 +175,14 @@ def test_seq_command(tmp_path, capsys):
     assert pts.shape == (6, 1)
 
 
+def test_seq_command_refuses_a_count_below_one(tmp_path, capsys):
+    out_csv = tmp_path / "seq.csv"
+    code, out, err = run(capsys, "seq", "--measure", "uniform", "--d", "1", "--count", "0",
+                         "--out", str(out_csv))
+    assert (code, out) == (2, "") and "count=0" in err
+    assert not out_csv.exists()
+
+
 def test_select_command(tmp_path, capsys):
     z = tmp_path / "z.csv"
     rng = np.random.default_rng(0)

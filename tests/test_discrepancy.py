@@ -1,6 +1,7 @@
 """Exact scan, deterministic bracket, and discrete two-set discrepancy."""
 
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -537,6 +538,25 @@ def test_grid_holds_two_cloud_long_arrays():
     assert isinstance(ranks[0], discrepancy._Positions)
 
 
+def test_selection_discrepancy_holds_one_cloud_long_mask():
+    # a d=1 N=256 construction's cloud, sorted: the rows are marked in one
+    # byte a point, and the selected positions are picked in stretches of
+    # the axis-0 order, so the call adds no second K-long mask
+    k = 16 * 256**2
+    z = ProductMeasure([PowerCdf(2.0)]).sample(1, k)
+    z.critical_grid
+    rows = np.random.default_rng(8).choice(k, 256, replace=False)
+    expect = discrete_discrepancy(z, rows)
+    tracemalloc.start()
+    try:
+        got = discrete_discrepancy(z, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    assert peak <= 0.16 * 8 * k
+
+
 @pytest.mark.parametrize("values", [1 << 17, 1 << 4])
 def test_grid_of_a_tie_heavy_cloud_peaks_at_26_bytes_a_point(values):
     # every point of a d=1 cloud of few values repeats one, so nearly every
@@ -634,14 +654,18 @@ def test_positions_answer_as_arange():
                 assert np.array_equal(got.searchsorted(ref, "right"), ref[piece].searchsorted(ref, "right"))
         mask = rng.random(size) < 0.3
         picks = rng.integers(-size, size, 11) if size else np.zeros(0, dtype=np.intp)
-        for j in (mask, picks, picks.astype(np.int32), picks.reshape(-1, 1), (slice(None), None), list(picks)):
-            assert view[j].tobytes() == ref[j].tobytes() and view[j].shape == ref[j].shape
+        own = np.where(picks < 0, picks + size, picks).astype(np.uint32)  # positions of its own range
+        for j in (mask, picks, picks.astype(np.int32), picks.reshape(-1, 1), (slice(None), None), list(picks),
+                  own, own.reshape(-1, 1), np.flatnonzero(mask)):
+            assert np.asarray(view[j]).tobytes() == ref[j].tobytes() and np.shape(view[j]) == ref[j].shape
             assert view[j].dtype == ref[j].dtype
         for j in (size, -size - 1, [size]):
             with pytest.raises(IndexError):
                 view[j]
         if size:
             assert [view[0], view[-1]] == [ref[0], ref[-1]] and type(view[0]) is type(ref[0])
+            mid = np.array(size // 2)
+            assert view[mid] == ref[mid] and type(view[mid]) is type(ref[mid])
             assert np.asarray(view[1:][2:4]).tobytes() == ref[1:][2:4].tobytes()
             assert np.array_equal(np.arange(10.0 * size)[view], np.arange(10.0 * size)[ref])
 
@@ -657,12 +681,18 @@ def _materialised(grid):
     return run
 
 
+def _rows_per_block(monkeypatch, rows, tops):
+    """Sets `_BLOCK_CELLS` so that `_corner_counts` at `tops` counts in
+    blocks of `rows` rows."""
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", rows * math.prod(top.size for top in tops[1:]))
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
-def test_implicit_ranks_count_as_stored_ones(d, rows):
+def test_implicit_ranks_count_as_stored_ones(d, rows, monkeypatch):
     # the corner counts of a distinct cloud, with axis 0's ranks implicit
     # and with them stored: tops of -1, repeated tops, tops past the last
-    # rank, and a subset's ranks picked by a mask
+    # rank, and a subset's ranks picked by a mask and by its positions
     rng = np.random.default_rng(50 + d)
     axes, ranks, _ = _grid(rng.random((700, d)))
     assert isinstance(ranks[0], discrepancy._Positions)
@@ -677,10 +707,13 @@ def test_implicit_ranks_count_as_stored_ones(d, rows):
                 np.arange(n), np.sort(rng.integers(-1, n, size=6)),
                 np.array([-1, -1, 0, 0, n // 2, n // 2]), np.array([-1, n // 3, n // 3 + 1, n + 5]),
             ][kind])
-        for a, b in ((ranks, stored), ([r[few] for r in ranks], [r[few] for r in stored])):
-            got = list(_corner_counts(a, tops, rows))
-            expect = list(_corner_counts(b, tops, rows))
-            assert [c.tobytes() for c in got] == [c.tobytes() for c in expect]
+        _rows_per_block(monkeypatch, rows, tops)
+        subsets = [[r[pick] for r in ranks] for pick in (few, np.flatnonzero(few))]
+        for a, b in ((ranks, stored), *((sub, [r[few] for r in stored]) for sub in subsets)):
+            got = list(_corner_counts(a, tops))
+            expect = list(_corner_counts(b, tops))
+            assert [lo for lo, _ in got] == [lo for lo, _ in expect] == list(range(0, tops[0].size, rows))
+            assert [c.tobytes() for _, c in got] == [c.tobytes() for _, c in expect]
 
 
 def test_implicit_ranks_merge_as_stored_ones():
@@ -864,7 +897,8 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
     strict[(slice(1, None),) * len(shape)] = closed[(slice(None, -1),) * len(shape)]
     # any listing in axis-0 order: ties on axis 0 in index or in random order
     for order in (np.argsort(ranks[0], kind="stable"), np.lexsort((rng.random(500), ranks[0]))):
-        blocks = list(_count_blocks(_flat_ranks([r[order] for r in ranks], shape), shape, rows))
+        starts, blocks = zip(*_count_blocks(_flat_ranks([r[order] for r in ranks], shape), shape, rows))
+        assert starts == tuple(range(0, shape[0], rows))
         assert np.array_equal(np.concatenate(blocks), closed)
         # the bracket's strict blocks: each closed block one corner lower,
         # with the last row of the block before on top
@@ -877,7 +911,7 @@ def test_count_blocks_match_cumulated_histogram(shape, rows):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
-def test_corner_counts_match_brute_force(d, rows):
+def test_corner_counts_match_brute_force(d, rows, monkeypatch):
     # the count at a corner is the number of points whose rank is at most
     # the top on every axis: tied ranks, tops of -1, repeated tops, tops
     # that stop before the axis's last corner or reach past it, on clouds
@@ -907,7 +941,10 @@ def test_corner_counts_match_brute_force(d, rows):
             shape[s + 1] = top.size
             inside &= (r[:, None] <= top).reshape(shape)
         expect = inside.sum(axis=0)
-        got = np.concatenate(list(_corner_counts(ranks, tops, rows)))
+        _rows_per_block(monkeypatch, rows, tops)
+        starts, blocks = zip(*_corner_counts(ranks, tops))
+        assert starts == tuple(range(0, tops[0].size, rows))
+        got = np.concatenate(blocks)
         assert got.shape == tuple(top.size for top in tops)
         assert np.array_equal(got, expect), (trial, [top.tolist() for top in tops])
 

@@ -286,3 +286,91 @@ def test_mass_on_grid_returns_fresh_writable_arrays():
             for lo, hi in itertools.combinations(range(len(axes[0]) + 1), 2):
                 rows = mu.mass_on_grid([axes[0][lo:hi], *axes[1:]], closed)
                 assert rows.tobytes() == grid[lo:hi].tobytes()
+
+
+class _BincountDiscrete(DiscreteMeasure):
+    """The masses of a discrete measure as a histogram of each atom's first
+    corner on every axis, cumulated along every axis: the oracle of the
+    corner-count masses."""
+
+    def mass_on_grid(self, axes, closed=True):
+        self._check_axes(axes)
+        shape = tuple(len(np.asarray(a)) for a in axes)
+        first = []
+        ok = np.ones(self.k, dtype=bool)
+        for s in range(self.dim):
+            ax = np.asarray(axes[s], dtype=float)
+            f = np.searchsorted(ax, self.atoms.points[:, s], side="left" if closed else "right")
+            first.append(f)
+            ok &= f < len(ax)
+        flat = np.ravel_multi_index([f[ok] for f in first], shape)
+        counts = np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+        for axis in range(self.dim):
+            np.cumsum(counts, axis=axis, out=counts)
+        return counts / float(self.k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_discrete_masses_are_the_histograms_bitwise(d):
+    # tied atoms on a k/8 grid, atoms at 0.0 (one a -0.0) and 1.0, free
+    # atoms; corners on the atoms, between them, at 0.0 and 1.0, as the
+    # increasing sub-grids the scans ask for, a repeated corner, and an axis
+    # of no corner; closed and open boxes, and through a product extension
+    rng = np.random.default_rng(60 + d)
+    points = np.concatenate([rng.integers(0, 9, (40, d)) / 8.0, rng.random((30, d)), np.zeros((2, d)), np.ones((1, d))])
+    points[0, 0] = -0.0
+    for atoms in (points, points[:1], points[40:70]):
+        new, old = DiscreteMeasure(PointSet(atoms)), _BincountDiscrete(PointSet(atoms))
+        pairs = [(new, old), (ProductExtensionMeasure(new), ProductExtensionMeasure(old))]
+        for (mu, ref), trial in itertools.product(pairs, range(12)):
+            axes = []
+            for s in range(mu.dim):
+                pool = np.unique(np.concatenate([np.abs(points[:, s % d]), rng.random(20), [0.0, 1.0]]))
+                axes.append(np.sort(rng.choice(pool, int(rng.integers(1, pool.size)), replace=False)))
+            if trial == 1:
+                axes[0] = np.repeat(axes[0], 2)
+            if trial in (2, 3):
+                axes[trial % mu.dim] = np.zeros(0)
+            for closed in (True, False):
+                got, expect = mu.mass_on_grid(axes, closed), ref.mass_on_grid(axes, closed)
+                assert got.shape == expect.shape == tuple(a.size for a in axes) and got.dtype == expect.dtype
+                assert got.tobytes() == expect.tobytes()
+                assert got.flags.writeable and got.flags.owndata
+
+
+def _cells_cell_by_cell(lo, hi):
+    """The cells of an OmegaRegion one at a time, as (cell_lo, cell_hi): every
+    cell of the endpoint grid whose midpoint lies in a box, in C order; None
+    when no cell does."""
+    grids = [np.unique(np.concatenate([lo[:, s], hi[:, s]])) for s in range(lo.shape[1])]
+    cells = []
+    for ix in itertools.product(*[range(g.size - 1) for g in grids]):
+        clo = np.array([g[i] for g, i in zip(grids, ix)])
+        chi = np.array([g[i + 1] for g, i in zip(grids, ix)])
+        mid = 0.5 * (clo + chi)
+        if np.any(np.all((lo <= mid) & (mid <= hi), axis=1)):
+            cells.append((clo, chi))
+    return (np.array([c[0] for c in cells]), np.array([c[1] for c in cells])) if cells else None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_region_cells_are_the_cell_by_cell_sweep_bitwise(d):
+    # random unions of boxes on shared and free endpoints, flat boxes among
+    # them, and regions of flat boxes only, which are refused
+    rng = np.random.default_rng(70 + d)
+    for trial in range(40):
+        count = int(rng.integers(1, 5))
+        ends = np.sort(np.where(rng.random((count, 2, d)) < 0.5, rng.integers(0, 5, (count, 2, d)) / 4.0,
+                                rng.random((count, 2, d))), axis=1)
+        if trial % 5 < 2:  # every box flat on one axis, or the first one
+            flat = (slice(None if trial % 5 == 0 else 1), int(rng.integers(0, d)))
+            ends[:, 1][flat] = ends[:, 0][flat]
+        expect = _cells_cell_by_cell(ends[:, 0], ends[:, 1])
+        if expect is None:
+            with pytest.raises(ValueError, match="zero volume"):
+                OmegaRegion(list(zip(ends[:, 0], ends[:, 1])))
+            continue
+        omega = OmegaRegion(list(zip(ends[:, 0], ends[:, 1])))
+        assert omega.cell_lo.tobytes() == expect[0].tobytes() and omega.cell_lo.shape == expect[0].shape
+        assert omega.cell_hi.tobytes() == expect[1].tobytes() and omega.cell_hi.shape == expect[1].shape
+        assert omega.volume == float(np.prod(expect[1] - expect[0], axis=1).sum())

@@ -367,6 +367,18 @@ def test_sequence_prefix_consistency():
     assert np.array_equal(seq.points[:5], seq2.points)
 
 
+def test_sequence_takes_count_as_the_construction_takes_n():
+    # a numpy integer count takes the points of the int; a count that is not
+    # an integer >= 1 is refused with a ValueError naming it, not built
+    mu = uniform_measure(1)
+    cfg = ConstructionConfig(seed=3)
+    seq, _ = take_sequence(mu, np.int64(3), cfg)
+    assert np.array_equal(seq.points, take_sequence(mu, 3, cfg)[0].points)
+    for count in (0, -1, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="count="):
+            take_sequence(mu, count, cfg)
+
+
 def test_sequence_auxiliary_coordinate_strictly_increasing():
     mu = uniform_measure(1)
     state = SequenceState()

@@ -36,3 +36,13 @@ def test_grid_lines_read_alike_at_every_block_size():
     assert [line.split()[0] for line in lines] == names
     assert len({line.split()[1] for line in lines[:3]}) == len({line.split()[1] for line in lines[3:]}) == 1
     assert discrepancy._BLOCK_CELLS == 1 << 16
+
+
+def test_mass_and_region_lines_digest_stably():
+    # every zero-volume line hashes eight refusals with the same message
+    names = ["mass-d2-extension-empty", "mass-d3-edge-tops"] + [f"region-d{d}-zero" for d in (1, 2, 3)]
+    lines = scan_digest.digest_lines(names)
+    assert [line.split()[0] for line in lines] == names
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{16}", line) for line in lines)
+    assert scan_digest.digest_lines(names) == lines
+    assert len({line.split()[1] for line in lines[2:]}) == 1

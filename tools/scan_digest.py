@@ -20,6 +20,16 @@ bytes:
              read whole, of distinct, tie-heavy and `-edge-` clouds at
              d = 1, 2, 3, at the three block sizes, by whose stretches
              the sort keys are built;
+  mass-*     DiscreteMeasure.mass_on_grid, closed then open, of tied, free
+             and `-edge-` atoms at d = 1, 2, 3 and through a product
+             extension, on the sub-grids a scan asks for: a cloud's whole
+             critical grid with the atoms merged in, a stretch of its rows,
+             the tops of tiles, random columns, and a grid with an axis of
+             no corner;
+  region-*   OmegaRegion: the cells, their volumes and the volume (or the
+             refusal) of random unions of boxes at d = 1, 2, 3, on free
+             and on shared endpoints, with a flat box among them, and of
+             flat boxes only;
   round-*    round_array at d = 1, 2, 3 and, above the 20000 variables
              from which the LP jump runs HiGHS's interior point method,
              at d = 2 N = 256 (about 3 s); round_array of a construction's
@@ -220,8 +230,75 @@ def cases():
                 return _digest(*(np.asarray(a) for a in (*axes, *ranks, *orders)))
 
             out.append((f"{name}-b{cells}", grid))
+    for name, mu, axes in _mass_cases():
+        def mass(mu=mu, axes=axes):
+            return _digest(*(mu.mass_on_grid(axes, closed) for closed in (True, False)))
+
+        out.append((name, mass))
+    for name, regions in _region_cases():
+        out.append((name, lambda regions=regions: _digest(*map(_region, regions))))
     out.extend(_round_cases())
     return out
+
+
+def _mass_cases():
+    """(name, measure, axes) of the discrete-mass cases; they draw on their
+    own generator, so the other cases' clouds stay as they were."""
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3):
+        k = {1: 3000, 2: 300, 3: 40}[d]
+        tied = rng.integers(0, 9, (k, d)) / 8.0
+        tied[0], tied[-1] = 0.0, 1.0
+        measures = {
+            "tied": DiscreteMeasure(PointSet(tied)),
+            "free": DiscreteMeasure(PointSet(rng.random((k, d)))),
+            "edge": DiscreteMeasure(_edge_cloud(d)["edge"]),
+        }
+        if d > 1:
+            measures["extension"] = ProductExtensionMeasure(DiscreteMeasure(PointSet(tied[:, 1:])))
+        cloud = rng.random((k, d))
+        for mname, mu in measures.items():
+            atoms = mu.base.atoms.points if mname == "extension" else mu.atoms.points
+            axes = [np.unique(np.concatenate([cloud[:, s], [1.0], atoms[:, s] if s < atoms.shape[1] else []]))
+                    for s in range(d)]
+            t = discrepancy._tile_side(d)
+            lo = int(rng.integers(0, axes[0].size))
+            grids = {
+                "whole": axes,
+                "rows": [axes[0][lo:lo + int(rng.integers(1, 40))], *axes[1:]],
+                "tops": [ax[np.minimum(np.arange(t, ax.size + t, t), ax.size) - 1] for ax in axes],
+                "cols": [np.sort(rng.choice(ax, int(rng.integers(1, ax.size + 1)), replace=False)) for ax in axes],
+                "empty": [ax[:0] if s == d - 1 else ax for s, ax in enumerate(axes)],
+            }
+            for gname, grid in grids.items():
+                yield f"mass-d{d}-{mname}-{gname}", mu, grid
+
+
+def _region_cases():
+    """(name, boxes of each region) of the region cases, from their own
+    generator: eight unions of one to four boxes per line."""
+    rng = np.random.default_rng(47)
+    for d in (1, 2, 3):
+        for kind in ("free", "shared", "flat", "zero"):
+            regions = []
+            for _ in range(8):
+                count = int(rng.integers(1, 5))
+                ends = rng.random((count, 2, d)) if kind == "free" else rng.integers(0, 5, (count, 2, d)) / 4.0
+                ends.sort(axis=1)
+                if kind in ("flat", "zero"):  # the first box, or every box, flat on one axis
+                    flat = (slice(1 if kind == "flat" else None), int(rng.integers(0, d)))
+                    ends[:, 1][flat] = ends[:, 0][flat]
+                regions.append(list(zip(ends[:, 0], ends[:, 1])))
+            yield f"region-d{d}-{kind}", regions
+
+
+def _region(boxes):
+    """What an OmegaRegion of `boxes` holds, or why it is refused."""
+    try:
+        omega = OmegaRegion(boxes)
+    except ValueError as e:
+        return str(e)
+    return np.concatenate([omega.cell_lo.ravel(), omega.cell_hi.ravel(), omega.cell_vol, [omega.volume]])
 
 
 def _grid_cases():
