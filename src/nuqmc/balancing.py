@@ -101,7 +101,8 @@ class Hypergraph:
     Built from a sequence of edges, Hypergraph(n, edges), by one vectorised
     validation: vertex ids are integers (a float id is refused, not
     truncated) in [0, n), each edge is sorted (one segmented sort when it
-    is not) and repeats no vertex, and max_degree is counted by bincount.
+    is not) and repeats no vertex, and max_degree is the largest count of
+    one vertex among the members.
     Serialization is the JSON object {"n": n, "edges": [[...], ...]}.
     """
 
@@ -133,7 +134,8 @@ class Hypergraph:
         self.n = n
         self.ptr = ptr
         self.members = members
-        self.max_degree = int(np.bincount(members, minlength=n).max()) if n else 0
+        # counted over the members, so no array is n or the largest id long
+        self.max_degree = int(np.unique(members, return_counts=True)[1].max(initial=0))
 
     @property
     def m(self) -> int:

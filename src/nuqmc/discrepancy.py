@@ -8,11 +8,11 @@ every grid corner two variants are evaluated:
   open    -- points counted with <,  mass of the open box.
 
 The open variant is the limit of closed boxes [0, a - eps] as eps -> 0, which
-captures suprema that are approached but not attained.  For measures with
-atomless marginals the open-box mass equals the closed-box mass, so the open
-variant pairs the strict count with the closed mass; for discrete measures
-the mass side honours the strict limit as well (otherwise e.g. the
-discrepancy of a point set against its own empirical measure would not be 0).
+captures suprema that are approached but not attained.  The measure is
+asked for the open-box mass of that variant, so the mass side honours the
+strict limit too, whether or not the measure declares its atoms (otherwise
+e.g. the discrepancy of a point set against its own empirical measure would
+not be 0); a continuous measure gives the closed-box mass for both.
 
 One in-place sort per axis gives the grid, the ranks and the orders
 (`_grid`), so no point is searched for: a sort of 8-byte keys that pack each
@@ -27,7 +27,7 @@ distinct values makes one 8-byte K-long array, its keys, which become the
 order, and a one-byte mask of the neighbours that share a fraction.  Ranks
 are listed in axis-0 sorted order, which the points keep from the sort to
 the last scan: axis 0's ranks are the sorted run indices, which for distinct
-values are the positions 0..K-1, held as two numbers (`_Positions`), and
+values are the positions 0..K-1, held as one number (`_Positions`), and
 every other axis costs one scatter and one gather.  A point set keeps its sort
 (`PointSet.critical_grid`), so a construction sorts its K-point cloud once:
 the orders give the rank-slab decomposition its slabs and representatives,
@@ -54,9 +54,9 @@ the closed count one corner lower on every axis: the exact scan and the
 bracket subtract the block's quotient count/N shifted that way
 (`_subtract_lower`), so no strict block is built.
 
-The exact scan counts in two levels (`_scan_grid`).  A grid of more than
-one block is cut into tiles of a few corners per axis; the counts and
-masses at the tile tops bound every tile from both sides, with the
+The exact scan counts in two levels (`_scan_grid`).  The grid is cut into
+tiles of a few corners per axis, or is one tile when it fits one block; the
+counts and masses at the tile tops bound every tile from both sides, with the
 bracket's arithmetic (`_bound_blocks`), and only the tiles whose bound
 reaches the running maximum are counted corner by corner, in bands of axis
 0 at their own columns.  Value, witness and variant are bitwise those of a
@@ -181,21 +181,21 @@ class _Axis:
 
 
 class _Positions:
-    """The intp ranks lo, lo + 1, ..., lo + size - 1, held as two numbers:
-    the ranks of an axis 0 with no repeated value, listed in axis-0 order
-    (`_grid`), are its positions 0..K-1.
+    """The intp ranks 0, 1, ..., size - 1, held as one number: the ranks of
+    an axis 0 with no repeated value, listed in axis-0 order (`_grid`), are
+    its positions 0..K-1.
 
-    It answers what the scans ask of axis 0's ranks: `searchsorted`, a
-    slice of step 1 (another `_Positions`), an integer gather of positions
-    in [0, size) (j + lo), len, size and dtype.  np.asarray gives the whole
-    array, and any other index (a boolean mask, a negative position) reads
-    through it.  Every answer is bitwise np.arange's."""
+    It answers what the scans ask of axis 0's ranks: `searchsorted` of
+    integer ranks, an integer gather of positions in [0, size), len, size
+    and dtype.  np.asarray gives the whole array, and any other index (a
+    slice, a boolean mask, a negative position) reads through it.  Every
+    answer is bitwise np.arange's."""
 
-    __slots__ = ("lo", "size")
+    __slots__ = ("size",)
     dtype = np.dtype(np.intp)
 
-    def __init__(self, size, lo=0):
-        self.size, self.lo = size, lo
+    def __init__(self, size):
+        self.size = size
 
     @property
     def shape(self):
@@ -205,28 +205,19 @@ class _Positions:
         return self.size
 
     def searchsorted(self, v, side="left"):
-        """The insertion points of integers `v`, as np.searchsorted's: the
-        ranks below v (at or below v on the right side), v - lo (+ 1),
+        """The insertion points of integer ranks `v`, as np.searchsorted's:
+        the ranks below v (at or below v on the right side), v (+ 1),
         clipped to [0, size]."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        v = np.asarray(v)
-        if not np.issubdtype(v.dtype, np.integer):
-            return np.asarray(self).searchsorted(v, side)
-        return np.clip(v.astype(np.intp, copy=False) - (self.lo - (side == "right")), 0, self.size)
+        return np.clip(np.asarray(v, dtype=np.intp) + int(side == "right"), 0, self.size)
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            start, stop, step = j.indices(self.size)
-            if step == 1:
-                return _Positions(max(stop - start, 0), self.lo + start)
-        elif isinstance(j, np.ndarray) and j.dtype.kind in "iu":
+        if isinstance(j, np.ndarray) and j.dtype.kind in "iu":
             if not j.size or 0 <= j.min() <= j.max() < self.size:  # positions of its own range
-                return np.add(j, self.lo, dtype=np.intp)
+                return np.positive(j, dtype=np.intp)  # a copy, as a gather of np.arange is
         return np.asarray(self)[j]
 
     def __array__(self, dtype=None, copy=None):
-        return np.arange(self.lo, self.lo + self.size, dtype=np.intp).astype(dtype or np.intp, copy=False)
+        return np.arange(self.size, dtype=dtype or np.intp)
 
 
 def _grid(points: np.ndarray):
@@ -364,7 +355,6 @@ def _count_blocks(flat, shape, rows):
     starts from the last cumulative row of the block before.  The last row
     of a yielded block carries into the next, so a caller must not write to
     the block.  Only `_corner_counts` calls it."""
-    d = len(shape)
     stride = math.prod(shape[1:])
     carry = np.zeros(shape[1:], dtype=np.intp)
     # flat rises with the row, so a search at a row start splits it exactly
@@ -373,16 +363,10 @@ def _count_blocks(flat, shape, rows):
         a, b = np.searchsorted(flat, (lo * stride, hi * stride))
         block = np.bincount(flat[a:b] - lo * stride, minlength=(hi - lo) * stride)
         block = block.reshape((hi - lo,) + shape[1:])
-        for axis in range(1, d):
+        for axis in range(1, len(shape)):
             np.cumsum(block, axis=axis, out=block)
         block[0] += carry
-        if stride >= 256:
-            # int64 cumsum costs ~3 ns an element, a row add ~0.3 ns plus
-            # ~1 us a call: rows win once they hold a few hundred cells
-            for i in range(1, hi - lo):
-                np.add(block[i], block[i - 1], out=block[i])
-        else:
-            np.cumsum(block, axis=0, out=block)
+        np.cumsum(block, axis=0, out=block)
         carry = block[-1]
         yield lo, block
 
@@ -412,9 +396,7 @@ def _corner_counts(ranks, tops):
     rows = max(1, _BLOCK_CELLS // math.prod(shape[1:]))
     if len(shape) == 1:
         for lo in range(0, shape[0], rows):
-            top = tops[0][lo:lo + rows]
-            a, b = ranks[0].searchsorted(top[[0, -1]], "right")  # the stretch the block's tops cut
-            yield lo, ranks[0][a:b].searchsorted(top, "right") + a
+            yield lo, ranks[0].searchsorted(tops[0][lo:lo + rows], "right")
         return
     cuts = ranks[0].searchsorted(tops[0], "right")
     bins, past = [], []  # past: per axis whose ranks reach past its last top, the points past it
@@ -504,11 +486,11 @@ class _Scan:
     every other axis s that `keep[s-1]` marks, and folds their values into
     the maximum; the masses come from `mass_provider(block_axes, closed)`
     on those rows and columns, plus, per marked corner, the one below it,
-    which gives the open variant its strict counts.  Each variant keeps its first maximum in global C order,
-    whatever the order of the bands."""
+    which gives the open variant its strict counts.  Each variant keeps its
+    first maximum in global C order, whatever the order of the bands."""
 
-    def __init__(self, axes, ranks, normalizer, mass_provider, atoms):
-        self.axes, self.ranks, self.atoms = axes, ranks, atoms
+    def __init__(self, axes, ranks, normalizer, mass_provider):
+        self.axes, self.ranks = axes, ranks
         self.normalizer, self.mass_provider = float(normalizer), mass_provider
         self.shape = tuple(len(a) for a in axes)
         self.best = {}  # closed -> (value, flat index of the corner)
@@ -537,13 +519,10 @@ class _Scan:
                     continue
             block_axes = [axes[0][lo:lo + len(q)], *others]
             for closed in (True, False):
+                vals = self.mass_provider(block_axes, closed)
                 if closed:
-                    mass = self.mass_provider(block_axes, True)
-                    # without atoms the open variant reuses the closed mass, so
-                    # this variant gets a new array
-                    vals = np.subtract(mass, q, out=mass) if self.atoms else mass - q
+                    np.subtract(vals, q, out=vals)
                 else:
-                    vals = self.mass_provider(block_axes, False) if self.atoms else mass
                     # strict count/normalizer is q one corner lower on every
                     # axis, the carried row on top, and 0 where there is none
                     _subtract_lower(vals, q, q_carry)
@@ -580,8 +559,9 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     grid's size, before any block is counted.  The normalizer must be
     positive.
 
-    A grid of more than one block of `_BLOCK_CELLS` cells is cut into tiles
-    of t corners per axis (`_tile_side`), and scanned in two levels:
+    The grid is cut into tiles of t corners per axis (`_tile_side`; one
+    tile when the grid fits one block of `_BLOCK_CELLS` cells), and scanned
+    in two levels:
 
       coarse  every tile gets the bound of `_bound_blocks` from the closed
               counts and masses at the tops of its own and of the tile one
@@ -595,8 +575,7 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     Counts, quotients and masses grow with the corner and float rounding is
     monotone, so a tile whose bound is below the running maximum holds no
     value that reaches it, in either variant: value, witness and variant
-    are those of the full scan, bitwise.  A smaller grid is one tile, and
-    is counted exactly in row blocks.
+    are those of the full scan, bitwise.
 
     A band's closed counts are `_corner_counts` at its rows and kept
     columns, with the row before the band in front: that row is the open
@@ -608,21 +587,16 @@ def _scan_grid(axes, ranks, normalizer, mass_provider, budget, extra_axes=None):
     once per block and variant, closed first, on the block's rows and
     columns, and once per coarse row block, closed; it returns the masses
     as a fresh, writable array, which the scan overwrites with |mass - q|
-    (bitwise |q - mass|).  Without `extra_axes` the measure has no atoms,
-    so the open box has the closed box's mass, and the closed call serves
-    both variants.  Each variant keeps its first maximum in C order, and
-    the closed variant wins a tie, as an argmax over the whole grid would.
+    (bitwise |q - mass|).  Each variant keeps its first maximum in C
+    order, and the closed variant wins a tie, as an argmax over the whole
+    grid would.
     """
     axes, ranks = _merge_axes(axes, ranks, extra_axes)
     shape = tuple(len(a) for a in axes)
     d = len(axes)
     cells = _check_budget(shape, budget)
-    scan = _Scan(axes, ranks, normalizer, mass_provider, extra_axes is not None)
-    if cells <= _BLOCK_CELLS:
-        scan.band(0, shape[0], [np.ones(n, dtype=bool) for n in shape[1:]])
-        return (*scan.result(), 2 * cells)
-
-    t = _tile_side(d)
+    scan = _Scan(axes, ranks, normalizer, mass_provider)
+    t = _tile_side(d) if cells > _BLOCK_CELLS else max(shape)
     tiles = tuple(-(-n // t) for n in shape)
     tops = [np.minimum(np.arange(1, g + 1) * t, n) - 1 for g, n in zip(tiles, shape)]
     bounds = np.empty(tiles)

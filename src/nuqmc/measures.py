@@ -17,7 +17,8 @@ Three concrete families are provided:
 
 Continuous measures assign zero mass to box faces, so they ignore the
 `closed` flag; only DiscreteMeasure distinguishes the two variants.  The
-exact discrepancy scanner relies on this convention.
+exact discrepancy scanner asks every measure for both, so a measure with
+atoms gets its open masses whether or not it declares where they sit.
 
 All measures are immutable after construction and safe to share between
 threads; samplers take an explicit seed so concurrent trials can use
@@ -59,6 +60,14 @@ MASS_TOL = 1e-12
 
 class DimensionMismatchError(ValueError):
     """Query or point-set dimension differs from the measure's dimension."""
+
+
+def _whole(name, value):
+    """`value` as an int; refused, not truncated, unless it is an integer
+    >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -258,7 +267,9 @@ class BoxMeasure:
     def jump_coordinates(self):
         """Per-axis coordinates where the anchored-box mass jumps (atoms of
         the marginal structure); None for measures continuous along every
-        axis.  Exact discrepancy scans add these to their critical grids."""
+        axis.  Exact discrepancy scans add these to their critical grids as
+        corners; the open masses are asked of every measure, declared or
+        not."""
         return None
 
     def sample(self, seed: int, count: int) -> PointSet:
@@ -294,8 +305,7 @@ class ProductMeasure(BoxMeasure):
         return out
 
     def sample(self, seed: int, count: int) -> PointSet:
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = _whole("count", count)
         rng = np.random.default_rng(seed)
         u = rng.random((count, self.dim))
         for s, cdf in enumerate(self.cdfs):
@@ -382,8 +392,7 @@ class RestrictionMeasure(BoxMeasure):
         return grid
 
     def sample(self, seed: int, count: int) -> PointSet:
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = _whole("count", count)
         rng = np.random.default_rng(seed)
         # volume-weighted cell choice, then uniform within the cell; drawing
         # from the disjoint cells (not the possibly overlapping input boxes)
@@ -427,8 +436,7 @@ class DiscreteMeasure(BoxMeasure):
         return out
 
     def sample(self, seed: int, count: int) -> PointSet:
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = _whole("count", count)
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, self.k, size=count)
         return PointSet(self.atoms.points[idx])
@@ -524,7 +532,7 @@ def measure_from_config(cfg, base_dir: Path | None = None) -> BoxMeasure:
         cfg = json.loads(path.read_text())
     kind = cfg.get("type")
     if kind == "uniform":
-        return uniform_measure(int(cfg["d"]))
+        return uniform_measure(_whole("d", cfg["d"]))
     if kind == "product":
         return ProductMeasure([_cdf_from_config(c) for c in cfg["cdfs"]])
     if kind == "restriction":

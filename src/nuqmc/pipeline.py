@@ -50,8 +50,8 @@ from .discrepancy import (
     exact_star_discrepancy,
 )
 from .dyadic import check_lattice
-from .measures import BoxMeasure, PointSet, ProductExtensionMeasure
-from .selection import _whole, select_subset
+from .measures import BoxMeasure, PointSet, ProductExtensionMeasure, _whole
+from .selection import select_subset
 
 __all__ = [
     "ConstructionConfig",
@@ -179,10 +179,6 @@ class SequenceState:
     pos: int = 0                         # next emission index within block
     block_points: np.ndarray | None = None       # projected d-dim points
     block_certificates: list = field(default_factory=list)
-
-    def __post_init__(self):
-        assert [block_size(i) for i in (1, 2, 3, 4)] == [1, 4, 64, 16384]
-        assert [block_offset(i) for i in (1, 2, 3, 4)] == [0, 1, 5, 69]
 
 
 def _build_block(state: SequenceState, mu: BoxMeasure, cfg: ConstructionConfig):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import reference_prefix_bound, round_array
-from .measures import PointSet
+from .measures import PointSet, _whole
 
 __all__ = ["CellDecomposition", "SelectionResult", "decompose", "select_subset"]
 
@@ -55,14 +55,6 @@ class CellDecomposition:
     counts: np.ndarray        # (N,)*d cell occupancies
     beta: np.ndarray          # N/(K+N) * counts
     first: np.ndarray         # (N,)*d lowest index of a cell's points, K if none
-
-
-def _whole(name, value):
-    """`value` as an int; refused, not truncated, unless it is an integer
-    >= 1 (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
-    return int(value)
 
 
 def _slab_of_rank(k: int, n: int) -> np.ndarray:

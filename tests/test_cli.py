@@ -8,8 +8,8 @@ import sys
 
 import numpy as np
 
-from conftest import pin_message
-from nuqmc import cli, discrepancy
+from conftest import pin_message, tracemalloc_peak
+from nuqmc import balancing, cli, discrepancy
 from nuqmc.cli import main
 
 
@@ -252,6 +252,24 @@ def test_round_refuses_float_vertex_ids(tmp_path, capsys):
                        "--out", str(out))
     assert code == 2
     assert "integers" in err
+    assert not out.exists()
+
+
+def test_round_refuses_short_beta_of_a_huge_vertex_count(tmp_path, capsys):
+    # n = 10^12 vertices: an n-long array could not be allocated, so the
+    # degrees are counted over the members (the last vertex among them),
+    # and the short beta exits 2
+    n = 10**12
+    assert tracemalloc_peak(balancing.Hypergraph, n, [[0, 5], [3, n - 1]]) < 1 << 20
+    h = tmp_path / "h.json"
+    h.write_text(f'{{"n": {n}, "edges": [[0, 5], [3, {n - 1}]]}}')
+    beta = tmp_path / "beta.json"
+    beta.write_text("[0.5, 0.5, 0.5]")
+    out = tmp_path / "res.json"
+    code, _, err = run(capsys, "round", "--hypergraph", str(h), "--beta", str(beta),
+                       "--out", str(out))
+    assert code == 2
+    assert f"n={n}" in err
     assert not out.exists()
 
 

@@ -197,6 +197,26 @@ def test_sample_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def test_samplers_and_config_refuse_counts_that_are_not_whole():
+    # a float, a bool, a string or a count below 1 is refused, not
+    # truncated; a numpy integer draws the points of the int
+    pts = PointSet([[0.2, 0.4], [0.6, 0.8]])
+    for mu in (
+        ProductMeasure([PowerCdf(2.0), UniformCdf()]),
+        RestrictionMeasure([([0.0, 0.0], [1.0, 0.5])]),
+        DiscreteMeasure(pts),
+        ProductExtensionMeasure(ProductMeasure([PowerCdf(2.0)])),
+    ):
+        for bad in (2.5, True, "3", 0, -1):
+            with pytest.raises(ValueError, match="count="):
+                mu.sample(0, bad)
+        assert mu.sample(4, np.int64(3)).points.tobytes() == mu.sample(4, 3).points.tobytes()
+    for bad in (2.5, True, "2", 0):
+        with pytest.raises(ValueError, match="d="):
+            measure_from_config({"type": "uniform", "d": bad})
+    assert measure_from_config({"type": "uniform", "d": np.int64(3)}).dim == 3
+
+
 def test_validate_pass_and_fail():
     assert validate(uniform_measure(3)).passed
     assert validate(ProductMeasure([PowerCdf(0.5), PowerCdf(3.0)])).passed
